@@ -37,7 +37,6 @@ from .spectral import (
     FanBounds,
     OptimalDepths,
     SpectrumGrid,
-    UnboundedBaseline,
     camera_axis_chirp,
     dft2_magnitude,
     fan_bounds_parallel,

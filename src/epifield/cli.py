@@ -11,7 +11,6 @@ preconditions, 3 for I/O failures.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from .fileio import (
     write_epi,
     write_heatmap_pgm,
     write_layers_rmse_csv,
+    write_missing_csv,
     write_spectrum,
     write_sweep_csv,
 )
@@ -37,7 +37,6 @@ from .mapping import NoIntersection
 from .render import NonDivisibleFactor, SelfOcclusionError, render_epi
 from .scene import SceneGeometryError, partition_depth_layers
 from .spectral import (
-    UnboundedBaseline,
     camera_axis_chirp,
     dft2_magnitude,
     fan_bounds_parallel,
@@ -79,11 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     guidelines = add("guidelines", "print sampling guidance for a scene/plane", False)
     guidelines.add_argument("--scene", default=None, help="preset letter instead of --config")
     sweep = add("sweep-sparsity", "spectral sparsity over a (depth, tilt) grid")
-    sweep.add_argument("--heatmap", action="store_true", help="also write PGM heatmaps")
     reconstruct = add("reconstruct", "reconstruction PSNR over a (depth, tilt) grid")
     reconstruct.add_argument(
         "--factor", type=int, default=None, help="override [sweep] subsampling factor"
     )
+    for cmd in (sweep, reconstruct):
+        cmd.add_argument("--heatmap", action="store_true", help="also write PGM heatmaps")
     add("layers", "layered capture: per-layer planes, error and image counts")
     return parser
 
@@ -103,7 +103,6 @@ def main(argv=None) -> int:
         SelfOcclusionError,
         NoIntersection,
         NonDivisibleFactor,
-        UnboundedBaseline,
         ValueError,
     ) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
@@ -149,8 +148,8 @@ def _dispatch(args) -> int:
         "render": _cmd_render,
         "spectrum": _cmd_spectrum,
         "guidelines": _cmd_guidelines,
-        "sweep-sparsity": _cmd_sweep_sparsity,
-        "reconstruct": _cmd_reconstruct,
+        "sweep-sparsity": _cmd_sweep,
+        "reconstruct": _cmd_sweep,
         "layers": _cmd_layers,
     }[args.command]
     return handler(args, cfg)
@@ -219,17 +218,11 @@ def _guideline_lines(cfg: RunConfig) -> list[str]:
         f"wu_max = {wu_max:.6g}",
         f"view_bandwidth = {bandwidth:.6g}",
     ]
-    try:
-        spacing = max_camera_spacing(depth_range, cfg.plane.focal, wu_max, bandwidth)
-    except UnboundedBaseline:
-        spacing = math.inf
+    spacing = max_camera_spacing(depth_range, cfg.plane.focal, wu_max, bandwidth)
     lines.append(f"max_spacing_parallel = {spacing:.6g}")
     lines.append(f"images_parallel = {min_image_count(spacing, cfg.plane.s_max)}")
     layer = partition_depth_layers(surface, 1)[0]
-    try:
-        spacing_tilted = max_camera_spacing_tilted(layer, cfg.plane.focal, wu_max, bandwidth)
-    except UnboundedBaseline:
-        spacing_tilted = math.inf
+    spacing_tilted = max_camera_spacing_tilted(layer, cfg.plane.focal, wu_max, bandwidth)
     lines += [
         f"fitted_z0 = {layer.fitted_z0:.6g}",
         f"fitted_tilt_deg = {layer.fitted_tilt_deg:.6g}",
@@ -260,69 +253,52 @@ def _cmd_guidelines(args, cfg: RunConfig) -> int:
     return _EXIT_OK
 
 
-def _sweep_axes(cfg: RunConfig):
+def _cmd_sweep(args, cfg: RunConfig) -> int:
     if cfg.sweep is None:
         raise ConfigError("this command needs a [sweep] section")
-    d_values = np.linspace(cfg.sweep.depth_min, cfg.sweep.depth_max, cfg.sweep.depth_count)
-    t_values = np.linspace(cfg.sweep.tilt_min, cfg.sweep.tilt_max, cfg.sweep.tilt_count)
-    return d_values, t_values
-
-
-def _cmd_sweep_sparsity(args, cfg: RunConfig) -> int:
-    d_values, t_values = _sweep_axes(cfg)
-    result = sweep_sparsity(
-        cfg.scene,
-        d_values,
-        t_values,
+    sw = cfg.sweep
+    d_values = np.linspace(sw.depth_min, sw.depth_max, sw.depth_count)
+    t_values = np.linspace(sw.tilt_min, sw.tilt_max, sw.tilt_count)
+    common = dict(
         focal=cfg.plane.focal,
         s_max=cfg.plane.s_max,
         u_max=cfg.plane.u_max,
         n_s=cfg.n_s,
         n_u=cfg.n_u,
-        subsample_factor=cfg.subsample_factor,
-        keep_fraction=cfg.keep_fraction,
-        window=cfg.window or "rect",
         seed=cfg.seed,
         threads=cfg.threads,
     )
-    geometry = sweep_plane_mae(cfg.scene.surface, d_values, t_values)
+    if args.command == "reconstruct":
+        factor = args.factor if args.factor is not None else sw.factor
+        result = sweep_reconstruction(cfg.scene, d_values, t_values, factor=factor, **common)
+        tables = [("psnr", result, f"psnr argmax (factor {factor})")]
+    else:
+        result = sweep_sparsity(
+            cfg.scene,
+            d_values,
+            t_values,
+            subsample_factor=cfg.subsample_factor,
+            keep_fraction=cfg.keep_fraction,
+            window=cfg.window or "rect",
+            **common,
+        )
+        geometry = sweep_plane_mae(cfg.scene.surface, d_values, t_values)
+        tables = [
+            ("sparsity", result, "sparsity argmin"),
+            ("plane_mae", geometry, "plane_mae argmin"),
+        ]
     out = _out_dir(cfg)
-    paths = [
-        write_sweep_csv(result, out / "sparsity.csv"),
-        write_sweep_csv(geometry, out / "plane_mae.csv"),
-    ]
+    paths = [write_sweep_csv(table, out / f"{stem}.csv") for stem, table, _ in tables]
     if args.heatmap:
-        paths.append(write_heatmap_pgm(result.metric, out / "sparsity_heatmap.pgm"))
-        paths.append(write_heatmap_pgm(geometry.metric, out / "plane_mae_heatmap.pgm"))
-    _write_manifest(out, "sweep-sparsity", cfg, paths)
-    d_best, t_best = result.opt_cell_values()
-    print(f"sparsity argmin: depth={d_best:.6g} tilt={t_best:.6g} deg")
-    d_geo, t_geo = geometry.opt_cell_values()
-    print(f"plane_mae argmin: depth={d_geo:.6g} tilt={t_geo:.6g} deg")
-    return _EXIT_OK
-
-
-def _cmd_reconstruct(args, cfg: RunConfig) -> int:
-    d_values, t_values = _sweep_axes(cfg)
-    factor = args.factor if args.factor is not None else cfg.sweep.factor
-    result = sweep_reconstruction(
-        cfg.scene,
-        d_values,
-        t_values,
-        factor=factor,
-        focal=cfg.plane.focal,
-        s_max=cfg.plane.s_max,
-        u_max=cfg.plane.u_max,
-        n_s=cfg.n_s,
-        n_u=cfg.n_u,
-        seed=cfg.seed,
-        threads=cfg.threads,
-    )
-    out = _out_dir(cfg)
-    paths = [write_sweep_csv(result, out / "psnr.csv")]
-    _write_manifest(out, "reconstruct", cfg, paths)
-    d_best, t_best = result.opt_cell_values()
-    print(f"psnr argmax (factor {factor}): depth={d_best:.6g} tilt={t_best:.6g} deg")
+        for stem, table, _ in tables:
+            paths.append(write_heatmap_pgm(table.metric, out / f"{stem}_heatmap.pgm"))
+    if result.missing:
+        paths.append(write_missing_csv(result, out / "missing.csv"))
+        print(f"{len(result.missing)} of {result.metric.size} cells missing, see missing.csv")
+    _write_manifest(out, args.command, cfg, paths)
+    for _, table, label in tables:
+        d_best, t_best = table.opt_cell_values()
+        print(f"{label}: depth={d_best:.6g} tilt={t_best:.6g} deg")
     return _EXIT_OK
 
 

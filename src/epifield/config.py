@@ -6,7 +6,8 @@ keys, unparseable numbers) raise ConfigError; domain violations (negative
 focal length, camera range touching the plane crossing) surface as the
 constructing type's own error so the CLI can report them as failed
 preconditions rather than malformed input. The plane depth accepts the
-token "infinity" for the directional limit.
+token "infinity" for the directional limit; every other number must be
+finite.
 """
 
 from __future__ import annotations
@@ -68,6 +69,10 @@ class RunConfig:
     subsample_factor: int
     sweep: SweepSpec | None = None
     layers: LayersSpec | None = None
+
+    def __post_init__(self):
+        if self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
     def canonical(self) -> str:
         """Deterministic one-line-per-field rendering of the semantic fields.
@@ -146,8 +151,15 @@ def _opt(section, key, convert, default, origin):
     return _get(section, key, convert, origin)
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.split())
+    return tuple(_finite(tok) for tok in raw.split())
 
 
 def _ints(raw: str) -> tuple[int, ...]:
@@ -156,12 +168,12 @@ def _ints(raw: str) -> tuple[int, ...]:
 
 def _surface_fields(section, origin) -> dict:
     return {
-        "z0": _get(section, "z0", float, origin),
-        "tilt_deg": _get(section, "tilt_deg", float, origin),
-        "quad": _get(section, "quad", float, origin),
+        "z0": _get(section, "z0", _finite, origin),
+        "tilt_deg": _get(section, "tilt_deg", _finite, origin),
+        "quad": _get(section, "quad", _finite, origin),
         "x_range": (
-            _get(section, "x_min", float, origin),
-            _get(section, "x_max", float, origin),
+            _get(section, "x_min", _finite, origin),
+            _get(section, "x_max", _finite, origin),
         ),
     }
 
@@ -177,9 +189,9 @@ def _texture_fields(section, origin, base: dict | None = None) -> dict:
     if "omegas" in section:
         fields["omegas"] = _get(section, "omegas", _floats, origin)
     if "angular_bandwidth" in section:
-        fields["angular_bandwidth"] = _get(section, "angular_bandwidth", float, origin)
+        fields["angular_bandwidth"] = _get(section, "angular_bandwidth", _finite, origin)
     if "noise_sigma" in section:
-        fields["noise_sigma"] = _get(section, "noise_sigma", float, origin)
+        fields["noise_sigma"] = _get(section, "noise_sigma", _finite, origin)
     return fields
 
 
@@ -240,11 +252,11 @@ def load_config(
         raise ConfigError(f"{origin}: missing [plane] section")
     plane_sec = parser["plane"]
     plane_raw = {
-        "focal": _get(plane_sec, "focal", float, origin) if "focal" in plane_sec else 1.0,
+        "focal": _opt(plane_sec, "focal", _finite, 1.0, origin),
         "depth": _get(plane_sec, "depth", float, origin),
-        "tilt_deg": _get(plane_sec, "tilt_deg", float, origin) if "tilt_deg" in plane_sec else 0.0,
-        "s_max": _get(plane_sec, "s_max", float, origin) if "s_max" in plane_sec else 1.0,
-        "u_max": _get(plane_sec, "u_max", float, origin) if "u_max" in plane_sec else DEFAULT_U_MAX,
+        "tilt_deg": _opt(plane_sec, "tilt_deg", _finite, 0.0, origin),
+        "s_max": _opt(plane_sec, "s_max", _finite, 1.0, origin),
+        "u_max": _opt(plane_sec, "u_max", _finite, DEFAULT_U_MAX, origin),
     }
     plane = PlaneParam(**plane_raw)
 
@@ -259,7 +271,7 @@ def load_config(
         out_dir=out_dir if out_dir is not None else _opt(run, "out_dir", str, "out", origin),
         threads=threads if threads is not None else _opt(run, "threads", int, 1, origin),
         window=_opt(run, "window", str, None, origin),
-        keep_fraction=_opt(run, "keep_fraction", float, 0.01, origin),
+        keep_fraction=_opt(run, "keep_fraction", _finite, 0.01, origin),
         subsample_factor=_opt(run, "subsample_factor", int, 1, origin),
     )
     if cfg.window not in (None, "rect", "hann"):
@@ -270,11 +282,11 @@ def load_config(
     if "sweep" in parser:
         sw = parser["sweep"]
         cfg.sweep = SweepSpec(
-            depth_min=_get(sw, "depth_min", float, origin),
-            depth_max=_get(sw, "depth_max", float, origin),
+            depth_min=_get(sw, "depth_min", _finite, origin),
+            depth_max=_get(sw, "depth_max", _finite, origin),
             depth_count=_get(sw, "depth_count", int, origin),
-            tilt_min=_get(sw, "tilt_min", float, origin),
-            tilt_max=_get(sw, "tilt_max", float, origin),
+            tilt_min=_get(sw, "tilt_min", _finite, origin),
+            tilt_max=_get(sw, "tilt_max", _finite, origin),
             tilt_count=_get(sw, "tilt_count", int, origin),
             factor=_get(sw, "factor", int, origin) if "factor" in sw else 1,
         )

@@ -21,7 +21,6 @@ from .mapping import DEFAULT_U_MAX, PlaneParam, intersect_rays, rewarp_coords
 from .render import psnr, reconstruct_epi, render_epi, subsample_epi
 from .scene import SceneDef, SurfaceSpec, TextureSpec, partition_depth_layers
 from .spectral import (
-    UnboundedBaseline,
     dft2_magnitude,
     max_camera_spacing,
     max_camera_spacing_tilted,
@@ -66,6 +65,8 @@ class SweepResult:
         Ties and NaN cells resolve toward the lexicographically smallest
         (depth index, tilt index).
         """
+        if self.missing and len(self.missing) == self.metric.size:
+            raise ValueError(f"every cell is missing, first: {self.missing[0][2]}")
         m = self.metric
         if self.metric_kind in _MAXIMIZED_METRICS:
             m = -m
@@ -77,21 +78,33 @@ class SweepResult:
         return float(self.d_values[i]), float(self.tilt_values[j])
 
 
-def _run_cells(cells, worker, threads: int):
-    if threads <= 1:
-        return [worker(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, cells))
+def _sweep(
+    d_values, tilt_values, metric_kind, cell_metric, *, focal, s_max, u_max, threads
+) -> SweepResult:
+    """Evaluate cell_metric(param) on every (depth, tilt) cell of the grid.
 
-
-def _assemble(d_values, tilt_values, results, metric_kind) -> SweepResult:
+    A cell whose PlaneParam cannot be built is recorded as missing with
+    the constructor's reason. The pool never has more workers than cells.
+    """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     metric = np.full((len(d_values), len(tilt_values)), np.nan)
     missing = []
-    for (i, j), (value, reason) in results:
-        if reason is None:
-            metric[i, j] = value
-        else:
-            missing.append((i, j, reason))
+    params = {}
+    for i, d in enumerate(d_values):
+        for j, t in enumerate(tilt_values):
+            try:
+                params[i, j] = PlaneParam(focal, float(d), float(t), s_max, u_max)
+            except ValueError as exc:
+                missing.append((i, j, str(exc)))
+    workers = min(threads, len(params))
+    if workers <= 1:
+        values = [cell_metric(p) for p in params.values()]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            values = list(pool.map(cell_metric, params.values()))
+    for cell, value in zip(params, values):
+        metric[cell] = value
     return SweepResult(
         np.asarray(d_values, dtype=float),
         np.asarray(tilt_values, dtype=float),
@@ -135,23 +148,23 @@ def sweep_sparsity(
         raise ValueError("subsample_factor must divide n_s")
     if texture_override is not None:
         scene = replace(scene, texture=texture_override)
-    cells = [(i, j) for i in range(len(d_values)) for j in range(len(tilt_values))]
 
-    def worker(cell):
-        i, j = cell
-        try:
-            param = PlaneParam(focal, float(d_values[i]), float(tilt_values[j]), s_max, u_max)
-        except ValueError as exc:
-            return cell, (math.nan, str(exc))
-        epi = render_epi(
-            scene, param, n_s, n_u, seed=seed, check_occlusion=False
-        )
+    def cell_metric(param):
+        epi = render_epi(scene, param, n_s, n_u, seed=seed, check_occlusion=False)
         if subsample_factor > 1:
             epi = subsample_epi(epi, subsample_factor)
-        value = sparsity_rmse(dft2_magnitude(epi, window), keep_fraction)
-        return cell, (value, None)
+        return sparsity_rmse(dft2_magnitude(epi, window), keep_fraction)
 
-    return _assemble(d_values, tilt_values, _run_cells(cells, worker, threads), "sparsity_rmse")
+    return _sweep(
+        d_values,
+        tilt_values,
+        "sparsity_rmse",
+        cell_metric,
+        focal=focal,
+        s_max=s_max,
+        u_max=u_max,
+        threads=threads,
+    )
 
 
 def plane_mae(surface: SurfaceSpec, depth: float, tilt_deg: float, n_samples: int = 1024) -> float:
@@ -194,21 +207,22 @@ def sweep_reconstruction(
     """PSNR of subsample-then-interpolate against the dense render, per cell."""
     if factor < 1 or n_s % factor != 0:
         raise ValueError("factor must divide n_s")
-    cells = [(i, j) for i in range(len(d_values)) for j in range(len(tilt_values))]
 
-    def worker(cell):
-        i, j = cell
-        try:
-            param = PlaneParam(focal, float(d_values[i]), float(tilt_values[j]), s_max, u_max)
-        except ValueError as exc:
-            return cell, (math.nan, str(exc))
-        dense = render_epi(
-            scene, param, n_s, n_u, seed=seed, check_occlusion=False
-        )
+    def cell_metric(param):
+        dense = render_epi(scene, param, n_s, n_u, seed=seed, check_occlusion=False)
         rebuilt = reconstruct_epi(subsample_epi(dense, factor), n_s)
-        return cell, (psnr(dense.data, rebuilt.data), None)
+        return psnr(dense.data, rebuilt.data)
 
-    return _assemble(d_values, tilt_values, _run_cells(cells, worker, threads), "psnr")
+    return _sweep(
+        d_values,
+        tilt_values,
+        "psnr",
+        cell_metric,
+        focal=focal,
+        s_max=s_max,
+        u_max=u_max,
+        threads=threads,
+    )
 
 
 @dataclass
@@ -332,14 +346,8 @@ def layers_experiment(
                     focal, layer.fitted_z0, layer.fitted_tilt_deg, s_max, u_max, check=False
                 ),
             }
-            try:
-                sp_par = max_camera_spacing(layer.depth_range, focal, wu_max, view_bandwidth)
-            except UnboundedBaseline:
-                sp_par = math.inf
-            try:
-                sp_til = max_camera_spacing_tilted(layer, focal, wu_max, view_bandwidth)
-            except UnboundedBaseline:
-                sp_til = math.inf
+            sp_par = max_camera_spacing(layer.depth_range, focal, wu_max, view_bandwidth)
+            sp_til = max_camera_spacing_tilted(layer, focal, wu_max, view_bandwidth)
             worst["parallel"] = max(worst["parallel"], min_image_count(sp_par, s_max))
             worst["tilted"] = max(worst["tilted"], min_image_count(sp_til, s_max))
             mask = hit & (owner == key)

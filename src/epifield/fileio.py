@@ -29,6 +29,7 @@ __all__ = [
     "read_spectrum",
     "write_sweep_csv",
     "read_sweep_csv",
+    "write_missing_csv",
     "write_curve_csv",
     "write_layers_rmse_csv",
     "write_heatmap_pgm",
@@ -177,6 +178,18 @@ def write_sweep_csv(result: SweepResult, path) -> Path:
         for i, d in enumerate(result.d_values):
             for j, t in enumerate(result.tilt_values):
                 writer.writerow([_format_float(d), _format_float(t), _format_float(result.metric[i, j])])
+    return path
+
+
+def write_missing_csv(result: SweepResult, path) -> Path:
+    """One row per missing cell: depth, tilt_deg and why it was skipped."""
+    path = Path(path)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["depth", "tilt_deg", "reason"])
+        for i, j, reason in result.missing:
+            d, t = result.d_values[i], result.tilt_values[j]
+            writer.writerow([_format_float(d), _format_float(t), reason])
     return path
 
 

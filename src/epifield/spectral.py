@@ -23,7 +23,6 @@ from .render import Epi
 from .scene import DepthLayer, DepthRange
 
 __all__ = [
-    "UnboundedBaseline",
     "SpectrumGrid",
     "FanBounds",
     "OptimalDepths",
@@ -40,10 +39,6 @@ __all__ = [
     "camera_axis_chirp",
     "nyquist_omega",
 ]
-
-
-class UnboundedBaseline(RuntimeError):
-    """The anti-aliasing bound degenerates: any camera spacing works."""
 
 
 def nyquist_omega(spacing: float) -> float:
@@ -229,8 +224,7 @@ def max_camera_spacing(
 
     The spacing is 1 / (focal * (1/z_min - 1/z_max) * wu_max +
     2 * view_bandwidth); when the denominator vanishes (a single depth and
-    a Lambertian texture) the baseline is unbounded and UnboundedBaseline
-    is raised.
+    a Lambertian texture) the baseline is unbounded and the spacing is inf.
     """
     if wu_max < 0.0 or view_bandwidth < 0.0:
         raise ValueError("wu_max and view_bandwidth must be >= 0")
@@ -238,9 +232,7 @@ def max_camera_spacing(
         focal * (1.0 / depth_range.z_min - 1.0 / depth_range.z_max) * wu_max
         + 2.0 * view_bandwidth
     )
-    if denom == 0.0:
-        raise UnboundedBaseline("flat depth and Lambertian texture: any spacing works")
-    return 1.0 / denom
+    return math.inf if denom == 0.0 else 1.0 / denom
 
 
 def max_camera_spacing_tilted(
@@ -253,7 +245,8 @@ def max_camera_spacing_tilted(
 
     Replaces the raw depth spread by the fit residual extremes scaled by
     the fitted plane depth: 1 / ((focal / fitted_z0) * |r_min/z_min -
-    r_max/z_max| * wu_max + 2 * view_bandwidth).
+    r_max/z_max| * wu_max + 2 * view_bandwidth); inf for an exact plane
+    layer under a Lambertian texture.
     """
     if wu_max < 0.0 or view_bandwidth < 0.0:
         raise ValueError("wu_max and view_bandwidth must be >= 0")
@@ -262,9 +255,7 @@ def max_camera_spacing_tilted(
     denom = (focal / layer.fitted_z0) * abs(
         r_lo / dr.z_min - r_hi / dr.z_max
     ) * wu_max + 2.0 * view_bandwidth
-    if denom == 0.0:
-        raise UnboundedBaseline("exact plane layer and Lambertian texture")
-    return 1.0 / denom
+    return math.inf if denom == 0.0 else 1.0 / denom
 
 
 def min_image_count(spacing: float, s_max: float) -> int:

@@ -1,5 +1,6 @@
 import math
 import re
+from pathlib import Path
 from textwrap import dedent
 
 import pytest
@@ -349,7 +350,103 @@ def test_cli_reconstruct(tmp_path, capsys):
     )
     assert main(["reconstruct", "--config", str(cfg), "--factor", "4"]) == 0
     assert (out / "psnr.csv").is_file()
+    assert not (out / "psnr_heatmap.pgm").exists()
     assert "factor 4" in capsys.readouterr().out
+    assert main(["reconstruct", "--config", str(cfg), "--heatmap"]) == 0
+    assert (out / "psnr_heatmap.pgm").is_file()
+    assert "artifact = psnr_heatmap.pgm" in (out / "manifest.txt").read_text()
+
+
+def _depth_sweep(depth_min, depth_max):
+    return f"""
+        [sweep]
+        depth_min = {depth_min}
+        depth_max = {depth_max}
+        depth_count = 3
+        tilt_min = 0.0
+        tilt_max = 0.0
+        tilt_count = 1
+        factor = 2
+        """
+
+
+def test_cli_sweep_writes_missing_cells(tmp_path, capsys):
+    out = tmp_path / "missing_out"
+    cfg = _tiny_cfg(tmp_path, out, extra=_depth_sweep(-1.0, 1.5))
+    assert main(["sweep-sparsity", "--config", str(cfg)]) == 0
+    rows = (out / "missing.csv").read_text().splitlines()
+    assert rows[0] == "depth,tilt_deg,reason"
+    assert rows[1:] == ["-1.0,0.0,plane depth must be positive (math.inf allowed)"]
+    assert "artifact = missing.csv" in (out / "manifest.txt").read_text()
+    assert "1 of 3 cells missing" in capsys.readouterr().out
+
+
+def test_cli_sweep_with_every_cell_missing_exits_2(tmp_path, capsys):
+    out = tmp_path / "all_missing_out"
+    cfg = _tiny_cfg(tmp_path, out, extra=_depth_sweep(-2.0, -1.0))
+    for command in ("sweep-sparsity", "reconstruct"):
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "every cell is missing" in err and "plane depth must be positive" in err
+        assert "All-NaN" not in err
+
+
+def test_threads_below_one_is_a_config_error(tmp_path):
+    bad = _write(tmp_path, FULL_CONFIG.replace("threads = 2", "threads = 0"), name="t0.cfg")
+    with pytest.raises(ConfigError, match="threads"):
+        load_config(bad)
+    good = _write(tmp_path, FULL_CONFIG)
+    with pytest.raises(ConfigError, match="threads"):
+        load_config(good, threads=-3)
+    assert main(["render", "--config", str(bad)]) == 1
+    assert main(["sweep-sparsity", "--config", str(good), "--threads", "-3"]) == 1
+    assert main(["guidelines", "--scene", "A", "--threads", "0"]) == 1
+
+
+def _set(text, section, key, value):
+    head, sep, body = text.partition(f"[{section}]")
+    body = re.sub(rf"^{key} = .*$", f"{key} = {value}", body, count=1, flags=re.M)
+    return head + sep + body
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("texture", "omegas", "20 nan"),
+        ("texture", "angular_bandwidth", "inf"),
+        ("texture", "noise_sigma", "nan"),
+        ("plane", "focal", "inf"),
+        ("plane", "tilt_deg", "nan"),
+        ("plane", "s_max", "inf"),
+        ("plane", "u_max", "nan"),
+        ("sweep", "depth_min", "-inf"),
+        ("sweep", "tilt_max", "inf"),
+    ],
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, section, key, value):
+    text = _set(FULL_CONFIG, section, key, value)
+    assert text != FULL_CONFIG
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+    assert main(["sweep-sparsity", "--config", str(path)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+STUDIES = Path(__file__).resolve().parent.parent / "studies"
+
+
+def test_study_configs_keep_the_study_defaults():
+    sparsity = load_config(STUDIES / "sparsity_B.ini")
+    assert sparsity.scene.name == "B" and (sparsity.n_s, sparsity.n_u) == (256, 256)
+    assert (sparsity.sweep.depth_count, sparsity.sweep.tilt_count) == (40, 40)
+    recon = load_config(STUDIES / "reconstruction_A.ini")
+    assert recon.scene.name == "A" and recon.sweep.factor == 64
+    assert (recon.sweep.depth_count, recon.sweep.tilt_count) == (20, 20)
+    layers = load_config(STUDIES / "layers_C.ini")
+    assert layers.scene.name == "C" and (layers.n_s, layers.n_u) == (1024, 512)
+    assert layers.layers.layer_counts == (1, 2, 4, 8, 16)
+    assert layers.layers.factors == (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 512)
 
 
 def test_cli_layers(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from epifield import experiments
 from epifield.experiments import (
     LayersResult,
     SweepResult,
@@ -142,3 +144,30 @@ def test_layers_curved_scene_prefers_tilted_planes(scene_c):
 def test_layers_rejects_bad_factor(flat_scene):
     with pytest.raises(ValueError):
         layers_experiment(flat_scene, (1,), (0,), n_s=16, n_u=16)
+
+
+def test_sweep_pool_is_capped_at_the_cell_count(scene_a, monkeypatch):
+    sizes = []
+    real = experiments.ThreadPoolExecutor
+
+    def recording(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", recording)
+    res = sweep_sparsity(scene_a, [1.4, 1.6], [0.0, 10.0], n_s=16, n_u=16, threads=64)
+    assert sizes == [4]
+    assert not np.isnan(res.metric).any()
+
+
+def test_sweep_rejects_threads_below_one(scene_a):
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            sweep_sparsity(scene_a, [1.5], [0.0], n_s=16, n_u=16, threads=threads)
+
+
+def test_all_missing_sweep_reports_the_first_reason(flat_scene):
+    res = sweep_reconstruction(flat_scene, [-1.0, -0.5], [0.0], factor=2, n_s=16, n_u=16)
+    assert [cell[:2] for cell in res.missing] == [(0, 0), (1, 0)]
+    with pytest.raises(ValueError, match=re.escape(res.missing[0][2])):
+        res.argopt

@@ -1,0 +1,160 @@
+"""Same config + seed = same bytes: every CLI command against pinned digests.
+
+Each command runs on one tiny config, once with one thread and once with
+two; every artifact it writes (manifest included) must hash to the value
+pinned here. The pins were taken from the program before the sweep driver
+and the spacing helper were consolidated, so any refactor that moves a
+byte fails this test. Regenerate them only for a change that is meant to
+alter outputs, and say so in the change log.
+"""
+
+import hashlib
+from textwrap import dedent
+
+import pytest
+
+from epifield.cli import main
+
+TINY = dedent(
+    """
+    [scene]
+    name = ramp
+    z0 = 1.5
+    tilt_deg = 17.0
+    quad = -0.15
+    x_min = -0.6
+    x_max = 0.6
+
+    [texture]
+    omegas = 20 40
+    angular_bandwidth = 0.5
+    noise_sigma = 0.02
+
+    [plane]
+    depth = 1.5
+    tilt_deg = 17.0
+
+    [grid]
+    n_s = 32
+    n_u = 24
+
+    [sweep]
+    depth_min = 1.2
+    depth_max = 1.8
+    depth_count = 3
+    tilt_min = 0.0
+    tilt_max = 30.0
+    tilt_count = 3
+    factor = 4
+
+    [layers]
+    layer_counts = 1 2
+    factors = 2 4
+    """
+)
+
+# a single-depth Lambertian scene: every spacing is alias-free
+FLAT = dedent(
+    """
+    [scene]
+    z0 = 1.5
+    tilt_deg = 0.0
+    quad = 0.0
+    x_min = -3.0
+    x_max = 3.0
+
+    [plane]
+    depth = infinity
+    """
+)
+
+RUNS = {
+    "render": ["render"],
+    "spectrum": ["spectrum"],
+    "guidelines": ["guidelines"],
+    "sweep-sparsity": ["sweep-sparsity", "--heatmap"],
+    "reconstruct": ["reconstruct"],
+    "layers": ["layers"],
+}
+
+PINS = {
+    "guidelines": {
+        "guidelines.txt": "851fd4efa1e02f825a4ad7c2a245ce64fd8e57f227272f7aafb4ae471e49c6f1",
+        "manifest.txt": "a229aa5b9f1d95f49d371e523c1fedf8dc0e9705b1975f8ea6be122e28821362",
+    },
+    "guidelines-A": {
+        "guidelines.txt": "72c6ad6023559c74af197aa16e4aac28281b3d9bde01a0c8351eb24d31b27e7b",
+        "manifest.txt": "c0dfc95c6cf6a7abacd5bb7aa8c41f879f4d059dcca7b5d5fb946f8d6be3aa49",
+    },
+    "guidelines-B": {
+        "guidelines.txt": "5e62b2c60ff0df246b80dc3773a211302d173e6a43741e357f2970d68b8bd115",
+        "manifest.txt": "8c09cce2a863536e0f09bf6a354e037a0c5f442945a2f3537c74fb51f9440063",
+    },
+    "guidelines-C": {
+        "guidelines.txt": "aab8e99349b3754ab7e248387c1d3e04914098d55ecc9e4fb97351fb3df7ad21",
+        "manifest.txt": "b0383d521a87988d783576beb66a3526e43c57ffc24b8271f69d86eff2237584",
+    },
+    "guidelines-flat": {
+        "guidelines.txt": "2f1c102402906ec0281a515a72b9f33abb69f9c323be5ad5bcd075a08d99429c",
+        "manifest.txt": "76a1c309dd95eff7e1e556d832f483170426943c31fb09d927d3ca15b52d273b",
+    },
+    "layers": {
+        "layers_rmse_parallel.csv": "19770eb2f1db210cbcb396c10c67f664cce005d0fc51693a7e275209c00cae57",
+        "layers_rmse_tilted.csv": "1dac83b0b4544da37d99fbe03f3bad40d70fa6661a8b1dcd30e860da3182ab6b",
+        "manifest.txt": "2f062ec4763e0df5e4b96dbe86bdf7f143f02396be369823e55f3fe5ba4dbd44",
+        "sampling_curve.csv": "a7efa1eadb21f8d4da2b0183f635f43ee9a0acf009929ad5df228c131919a513",
+    },
+    "reconstruct": {
+        "manifest.txt": "c858fa6f80c7cea9a27cd185ea7fe520e3dcc5ab473fedc8076cb32569b42a70",
+        "psnr.csv": "65e74181d4d180d554fa9068a90be41eabe0cb016db1e3a72d0590f1e73e0382",
+    },
+    "render": {
+        "epi.meta": "588d660b70a946a93667b644cbbba714fb41fda30c4e9e80cfab5dda1e60e928",
+        "epi.pgm": "44fc906122b140174e22bab35c9381403b6b8252e07d5f006c3306d12034e5d5",
+        "manifest.txt": "ad80294f129bec58d962111bb3ce8ba0f6bcba4d767c4a2420690dbab934777f",
+    },
+    "spectrum": {
+        "bounds.txt": "4f2d99478692c98edcf487a18e875ae3a618b085d6699eb80ac29bddf88fbc51",
+        "manifest.txt": "137a5bdd55319a7870e4f59d36f920307c824860dabf0058c1f163580892b12b",
+        "spectrum.f64": "c821f9e536658253ee326e0617dd62dec3b9809b28c4ac071e1a938bcd0b783c",
+        "spectrum.hdr": "47a4aaa37f617d1162873651f11eaa1c982c3e37aa7ac6c12c889b3ccdbe959b",
+        "spectrum.pgm": "411c7e655daad9eced40a1d779f738be9185c16fdda58b4c6ed60e4546ab720d",
+    },
+    "sweep-sparsity": {
+        "manifest.txt": "30f21591e5ea40563fac9abfd7d85d59ec06c0cd6a3e0363b9b891657ca315c2",
+        "plane_mae.csv": "859192d10e22c7cd1d9ed0b555d4afbd12e715194b080351e49f69f17be32698",
+        "plane_mae_heatmap.pgm": "edd41c5e2336d0c87754ce63d44323c2e4d9e93a66c78df10decc52e57612046",
+        "sparsity.csv": "128112e3f96a6bcb92129d5d40026b3a449c56a663984e58797d656ef05ae76e",
+        "sparsity_heatmap.pgm": "7d47f7d1de40d0c325363f9bb77eadb87c7addbacb541e8591f48b02263bc680",
+    },
+}
+
+
+def _digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def run_all(tmp_path, threads):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY)
+    flat = tmp_path / "flat.cfg"
+    flat.write_text(FLAT)
+    found = {}
+    for name, argv in RUNS.items():
+        out = tmp_path / f"{name}-t{threads}"
+        code = main([*argv, "--config", str(cfg), "--out", str(out), "--threads", str(threads)])
+        assert code == 0, name
+        found[name] = _digests(out)
+    for preset in "ABC":
+        out = tmp_path / f"guidelines-{preset}-t{threads}"
+        assert main(["guidelines", "--scene", preset, "--out", str(out)]) == 0
+        found[f"guidelines-{preset}"] = _digests(out)
+    out = tmp_path / f"guidelines-flat-t{threads}"
+    assert main(["guidelines", "--config", str(flat), "--out", str(out)]) == 0
+    found["guidelines-flat"] = _digests(out)
+    return found
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_artifacts_match_pins(tmp_path, threads):
+    assert run_all(tmp_path, threads) == PINS

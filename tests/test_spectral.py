@@ -10,7 +10,6 @@ from epifield.scene import DepthLayer, DepthRange, partition_depth_layers
 from epifield.spectral import (
     FanBounds,
     SpectrumGrid,
-    UnboundedBaseline,
     camera_axis_chirp,
     dft2_magnitude,
     fan_bounds_parallel,
@@ -194,8 +193,7 @@ def test_focus_depth_never_exceeds_midpoint(z_min, width):
 
 def test_max_camera_spacing_hand_case():
     assert max_camera_spacing(DepthRange(1.0, 2.0), 2.0, 3.0, 0.5) == pytest.approx(0.25)
-    with pytest.raises(UnboundedBaseline):
-        max_camera_spacing(DepthRange(2.0, 2.0), 1.0, 3.0, 0.0)
+    assert max_camera_spacing(DepthRange(2.0, 2.0), 1.0, 3.0, 0.0) == math.inf
     with pytest.raises(ValueError):
         max_camera_spacing(DepthRange(1.0, 2.0), 1.0, -1.0)
 
@@ -215,8 +213,7 @@ def test_wider_depth_ranges_need_tighter_spacing(z0, pad_lo, inner, pad_hi, wu):
 
 def test_max_camera_spacing_tilted(scene_a, scene_c):
     exact = _exact_plane_layer()
-    with pytest.raises(UnboundedBaseline):
-        max_camera_spacing_tilted(exact, 1.0, 6.0)
+    assert max_camera_spacing_tilted(exact, 1.0, 6.0) == math.inf
     # an exact plane leaves only the view-dependence term
     assert max_camera_spacing_tilted(exact, 1.0, 6.0, view_bandwidth=0.5) == pytest.approx(1.0)
     # the fitted version of the same plane is merely astronomically wide
