@@ -12,6 +12,7 @@ the worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -84,7 +85,8 @@ def _sweep(
     """Evaluate cell_metric(param) on every (depth, tilt) cell of the grid.
 
     A cell whose PlaneParam cannot be built is recorded as missing with
-    the constructor's reason. The pool never has more workers than cells.
+    the constructor's reason. The pool never has more workers than cells or
+    cores.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -97,7 +99,7 @@ def _sweep(
                 params[i, j] = PlaneParam(focal, float(d), float(t), s_max, u_max)
             except ValueError as exc:
                 missing.append((i, j, str(exc)))
-    workers = min(threads, len(params))
+    workers = min(threads, len(params), os.cpu_count() or 1)
     if workers <= 1:
         values = [cell_metric(p) for p in params.values()]
     else:
@@ -133,26 +135,28 @@ def sweep_sparsity(
 ) -> SweepResult:
     """Spectral compressibility over a grid of plane depths and tilts.
 
-    Each cell renders the scene under its plane, optionally subsamples the
-    camera rows, and scores the spectrum with sparsity_rmse. The default
-    window here is rectangular, unlike dft2_magnitude: row-to-row drift
-    under a mismatched plane shows up as truncation leakage, and that
-    leakage is the signal this sweep ranks cells by; a taper would flatten
-    the surface into sidelobe dust. texture_override swaps the scene's
-    texture (view dependence, noise) while keeping its geometry, for
-    robustness studies. The visibility check is skipped: single crossings
-    hold for these scenes even where the conservative slope condition
-    fails, and the grid must stay comparable across cells.
+    Each cell renders the scene under its plane, tracing only every
+    subsample_factor-th camera row, and scores the spectrum with
+    sparsity_rmse. The default window here is rectangular, unlike
+    dft2_magnitude: row-to-row drift under a mismatched plane shows up as
+    truncation leakage, and that leakage is the signal this sweep ranks
+    cells by; a taper would flatten the surface into sidelobe dust.
+    texture_override swaps the scene's texture (view dependence, noise)
+    while keeping its geometry, for robustness studies. The visibility
+    check is skipped: single crossings hold for these scenes even where
+    the conservative slope condition fails, and the grid must stay
+    comparable across cells.
     """
     if subsample_factor > 1 and n_s % subsample_factor != 0:
         raise ValueError("subsample_factor must divide n_s")
     if texture_override is not None:
         scene = replace(scene, texture=texture_override)
+    row_step = max(subsample_factor, 1)
 
     def cell_metric(param):
-        epi = render_epi(scene, param, n_s, n_u, seed=seed, check_occlusion=False)
-        if subsample_factor > 1:
-            epi = subsample_epi(epi, subsample_factor)
+        epi = render_epi(
+            scene, param, n_s, n_u, seed=seed, check_occlusion=False, row_step=row_step
+        )
         return sparsity_rmse(dft2_magnitude(epi, window), keep_fraction)
 
     return _sweep(

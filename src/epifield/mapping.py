@@ -100,7 +100,7 @@ class PlaneParam:
     @property
     def s_crossing(self) -> float:
         """Camera-line coordinate where the plane hits z = 0 (inf if parallel)."""
-        if self.tilt_deg == 0.0 or self.is_directional:
+        if self.tilt_slope == 0.0 or self.is_directional:
             return math.inf
         return -self.depth / self.tilt_slope
 
@@ -151,32 +151,107 @@ def intersect_rays(param: PlaneParam, surface: SurfaceSpec, s, u):
             + (z0 * A + s * focal * depth) = 0,  A = u * scale * depth - s * focal,
 
     where tilt_s is the surface tilt and scale the plane's perspective
-    factor; the directional limit divides through by depth.
+    factor; the directional limit divides through by depth. s and u
+    broadcast; terms that depend on s alone are computed on s's own shape,
+    so a column of cameras against a row of image coordinates pays for
+    them once per camera. A planar surface (quad == 0) takes one division
+    and a range check; a curved one takes the stable root pair, and only
+    rays with a vanishing leading coefficient need the general formula.
     """
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)
-    s, u = np.broadcast_arrays(s, u)
+    if np.broadcast_shapes(s.shape, u.shape) == ():
+        # the kernels below work in place, which needs arrays, not scalars
+        x, hit = intersect_rays(param, surface, s.reshape(1), u.reshape(1))
+        return x.reshape(()), hit.reshape(())
     u_plane = u * param.tilt_scale(s)
     if param.is_directional:
-        aa = surface.quad * u_plane
-        bb = surface.tilt_slope * u_plane - param.focal
-        cc = surface.z0 * u_plane + s * param.focal
+        big_a = u_plane
+        bb_shift = param.focal
+        cc_s = s * param.focal
     else:
-        big_a = u_plane * param.depth - s * param.focal
-        aa = surface.quad * big_a
-        bb = surface.tilt_slope * big_a - param.focal * param.depth
-        cc = surface.z0 * big_a + s * param.focal * param.depth
+        big_a = u_plane * param.depth
+        big_a -= s * param.focal
+        bb_shift = param.focal * param.depth
+        cc_s = s * param.focal * param.depth
+    bb = np.multiply(big_a, surface.tilt_slope)
+    bb -= bb_shift
+    cc = np.multiply(big_a, surface.z0)
+    cc += cc_s
+    # rejected candidates may be huge, infinite or NaN; that is fine
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if surface.quad == 0.0:
+            return _linear_root(surface, bb, cc)
+        aa = np.multiply(big_a, surface.quad)
+        if aa.all() and _depth_bound(surface) < 1e300:
+            return _quadratic_root(surface, aa, bb, cc)
+        return _general_root(surface, aa, bb, cc)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        linear = aa == 0.0
-        x_lin = np.where(linear & (bb != 0.0), -cc / np.where(bb != 0.0, bb, 1.0), np.nan)
-        disc = bb * bb - 4.0 * aa * cc
-        solvable = ~linear & (disc >= 0.0)
-        sqrt_disc = np.sqrt(np.where(solvable, disc, 0.0))
-        # stable form: the larger-magnitude root first, companion via c / q
-        qq = -0.5 * (bb + np.where(bb >= 0.0, 1.0, -1.0) * sqrt_disc)
-        r1 = np.where(solvable & (aa != 0.0), qq / np.where(aa != 0.0, aa, 1.0), np.nan)
-        r2 = np.where(solvable & (qq != 0.0), cc / np.where(qq != 0.0, qq, 1.0), np.nan)
+
+def _linear_root(surface: SurfaceSpec, bb, cc):
+    # a planar profile's depth is monotonic in x even after rounding, and
+    # positive at both ends of the extent, so the range check implies z > 0
+    lo, hi = surface.x_range
+    x = np.negative(cc, out=cc)
+    x /= bb
+    hit = x >= lo
+    hit &= x <= hi
+    np.copyto(x, np.nan, where=~hit)
+    return x, hit
+
+
+def _depth_bound(surface: SurfaceSpec) -> float:
+    """Upper bound of |z(x)| over the extent."""
+    reach = max(abs(surface.x_range[0]), abs(surface.x_range[1]))
+    return abs(surface.z0) + abs(surface.tilt_slope) * reach + abs(surface.quad) * reach * reach
+
+
+def _quadratic_root(surface: SurfaceSpec, aa, bb, cc):
+    # stable form: the larger-magnitude root first, companion via c / q;
+    # a negative discriminant leaves NaN roots, which the range check drops
+    qq = np.multiply(bb, bb)
+    four_ac = np.multiply(aa, 4.0)
+    four_ac *= cc
+    qq -= four_ac
+    np.sqrt(qq, out=qq)
+    np.negative(qq, out=qq, where=bb < 0.0)
+    qq += bb
+    qq *= -0.5
+    r1 = np.divide(qq, aa, out=aa)
+    r2 = np.divide(cc, qq, out=cc)
+    # an invalid root gets depth inf, so the nearer valid root wins; the
+    # depth bound keeps every valid depth finite
+    v1, z1 = _root_depth(surface, r1)
+    v2, z2 = _root_depth(surface, r2)
+    np.copyto(r1, r2, where=z2 < z1)
+    v1 |= v2
+    np.copyto(r1, np.nan, where=~v1)
+    return r1, v1
+
+
+def _root_depth(surface: SurfaceSpec, r):
+    lo, hi = surface.x_range
+    z = np.multiply(r, surface.tilt_slope)
+    z += surface.z0
+    sq = np.square(r)
+    sq *= surface.quad
+    z += sq
+    ok = r >= lo
+    ok &= r <= hi
+    ok &= z > 0.0
+    np.copyto(z, np.inf, where=~ok)
+    return ok, z
+
+
+def _general_root(surface: SurfaceSpec, aa, bb, cc):
+    linear = aa == 0.0
+    x_lin = np.where(linear & (bb != 0.0), -cc / np.where(bb != 0.0, bb, 1.0), np.nan)
+    disc = bb * bb - 4.0 * aa * cc
+    solvable = ~linear & (disc >= 0.0)
+    sqrt_disc = np.sqrt(np.where(solvable, disc, 0.0))
+    qq = -0.5 * (bb + np.where(bb >= 0.0, 1.0, -1.0) * sqrt_disc)
+    r1 = np.where(solvable & (aa != 0.0), qq / np.where(aa != 0.0, aa, 1.0), np.nan)
+    r2 = np.where(solvable & (qq != 0.0), cc / np.where(qq != 0.0, qq, 1.0), np.nan)
 
     x = np.where(linear, x_lin, np.nan)
     v1, z1 = _valid_root(surface, r1)
@@ -191,10 +266,8 @@ def intersect_rays(param: PlaneParam, surface: SurfaceSpec, s, u):
 
 
 def _valid_root(surface: SurfaceSpec, r):
-    # huge rejected candidates may overflow the depth polynomial; that is fine
-    with np.errstate(invalid="ignore", over="ignore"):
-        z = surface.depth(r)
-        ok = np.isfinite(r) & surface.contains(r) & (z > 0.0)
+    z = surface.depth(r)
+    ok = np.isfinite(r) & surface.contains(r) & (z > 0.0)
     return ok, z
 
 

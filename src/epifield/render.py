@@ -9,6 +9,7 @@ different global-plane parameterization without touching the scene.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -99,8 +100,9 @@ def render_epi(
     *,
     seed: int = 0,
     check_occlusion: bool = True,
+    row_step: int = 1,
 ) -> Epi:
-    """Trace the full ray grid of the capture to an EPI.
+    """Trace the ray grid of the capture to an EPI.
 
     Rows sweep s over [-s_max, s_max] and columns sweep u over
     [-u_max, u_max], both endpoint inclusive. Rays that miss the surface
@@ -109,6 +111,10 @@ def render_epi(
     stream laid out row-major over the grid, so the field depends only on
     (seed, i, j) and not on traversal order; the noise models the sensor,
     so it covers misses too.
+
+    row_step = k traces only the camera rows 0, k, 2k, ... of the n_s-row
+    grid; the result equals subsample_epi(render_epi(...), k) exactly. k
+    must divide n_s (NonDivisibleFactor otherwise).
 
     check_occlusion enforces the sufficient visibility condition and
     raises SelfOcclusionError when it fails. The condition is conservative;
@@ -123,18 +129,25 @@ def render_epi(
                 f"limit {chk.slope_limit:.4g} for this capture"
             )
     s_axis, u_axis = ray_grid(param, n_s, n_u)
+    if row_step < 1 or n_s % row_step != 0:
+        raise NonDivisibleFactor(f"row step {row_step} does not divide {n_s} rows")
+    if row_step > 1:
+        s_axis = s_axis[::row_step].copy()
     x, hit = intersect_rays(param, scene.surface, s_axis[:, None], u_axis[None, :])
-    data = np.zeros((n_s, n_u))
-    s_grid = np.broadcast_to(s_axis[:, None], x.shape)
-    data[hit] = scene.texture.radiance(x[hit], s_grid[hit])
+    data = scene.texture.radiance(x, s_axis[:, None])
+    np.copyto(data, 0.0, where=~hit)
     if scene.texture.noise_sigma > 0.0:
-        data += scene.texture.noise_sigma * _noise_field(seed, n_s, n_u)
+        data += scene.texture.noise_sigma * _noise_field(seed, n_s, n_u)[::row_step]
     return Epi(data, s_axis, u_axis, param, scene.name)
 
 
+@functools.lru_cache(maxsize=4)
 def _noise_field(seed: int, n_s: int, n_u: int) -> np.ndarray:
+    """The seeded sensor field, built once per (seed, grid) and read-only."""
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return gen.normal(size=(n_s, n_u))
+    field = gen.normal(size=(n_s, n_u))
+    field.flags.writeable = False
+    return field
 
 
 def subsample_epi(epi: Epi, factor: int) -> Epi:

@@ -164,12 +164,21 @@ class TextureSpec:
         """Base pattern in [0, 1], independent of the viewing position."""
         x = np.asarray(x, dtype=float)
         acc = np.zeros_like(x)
+        term = np.empty_like(x)
         for w in self.omegas:
-            acc += np.cos(w * x) + 1.0
-        return acc / (2.0 * len(self.omegas))
+            np.multiply(x, w, out=term)
+            np.cos(term, out=term)
+            term += 1.0
+            acc += term
+        acc /= 2.0 * len(self.omegas)
+        return acc
 
     def radiance(self, x, s):
-        """Value emitted at surface position x toward the camera at s."""
+        """Value emitted at surface position x toward the camera at s.
+
+        x and s broadcast: with s as a column of camera positions the view
+        factor is evaluated once per camera.
+        """
         a = self.albedo(x)
         if self.is_lambertian:
             return a

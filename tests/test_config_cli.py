@@ -391,6 +391,46 @@ def test_cli_sweep_with_every_cell_missing_exits_2(tmp_path, capsys):
         assert "All-NaN" not in err
 
 
+def test_cli_subnormal_tilt_is_a_valid_plane(tmp_path, capsys):
+    # tan(radians(5e-324)) rounds to 0: the plane is parallel, not a crash
+    out = tmp_path / "subnormal_out"
+    cfg = _write(
+        tmp_path,
+        dedent(
+            f"""
+            [scene]
+            preset = A
+
+            [plane]
+            depth = 1.5
+            tilt_deg = 5e-324
+
+            [grid]
+            n_s = 16
+            n_u = 16
+
+            [run]
+            out_dir = {out}
+
+            [sweep]
+            depth_min = 1.0
+            depth_max = 2.0
+            depth_count = 2
+            tilt_min = 0.0
+            tilt_max = 5e-324
+            tilt_count = 2
+            factor = 2
+            """
+        ),
+        name="subnormal.cfg",
+    )
+    assert main(["render", "--config", str(cfg)]) == 0
+    assert main(["sweep-sparsity", "--config", str(cfg)]) == 0
+    rows = (out / "sparsity.csv").read_text().splitlines()
+    assert len(rows) == 5 and "nan" not in (out / "sparsity.csv").read_text().lower()
+    assert not (out / "missing.csv").exists()
+
+
 def test_threads_below_one_is_a_config_error(tmp_path):
     bad = _write(tmp_path, FULL_CONFIG.replace("threads = 2", "threads = 0"), name="t0.cfg")
     with pytest.raises(ConfigError, match="threads"):

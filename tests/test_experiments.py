@@ -146,7 +146,7 @@ def test_layers_rejects_bad_factor(flat_scene):
         layers_experiment(flat_scene, (1,), (0,), n_s=16, n_u=16)
 
 
-def test_sweep_pool_is_capped_at_the_cell_count(scene_a, monkeypatch):
+def _record_pool_sizes(monkeypatch, cores):
     sizes = []
     real = experiments.ThreadPoolExecutor
 
@@ -155,8 +155,23 @@ def test_sweep_pool_is_capped_at_the_cell_count(scene_a, monkeypatch):
         return real(max_workers=max_workers)
 
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", recording)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+    return sizes
+
+
+def test_sweep_pool_is_capped_at_the_cell_count(scene_a, monkeypatch):
+    sizes = _record_pool_sizes(monkeypatch, cores=64)
     res = sweep_sparsity(scene_a, [1.4, 1.6], [0.0, 10.0], n_s=16, n_u=16, threads=64)
     assert sizes == [4]
+    assert not np.isnan(res.metric).any()
+
+
+@pytest.mark.parametrize("cores, pools", [(3, [3]), (1, []), (None, [])])
+def test_sweep_pool_is_capped_at_the_core_count(scene_a, monkeypatch, cores, pools):
+    # one worker (os.cpu_count() unknown counts as one core) runs serially
+    sizes = _record_pool_sizes(monkeypatch, cores)
+    res = sweep_sparsity(scene_a, [1.4, 1.6], [0.0, 10.0], n_s=16, n_u=16, threads=8)
+    assert sizes == pools
     assert not np.isnan(res.metric).any()
 
 

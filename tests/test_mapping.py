@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from epifield.mapping import (
     DEFAULT_U_MAX,
@@ -37,6 +37,15 @@ from epifield.scene import SurfaceSpec
 def test_param_validation(kwargs):
     with pytest.raises(ValueError):
         PlaneParam(**kwargs)
+
+
+def test_subnormal_tilt_is_parallel():
+    # tan(radians(5e-324)) is 0.0: no crossing with the camera line
+    p = PlaneParam(1.0, 2.0, 5e-324)
+    assert p.tilt_slope == 0.0 and p.s_crossing == math.inf
+    assert p.tilt_scale(0.7) == 1.0
+    with pytest.raises(ValueError, match="cannot be tilted"):
+        PlaneParam(1.0, math.inf, 5e-324)
 
 
 def test_check_false_defers_validation():
@@ -88,6 +97,7 @@ def test_u_infinity_identities(directional):
     x=st.floats(-0.8, 0.8),
     s=st.floats(-1.0, 1.0),
 )
+@example(depth=1.5, tilt=5e-324, x=0.3, s=0.5)
 def test_direction_coordinate_collapses_plane_choice(scene_b, directional, depth, tilt, x, s):
     p = PlaneParam(1.0, depth, tilt)
     u = map_surface_to_image(p, scene_b.surface, x, s)

@@ -175,3 +175,49 @@ def test_occlusion_guard(directional):
         render_epi(steep, directional, 4, 4)
     epi = render_epi(steep, directional, 4, 4, check_occlusion=False)
     assert np.isfinite(epi.data).all()
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+@pytest.mark.parametrize(
+    "texture, param",
+    [
+        (TextureSpec(noise_sigma=0.1), PlaneParam(1.0, 1.5, 17.0)),
+        (TextureSpec(angular_bandwidth=5.0), PlaneParam(1.0, 1.2, -20.0)),
+        (TextureSpec(angular_bandwidth=3.0, noise_sigma=0.05), PlaneParam(1.0, 1.5, 30.0)),
+        (TextureSpec(noise_sigma=0.2), PlaneParam(1.0, math.inf)),
+    ],
+    ids=["noisy", "sinc", "tilted", "directional"],
+)
+def test_row_step_equals_subsampled_render(scene_b, texture, param, k):
+    scene = SceneDef(scene_b.surface, texture, "B")
+    full = subsample_epi(render_epi(scene, param, 32, 24, seed=4, check_occlusion=False), k)
+    rows = render_epi(scene, param, 32, 24, seed=4, check_occlusion=False, row_step=k)
+    for name in ("data", "s_axis", "u_axis"):
+        got, want = getattr(rows, name), getattr(full, name)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert rows.param == full.param and rows.scene_id == full.scene_id
+
+
+def test_row_step_must_divide_the_rows(flat_scene, directional):
+    for k in (3, 0, -2):
+        with pytest.raises(NonDivisibleFactor):
+            render_epi(flat_scene, directional, 8, 4, row_step=k)
+
+
+def test_noise_field_is_shared_and_read_only(directional):
+    from epifield.render import _noise_field
+
+    field = _noise_field(9, 8, 6)
+    assert _noise_field(9, 8, 6) is field
+    assert not field.flags.writeable
+    with pytest.raises(ValueError):
+        field[0, 0] = 1.0
+    noisy = SceneDef(SurfaceSpec(1.5, 0.0, 0.0, (-3.0, 3.0)), TextureSpec(noise_sigma=0.3), "n")
+    first = render_epi(noisy, directional, 8, 6, seed=9)
+    want = first.data.copy()
+    first.data += 100.0
+    first.data[:] = -1.0
+    again = render_epi(noisy, directional, 8, 6, seed=9)
+    assert np.array_equal(again.data, want)
+    assert again.data is not first.data
