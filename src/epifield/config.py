@@ -73,6 +73,8 @@ class RunConfig:
     def __post_init__(self):
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if self.subsample_factor < 1:
+            raise ConfigError(f"subsample_factor must be >= 1, got {self.subsample_factor}")
 
     def canonical(self) -> str:
         """Deterministic one-line-per-field rendering of the semantic fields.

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .mapping import DEFAULT_U_MAX, PlaneParam, intersect_rays, rewarp_coords
+from .mapping import DEFAULT_U_MAX, PlaneParam, rewarp_coords
 from .render import psnr, reconstruct_epi, render_epi, subsample_epi
 from .scene import SceneDef, SurfaceSpec, TextureSpec, partition_depth_layers
 from .spectral import (
@@ -30,6 +31,7 @@ from .spectral import (
     optimal_depths,
     sparsity_rmse,
 )
+from .workspace import Workspace
 
 __all__ = [
     "SweepResult",
@@ -82,11 +84,11 @@ class SweepResult:
 def _sweep(
     d_values, tilt_values, metric_kind, cell_metric, *, focal, s_max, u_max, threads
 ) -> SweepResult:
-    """Evaluate cell_metric(param) on every (depth, tilt) cell of the grid.
+    """Evaluate cell_metric(param, workspace) on every (depth, tilt) cell.
 
     A cell whose PlaneParam cannot be built is recorded as missing with
     the constructor's reason. The pool never has more workers than cells or
-    cores.
+    cores, and each worker thread reuses one Workspace for all its cells.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -99,12 +101,19 @@ def _sweep(
                 params[i, j] = PlaneParam(focal, float(d), float(t), s_max, u_max)
             except ValueError as exc:
                 missing.append((i, j, str(exc)))
+    local = threading.local()
+
+    def run(param):
+        if not hasattr(local, "workspace"):
+            local.workspace = Workspace()
+        return cell_metric(param, local.workspace)
+
     workers = min(threads, len(params), os.cpu_count() or 1)
     if workers <= 1:
-        values = [cell_metric(p) for p in params.values()]
+        values = [run(p) for p in params.values()]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(cell_metric, params.values()))
+            values = list(pool.map(run, params.values()))
     for cell, value in zip(params, values):
         metric[cell] = value
     return SweepResult(
@@ -147,17 +156,26 @@ def sweep_sparsity(
     the conservative slope condition fails, and the grid must stay
     comparable across cells.
     """
-    if subsample_factor > 1 and n_s % subsample_factor != 0:
+    if subsample_factor < 1:
+        raise ValueError(f"subsample_factor must be >= 1, got {subsample_factor}")
+    if n_s % subsample_factor != 0:
         raise ValueError("subsample_factor must divide n_s")
     if texture_override is not None:
         scene = replace(scene, texture=texture_override)
-    row_step = max(subsample_factor, 1)
 
-    def cell_metric(param):
+    def cell_metric(param, workspace):
         epi = render_epi(
-            scene, param, n_s, n_u, seed=seed, check_occlusion=False, row_step=row_step
+            scene,
+            param,
+            n_s,
+            n_u,
+            seed=seed,
+            check_occlusion=False,
+            row_step=subsample_factor,
+            workspace=workspace,
         )
-        return sparsity_rmse(dft2_magnitude(epi, window), keep_fraction)
+        spectrum = dft2_magnitude(epi, window, workspace=workspace)
+        return sparsity_rmse(spectrum, keep_fraction, workspace=workspace)
 
     return _sweep(
         d_values,
@@ -212,10 +230,12 @@ def sweep_reconstruction(
     if factor < 1 or n_s % factor != 0:
         raise ValueError("factor must divide n_s")
 
-    def cell_metric(param):
-        dense = render_epi(scene, param, n_s, n_u, seed=seed, check_occlusion=False)
-        rebuilt = reconstruct_epi(subsample_epi(dense, factor), n_s)
-        return psnr(dense.data, rebuilt.data)
+    def cell_metric(param, workspace):
+        dense = render_epi(
+            scene, param, n_s, n_u, seed=seed, check_occlusion=False, workspace=workspace
+        )
+        rebuilt = reconstruct_epi(subsample_epi(dense, factor), n_s, workspace=workspace)
+        return psnr(dense.data, rebuilt.data, workspace=workspace)
 
     return _sweep(
         d_values,
@@ -285,6 +305,18 @@ def _trajectory_reconstruct(src, s_axis, u_axis, factor, traj, rows):
     return out
 
 
+def _dense_capture(scene, param, n_s, n_u, seed):
+    """render_epi plus the (x, hit) it traced, read back from its workspace.
+
+    The workspace's scratch buffers go with it when this returns; x and
+    hit keep only their own.
+    """
+    workspace = Workspace()
+    dense = render_epi(scene, param, n_s, n_u, seed=seed, workspace=workspace)
+    shape = dense.data.shape
+    return dense, workspace.array("x", shape), workspace.array("hit", shape, bool)
+
+
 def layers_experiment(
     scene: SceneDef,
     layer_counts,
@@ -330,8 +362,7 @@ def layers_experiment(
     wu_max = nyquist_omega(du)
     surface = scene.surface
     canon = PlaneParam(focal, math.inf, 0.0, s_max, u_max)
-    dense = render_epi(scene, canon, n_s, n_u, seed=seed)
-    x, hit = intersect_rays(canon, surface, dense.s_axis[:, None], dense.u_axis[None, :])
+    dense, x, hit = _dense_capture(scene, canon, n_s, n_u, seed)
     n_hit = int(hit.sum())
     if n_hit == 0:
         raise RuntimeError("the capture never sees the surface")

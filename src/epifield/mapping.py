@@ -25,6 +25,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .scene import SurfaceSpec
+from .workspace import Workspace, scratch
 
 __all__ = [
     "DEFAULT_U_MAX",
@@ -139,7 +140,9 @@ def u_infinity(param: PlaneParam, s, u):
     )
 
 
-def intersect_rays(param: PlaneParam, surface: SurfaceSpec, s, u):
+def intersect_rays(
+    param: PlaneParam, surface: SurfaceSpec, s, u, *, workspace: Workspace | None = None
+):
     """Vectorized ray/surface intersection.
 
     Returns (x, hit). x holds the lateral coordinate of the crossing with
@@ -157,46 +160,53 @@ def intersect_rays(param: PlaneParam, surface: SurfaceSpec, s, u):
     them once per camera. A planar surface (quad == 0) takes one division
     and a range check; a curved one takes the stable root pair, and only
     rays with a vanishing leading coefficient need the general formula.
+    With a workspace, x and hit are its "x" and "hit" buffers.
     """
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)
-    if np.broadcast_shapes(s.shape, u.shape) == ():
+    shape = np.broadcast_shapes(s.shape, u.shape)
+    if shape == ():
         # the kernels below work in place, which needs arrays, not scalars
-        x, hit = intersect_rays(param, surface, s.reshape(1), u.reshape(1))
+        x, hit = intersect_rays(param, surface, s.reshape(1), u.reshape(1), workspace=workspace)
         return x.reshape(()), hit.reshape(())
-    u_plane = u * param.tilt_scale(s)
+
+    def grid(name, dtype=float):
+        return scratch(workspace, name, shape, dtype)
+
+    big_a = np.multiply(u, param.tilt_scale(s), out=grid("x"))
     if param.is_directional:
-        big_a = u_plane
         bb_shift = param.focal
         cc_s = s * param.focal
     else:
-        big_a = u_plane * param.depth
+        big_a *= param.depth
         big_a -= s * param.focal
         bb_shift = param.focal * param.depth
         cc_s = s * param.focal * param.depth
-    bb = np.multiply(big_a, surface.tilt_slope)
+    bb = np.multiply(big_a, surface.tilt_slope, out=grid("t1"))
     bb -= bb_shift
-    cc = np.multiply(big_a, surface.z0)
+    cc = np.multiply(big_a, surface.z0, out=grid("t2"))
     cc += cc_s
     # rejected candidates may be huge, infinite or NaN; that is fine
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if surface.quad == 0.0:
-            return _linear_root(surface, bb, cc)
-        aa = np.multiply(big_a, surface.quad)
+            # big_a is spent: the root goes into its buffer
+            return _linear_root(surface, bb, cc, big_a, grid)
+        aa = big_a
+        aa *= surface.quad
         if aa.all() and _depth_bound(surface) < 1e300:
-            return _quadratic_root(surface, aa, bb, cc)
-        return _general_root(surface, aa, bb, cc)
+            return _quadratic_root(surface, aa, bb, cc, grid)
+        return _general_root(surface, aa, bb, cc, grid)
 
 
-def _linear_root(surface: SurfaceSpec, bb, cc):
+def _linear_root(surface: SurfaceSpec, bb, cc, x_out, grid):
     # a planar profile's depth is monotonic in x even after rounding, and
     # positive at both ends of the extent, so the range check implies z > 0
     lo, hi = surface.x_range
-    x = np.negative(cc, out=cc)
+    x = np.negative(cc, out=x_out)
     x /= bb
-    hit = x >= lo
-    hit &= x <= hi
-    np.copyto(x, np.nan, where=~hit)
+    hit = np.greater_equal(x, lo, out=grid("hit", bool))
+    hit &= np.less_equal(x, hi, out=grid("m1", bool))
+    np.copyto(x, np.nan, where=np.logical_not(hit, out=grid("m1", bool)))
     return x, hit
 
 
@@ -206,44 +216,45 @@ def _depth_bound(surface: SurfaceSpec) -> float:
     return abs(surface.z0) + abs(surface.tilt_slope) * reach + abs(surface.quad) * reach * reach
 
 
-def _quadratic_root(surface: SurfaceSpec, aa, bb, cc):
+def _quadratic_root(surface: SurfaceSpec, aa, bb, cc, grid):
     # stable form: the larger-magnitude root first, companion via c / q;
     # a negative discriminant leaves NaN roots, which the range check drops
-    qq = np.multiply(bb, bb)
-    four_ac = np.multiply(aa, 4.0)
+    qq = np.multiply(bb, bb, out=grid("t3"))
+    four_ac = np.multiply(aa, 4.0, out=grid("t4"))
     four_ac *= cc
     qq -= four_ac
     np.sqrt(qq, out=qq)
-    np.negative(qq, out=qq, where=bb < 0.0)
+    np.negative(qq, out=qq, where=np.less(bb, 0.0, out=grid("m1", bool)))
     qq += bb
     qq *= -0.5
     r1 = np.divide(qq, aa, out=aa)
     r2 = np.divide(cc, qq, out=cc)
     # an invalid root gets depth inf, so the nearer valid root wins; the
     # depth bound keeps every valid depth finite
-    v1, z1 = _root_depth(surface, r1)
-    v2, z2 = _root_depth(surface, r2)
-    np.copyto(r1, r2, where=z2 < z1)
+    v1, z1 = _root_depth(surface, r1, grid("t1"), grid("hit", bool), grid)
+    v2, z2 = _root_depth(surface, r2, grid("t3"), grid("m2", bool), grid)
+    np.copyto(r1, r2, where=np.less(z2, z1, out=grid("m1", bool)))
     v1 |= v2
-    np.copyto(r1, np.nan, where=~v1)
+    np.copyto(r1, np.nan, where=np.logical_not(v1, out=grid("m1", bool)))
     return r1, v1
 
 
-def _root_depth(surface: SurfaceSpec, r):
+def _root_depth(surface: SurfaceSpec, r, z, ok, grid):
     lo, hi = surface.x_range
-    z = np.multiply(r, surface.tilt_slope)
+    z = np.multiply(r, surface.tilt_slope, out=z)
     z += surface.z0
-    sq = np.square(r)
+    sq = np.square(r, out=grid("t4"))
     sq *= surface.quad
     z += sq
-    ok = r >= lo
-    ok &= r <= hi
-    ok &= z > 0.0
-    np.copyto(z, np.inf, where=~ok)
+    ok = np.greater_equal(r, lo, out=ok)
+    ok &= np.less_equal(r, hi, out=grid("m1", bool))
+    ok &= np.greater(z, 0.0, out=grid("m1", bool))
+    np.copyto(z, np.inf, where=np.logical_not(ok, out=grid("m1", bool)))
     return ok, z
 
 
-def _general_root(surface: SurfaceSpec, aa, bb, cc):
+def _general_root(surface: SurfaceSpec, aa, bb, cc, grid):
+    # the rare path: allocates its intermediates, then writes x over aa
     linear = aa == 0.0
     x_lin = np.where(linear & (bb != 0.0), -cc / np.where(bb != 0.0, bb, 1.0), np.nan)
     disc = bb * bb - 4.0 * aa * cc
@@ -260,9 +271,9 @@ def _general_root(surface: SurfaceSpec, aa, bb, cc):
     pick2 = (v2 & ~v1) | (both & (z2 < z1))
     x = np.where(pick2, r2, np.where(v1, r1, x))
     v_lin, _ = _valid_root(surface, x_lin)
-    x = np.where(linear & ~v_lin, np.nan, x)
-    hit = np.isfinite(x)
-    return x, hit
+    np.copyto(aa, x)
+    np.copyto(aa, np.nan, where=linear & ~v_lin)
+    return aa, np.isfinite(aa, out=grid("hit", bool))
 
 
 def _valid_root(surface: SurfaceSpec, r):

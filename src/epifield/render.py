@@ -17,6 +17,7 @@ import numpy as np
 
 from .mapping import PlaneParam, check_no_self_occlusion, intersect_rays, rewarp_coords
 from .scene import SceneDef
+from .workspace import Workspace, scratch
 
 __all__ = [
     "Epi",
@@ -101,6 +102,7 @@ def render_epi(
     seed: int = 0,
     check_occlusion: bool = True,
     row_step: int = 1,
+    workspace: Workspace | None = None,
 ) -> Epi:
     """Trace the ray grid of the capture to an EPI.
 
@@ -120,6 +122,9 @@ def render_epi(
     raises SelfOcclusionError when it fails. The condition is conservative;
     experiment code that has verified single crossings geometrically may
     disable it.
+
+    With a workspace, data is its "radiance" buffer and the intersection
+    stays in its "x" and "hit" buffers (see epifield.workspace).
     """
     if check_occlusion:
         chk = check_no_self_occlusion(scene.surface, param)
@@ -133,11 +138,17 @@ def render_epi(
         raise NonDivisibleFactor(f"row step {row_step} does not divide {n_s} rows")
     if row_step > 1:
         s_axis = s_axis[::row_step].copy()
-    x, hit = intersect_rays(param, scene.surface, s_axis[:, None], u_axis[None, :])
-    data = scene.texture.radiance(x, s_axis[:, None])
-    np.copyto(data, 0.0, where=~hit)
+    x, hit = intersect_rays(
+        param, scene.surface, s_axis[:, None], u_axis[None, :], workspace=workspace
+    )
+    data = scene.texture.radiance(x, s_axis[:, None], workspace=workspace)
+    missed = np.logical_not(hit, out=scratch(workspace, "m1", hit.shape, bool))
+    np.copyto(data, 0.0, where=missed)
     if scene.texture.noise_sigma > 0.0:
-        data += scene.texture.noise_sigma * _noise_field(seed, n_s, n_u)[::row_step]
+        field = _noise_field(seed, n_s, n_u)[::row_step]
+        data += np.multiply(
+            field, scene.texture.noise_sigma, out=scratch(workspace, "t1", field.shape)
+        )
     return Epi(data, s_axis, u_axis, param, scene.name)
 
 
@@ -166,12 +177,13 @@ def subsample_epi(epi: Epi, factor: int) -> Epi:
     )
 
 
-def reconstruct_epi(epi: Epi, n_s_target: int) -> Epi:
+def reconstruct_epi(epi: Epi, n_s_target: int, *, workspace: Workspace | None = None) -> Epi:
     """Linear interpolation of camera rows back to the pre-subsampling count.
 
     Assumes the rows sit at positions 0, k, 2k, ... of the target grid with
     k = n_s_target // n_s (the inverse of subsample_epi). Retained rows are
-    reproduced exactly; rows beyond the last retained one repeat it.
+    reproduced exactly; rows beyond the last retained one repeat it. With a
+    workspace, data is its "rebuilt" buffer.
     """
     if n_s_target < epi.n_s or n_s_target % epi.n_s != 0:
         raise NonDivisibleFactor(
@@ -179,13 +191,22 @@ def reconstruct_epi(epi: Epi, n_s_target: int) -> Epi:
         )
     k = n_s_target // epi.n_s
     s_axis = np.linspace(-epi.param.s_max, epi.param.s_max, n_s_target)
+    shape = (n_s_target, epi.n_u)
+    data = scratch(workspace, "rebuilt", shape)
     if k == 1:
-        return replace(epi, data=epi.data.copy(), s_axis=s_axis, u_axis=epi.u_axis.copy())
+        np.copyto(data, epi.data)
+        return replace(epi, data=data, s_axis=s_axis, u_axis=epi.u_axis.copy())
     pos = np.arange(n_s_target) / k
     i0 = np.minimum(pos.astype(int), epi.n_s - 1)
     i1 = np.minimum(i0 + 1, epi.n_s - 1)
     w = (pos - i0)[:, None]
-    data = (1.0 - w) * epi.data[i0] + w * epi.data[i1]
+    # (1 - w) * near + w * far, gathered straight into the output; the
+    # indices are in range, and "clip" lets take write out unbuffered
+    np.take(epi.data, i0, axis=0, out=data, mode="clip")
+    data *= 1.0 - w
+    far = np.take(epi.data, i1, axis=0, out=scratch(workspace, "t2", shape), mode="clip")
+    far *= w
+    data += far
     return replace(epi, data=data, s_axis=s_axis, u_axis=epi.u_axis.copy())
 
 
@@ -207,9 +228,19 @@ def rewarp_epi(epi: Epi, dst: PlaneParam) -> Epi:
     return Epi(out, epi.s_axis.copy(), u_dst, dst, epi.scene_id)
 
 
-def psnr(reference: np.ndarray, test: np.ndarray, peak: float = 1.0) -> float:
+def psnr(
+    reference: np.ndarray,
+    test: np.ndarray,
+    peak: float = 1.0,
+    *,
+    workspace: Workspace | None = None,
+) -> float:
     """Peak signal-to-noise ratio in dB; math.inf for an exact match."""
-    err = np.mean(np.square(np.asarray(reference) - np.asarray(test)))
+    reference, test = np.asarray(reference), np.asarray(test)
+    shape = np.broadcast_shapes(reference.shape, test.shape)
+    diff = scratch(workspace, "t2", shape, np.result_type(reference, test))
+    np.subtract(reference, test, out=diff)
+    err = np.mean(np.square(diff, out=diff))
     if err == 0.0:
         return math.inf
     return float(10.0 * math.log10(peak * peak / err))

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .workspace import Workspace, scratch
+
 __all__ = [
     "SceneGeometryError",
     "DepthRange",
@@ -160,11 +162,15 @@ class TextureSpec:
     def is_lambertian(self) -> bool:
         return self.angular_bandwidth == 0.0
 
-    def albedo(self, x):
-        """Base pattern in [0, 1], independent of the viewing position."""
+    def albedo(self, x, *, workspace: Workspace | None = None):
+        """Base pattern in [0, 1], independent of the viewing position.
+
+        With a workspace the result is its "radiance" buffer.
+        """
         x = np.asarray(x, dtype=float)
-        acc = np.zeros_like(x)
-        term = np.empty_like(x)
+        acc = scratch(workspace, "radiance", x.shape)
+        acc.fill(0.0)
+        term = scratch(workspace, "t1", x.shape)
         for w in self.omegas:
             np.multiply(x, w, out=term)
             np.cos(term, out=term)
@@ -173,16 +179,20 @@ class TextureSpec:
         acc /= 2.0 * len(self.omegas)
         return acc
 
-    def radiance(self, x, s):
+    def radiance(self, x, s, *, workspace: Workspace | None = None):
         """Value emitted at surface position x toward the camera at s.
 
         x and s broadcast: with s as a column of camera positions the view
-        factor is evaluated once per camera.
+        factor is evaluated once per camera, and applied in place when x
+        already has the full shape. With a workspace the result is its
+        "radiance" buffer whenever x has the full shape.
         """
-        a = self.albedo(x)
+        a = self.albedo(x, workspace=workspace)
         if self.is_lambertian:
             return a
-        return a * unnormalized_sinc(self.angular_bandwidth * np.asarray(s, dtype=float))
+        view = unnormalized_sinc(self.angular_bandwidth * np.asarray(s, dtype=float))
+        in_place = np.broadcast_shapes(a.shape, view.shape) == a.shape
+        return np.multiply(a, view, out=a if in_place else None)
 
 
 @dataclass(frozen=True)

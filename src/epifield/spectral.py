@@ -21,6 +21,7 @@ import numpy as np
 from .mapping import PlaneParam
 from .render import Epi
 from .scene import DepthLayer, DepthRange
+from .workspace import Workspace, scratch
 
 __all__ = [
     "SpectrumGrid",
@@ -58,33 +59,56 @@ class SpectrumGrid:
         return float(np.sum(np.square(self.mag)))
 
 
-def dft2_magnitude(epi: Epi, window: str = "hann") -> SpectrumGrid:
+def dft2_magnitude(
+    epi: Epi, window: str = "hann", *, workspace: Workspace | None = None
+) -> SpectrumGrid:
     """Centered 2D DFT magnitude of an EPI.
 
     The default separable Hann taper keeps leakage from off-bin content
     below a few hundredths of a percent, which matters whenever energies
     are compared against support predictions. window="rect" skips the
     taper; the transform is orthonormal, so in that case the squared
-    magnitudes sum exactly to the EPI energy.
+    magnitudes sum exactly to the EPI energy. With a workspace, mag is its
+    "mag" buffer.
     """
     data = epi.data
     if window == "hann":
-        data = data * (np.hanning(epi.n_s)[:, None] * np.hanning(epi.n_u)[None, :])
+        taper = np.multiply(
+            np.hanning(epi.n_s)[:, None],
+            np.hanning(epi.n_u)[None, :],
+            out=scratch(workspace, "t2", data.shape),
+        )
+        data = np.multiply(data, taper, out=scratch(workspace, "t3", data.shape))
     elif window != "rect":
         raise ValueError(f"unknown window {window!r}")
-    mag = np.abs(np.fft.fftshift(np.fft.fft2(data, norm="ortho")))
+    spec = np.fft.fft2(data, norm="ortho", out=scratch(workspace, "t1", data.shape, complex))
+    mag = scratch(workspace, "mag", data.shape)
+    # |fftshift(spec)| written quadrant by quadrant, without the rolled copy
+    for dst_s, src_s in _shift_halves(epi.n_s):
+        for dst_u, src_u in _shift_halves(epi.n_u):
+            np.abs(spec[src_s, src_u], out=mag[dst_s, dst_u])
     ws = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(epi.n_s, d=epi.ds))
     wu = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(epi.n_u, d=epi.du))
     return SpectrumGrid(mag, ws, wu)
 
 
-def sparsity_rmse(spectrum: SpectrumGrid, keep_fraction: float = 0.01) -> float:
+def _shift_halves(n: int):
+    """(destination, source) slice pairs of fftshift along an axis of length n."""
+    h = n // 2
+    return (slice(None, h), slice(n - h, None)), (slice(h, None), slice(None, n - h))
+
+
+def sparsity_rmse(
+    spectrum: SpectrumGrid, keep_fraction: float = 0.01, *, workspace: Workspace | None = None
+) -> float:
     """RMSE against the best keep_fraction-sparse copy of the spectrum.
 
     Keeps the ceil(keep_fraction * size) largest-magnitude bins (ties
     resolved by the partition, deterministically for a fixed input) and
     zeroes the rest; the error is then just the dropped energy:
-    sqrt(sum of dropped magnitudes squared / size).
+    sqrt(sum of dropped magnitudes squared / size). The partition runs on
+    a copy, except that the workspace's own "mag" result is partitioned
+    and squared in place.
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")
@@ -92,9 +116,14 @@ def sparsity_rmse(spectrum: SpectrumGrid, keep_fraction: float = 0.01) -> float:
     keep = math.ceil(keep_fraction * flat.size)
     if keep >= flat.size:
         return 0.0
-    part = np.partition(flat, flat.size - keep)
+    if workspace is not None and workspace.holds("mag", flat):
+        part = flat
+    else:
+        part = scratch(workspace, "t1", flat.shape)
+        np.copyto(part, flat)
+    part.partition(flat.size - keep)
     dropped = part[: flat.size - keep]
-    return float(math.sqrt(np.sum(np.square(dropped)) / flat.size))
+    return float(math.sqrt(np.sum(np.square(dropped, out=dropped)) / flat.size))
 
 
 @dataclass(frozen=True)

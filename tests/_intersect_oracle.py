@@ -1,14 +1,18 @@
 """The ray/surface intersection and radiance fill epifield used before its
-linear/quadratic split, kept verbatim as the reference for the
-differential tests in tests/test_render_kernel.py.
+linear/quadratic split, and the spectrum and reconstruction stages as they
+were before they could write into a workspace, kept verbatim as the
+reference for the differential tests in tests/test_render_kernel.py.
 
 intersect_rays runs one general formula on every input: both quadratic
 roots through np.where chains, the linear case masked in. render_fill is
 the old render_epi fill: radiance (old albedo loop, old sinc factor)
-gathered on the hit rays and scattered into a zero image.
+gathered on the hit rays and scattered into a zero image. dft2_magnitude,
+sparsity_rmse, reconstruct_data and psnr allocate every temporary.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -96,3 +100,41 @@ def albedo(texture, x):
     for w in texture.omegas:
         acc += np.cos(w * x) + 1.0
     return acc / (2.0 * len(texture.omegas))
+
+
+def dft2_magnitude(data, window):
+    """The old centered magnitude: taper, transform, fftshift, abs."""
+    if window == "hann":
+        n_s, n_u = data.shape
+        data = data * (np.hanning(n_s)[:, None] * np.hanning(n_u)[None, :])
+    return np.abs(np.fft.fftshift(np.fft.fft2(data, norm="ortho")))
+
+
+def sparsity_rmse(mag, keep_fraction):
+    flat = mag.ravel()
+    keep = math.ceil(keep_fraction * flat.size)
+    if keep >= flat.size:
+        return 0.0
+    part = np.partition(flat, flat.size - keep)
+    dropped = part[: flat.size - keep]
+    return float(math.sqrt(np.sum(np.square(dropped)) / flat.size))
+
+
+def reconstruct_data(data, n_s_target):
+    """The old reconstruct_epi rows: gather, weight and sum in fresh arrays."""
+    n_s = data.shape[0]
+    k = n_s_target // n_s
+    if k == 1:
+        return data.copy()
+    pos = np.arange(n_s_target) / k
+    i0 = np.minimum(pos.astype(int), n_s - 1)
+    i1 = np.minimum(i0 + 1, n_s - 1)
+    w = (pos - i0)[:, None]
+    return (1.0 - w) * data[i0] + w * data[i1]
+
+
+def psnr(reference, test, peak=1.0):
+    err = np.mean(np.square(np.asarray(reference) - np.asarray(test)))
+    if err == 0.0:
+        return math.inf
+    return float(10.0 * math.log10(peak * peak / err))

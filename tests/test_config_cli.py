@@ -443,6 +443,18 @@ def test_threads_below_one_is_a_config_error(tmp_path):
     assert main(["guidelines", "--scene", "A", "--threads", "0"]) == 1
 
 
+@pytest.mark.parametrize("factor", [0, -4])
+def test_subsample_factor_below_one_is_a_config_error(tmp_path, capsys, factor):
+    text = FULL_CONFIG.replace("subsample_factor = 2", f"subsample_factor = {factor}")
+    bad = _write(tmp_path, text, name=f"sub{factor}.cfg")
+    with pytest.raises(ConfigError, match="subsample_factor"):
+        load_config(bad)
+    out = tmp_path / "out"
+    assert main(["sweep-sparsity", "--config", str(bad), "--out", str(out)]) == 1
+    assert "subsample_factor must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _set(text, section, key, value):
     head, sep, body = text.partition(f"[{section}]")
     body = re.sub(rf"^{key} = .*$", f"{key} = {value}", body, count=1, flags=re.M)

@@ -1,10 +1,14 @@
 import math
 import re
+import sys
+import threading
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from epifield import experiments
+from epifield import experiments, mapping, render
 from epifield.experiments import (
     LayersResult,
     SweepResult,
@@ -18,6 +22,7 @@ from epifield.mapping import PlaneParam
 from epifield.render import render_epi
 from epifield.scene import SceneDef, TextureSpec
 from epifield.spectral import dft2_magnitude, sparsity_rmse
+from epifield.workspace import Workspace
 
 
 def _result(metric, kind):
@@ -104,6 +109,9 @@ def test_sweep_sparsity_texture_override(scene_a):
 def test_sweep_sparsity_rejects_bad_subsample(scene_a):
     with pytest.raises(ValueError):
         sweep_sparsity(scene_a, [1.5], [0.0], n_s=32, n_u=16, subsample_factor=3)
+    for factor in (0, -4):
+        with pytest.raises(ValueError, match="subsample_factor must be >= 1"):
+            sweep_sparsity(scene_a, [1.5], [0.0], n_s=32, n_u=16, subsample_factor=factor)
 
 
 def test_sweep_reconstruction(flat_scene):
@@ -139,6 +147,22 @@ def test_layers_curved_scene_prefers_tilted_planes(scene_c):
     assert til[0] < par[0]
     assert all(a >= b for a, b in zip(par, par[1:]))
     assert all(a >= b for a, b in zip(til, til[1:]))
+
+
+def test_layers_traces_the_dense_capture_once(scene_c, monkeypatch):
+    calls = []
+    real = mapping.intersect_rays
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (mapping, render, experiments):
+        if hasattr(module, "intersect_rays"):
+            monkeypatch.setattr(module, "intersect_rays", counting)
+    res = layers_experiment(scene_c, (1, 2), (2, 4), n_s=32, n_u=16)
+    assert len(calls) == 1
+    assert res.rmse_tilted.shape == (2, 2)
 
 
 def test_layers_rejects_bad_factor(flat_scene):
@@ -186,3 +210,50 @@ def test_all_missing_sweep_reports_the_first_reason(flat_scene):
     assert [cell[:2] for cell in res.missing] == [(0, 0), (1, 0)]
     with pytest.raises(ValueError, match=re.escape(res.missing[0][2])):
         res.argopt
+
+
+def test_sweep_workers_never_share_a_workspace(scene_b, monkeypatch):
+    """More workers than cores, switching threads as often as possible."""
+    created = []
+
+    class OwnedWorkspace(Workspace):
+        def __init__(self):
+            super().__init__()
+            self.owner = threading.get_ident()
+            created.append(self)
+
+        def array(self, name, shape, dtype=float):
+            assert threading.get_ident() == self.owner, "workspace used by two threads"
+            return super().array(name, shape, dtype)
+
+    noisy_b = replace(scene_b, texture=TextureSpec(angular_bandwidth=5.0, noise_sigma=0.05))
+    grid = ([1.2, 1.4, 1.6, 1.8], [0.0, 10.0, 20.0, 30.0])
+    kwargs = dict(n_s=32, n_u=32, seed=3)
+    serial = (
+        sweep_sparsity(noisy_b, *grid, **kwargs).metric,
+        sweep_reconstruction(noisy_b, *grid, factor=4, **kwargs).metric,
+    )
+    sizes = _record_pool_sizes(monkeypatch, cores=64)
+    monkeypatch.setattr(experiments, "Workspace", OwnedWorkspace)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 5.0
+        for _ in range(3):
+            for sweep, want in zip(
+                (
+                    lambda: sweep_sparsity(noisy_b, *grid, threads=8, **kwargs),
+                    lambda: sweep_reconstruction(noisy_b, *grid, factor=4, threads=8, **kwargs),
+                ),
+                serial,
+            ):
+                created.clear()
+                sizes.clear()
+                got = sweep().metric
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                assert sizes == [8]
+                assert 1 <= len(created) <= 8
+            if time.monotonic() > deadline:
+                break
+    finally:
+        sys.setswitchinterval(interval)

@@ -2,7 +2,9 @@
 
 tests/_intersect_oracle.py holds the general-formula intersection and the
 gather/scatter radiance fill verbatim. The kernel must agree with them bit
-for bit: the same hit mask, and the same x down to the NaN payload.
+for bit: the same hit mask, and the same x down to the NaN payload. Every
+stage run with a reused Workspace must also match the same stage run
+without one, and the oracle, bit for bit.
 """
 
 import math
@@ -12,9 +14,19 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 import _intersect_oracle as oracle
+from epifield.experiments import sweep_reconstruction, sweep_sparsity
 from epifield.mapping import PlaneParam, intersect_rays, map_surface_to_image
-from epifield.render import ray_grid, render_epi
+from epifield.render import (
+    _noise_field,
+    psnr,
+    ray_grid,
+    reconstruct_epi,
+    render_epi,
+    subsample_epi,
+)
 from epifield.scene import SceneDef, SceneGeometryError, SurfaceSpec, TextureSpec
+from epifield.spectral import dft2_magnitude, sparsity_rmse
+from epifield.workspace import Workspace
 
 # the oracle does not silence the overflow of huge rejected roots
 pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -162,3 +174,142 @@ def test_preset_renders_match_the_old_pipeline(scene_a, scene_b):
         want = oracle.render_fill(texture, x, hit, s_axis)
         got = render_epi(SceneDef(scene.surface, texture), param, 64, 64, check_occlusion=False)
         assert np.array_equal(got.data.view(np.uint64), want.view(np.uint64))
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).view(np.uint64)
+
+
+def _cell(scene, param, n_s, n_u, k, workspace, seed=5):
+    """Every stage of a sparsity cell and a reconstruction cell, copied out.
+
+    Results computed with a workspace alias it, so each is copied before
+    the next stage may reuse the buffers.
+    """
+    s_axis, u_axis = ray_grid(param, n_s, n_u)
+    s_col = s_axis[::k, None]
+    out = {}
+    x, hit = intersect_rays(param, scene.surface, s_col, u_axis[None, :], workspace=workspace)
+    out["x"], out["hit"] = x.copy(), hit.copy()
+    out["radiance"] = scene.texture.radiance(x, s_col, workspace=workspace).copy()
+    epi = render_epi(
+        scene, param, n_s, n_u, seed=seed, check_occlusion=False, row_step=k, workspace=workspace
+    )
+    out["render"] = epi.data.copy()
+    for window in ("hann", "rect"):
+        spectrum = dft2_magnitude(epi, window, workspace=workspace)
+        out[f"mag_{window}"] = spectrum.mag.copy()
+        out[f"sparsity_{window}"] = sparsity_rmse(spectrum, 0.02, workspace=workspace)
+    dense = render_epi(
+        scene, param, n_s, n_u, seed=seed, check_occlusion=False, workspace=workspace
+    )
+    rebuilt = reconstruct_epi(subsample_epi(dense, k), n_s, workspace=workspace)
+    out["rebuilt"] = rebuilt.data.copy()
+    out["psnr"] = psnr(dense.data, rebuilt.data, workspace=workspace)
+    return out
+
+
+def _oracle_cell(scene, param, n_s, n_u, k, seed=5):
+    s_axis, u_axis = ray_grid(param, n_s, n_u)
+    s_col = s_axis[::k, None]
+    x, hit = oracle.intersect_rays(param, scene.surface, s_col, u_axis[None, :])
+    out = {"x": x, "hit": hit}
+    out["radiance"] = oracle.radiance(scene.texture, x, np.broadcast_to(s_col, x.shape))
+
+    def rendered(rows):
+        xr, hr = oracle.intersect_rays(param, scene.surface, s_axis[::rows, None], u_axis[None, :])
+        data = oracle.render_fill(scene.texture, xr, hr, s_axis[::rows])
+        if scene.texture.noise_sigma > 0.0:
+            data += scene.texture.noise_sigma * _noise_field(seed, n_s, n_u)[::rows]
+        return data
+
+    out["render"] = rendered(k)
+    for window in ("hann", "rect"):
+        out[f"mag_{window}"] = oracle.dft2_magnitude(out["render"], window)
+        out[f"sparsity_{window}"] = oracle.sparsity_rmse(out[f"mag_{window}"], 0.02)
+    dense = rendered(1)
+    out["rebuilt"] = oracle.reconstruct_data(dense[::k].copy(), n_s)
+    out["psnr"] = oracle.psnr(dense, out["rebuilt"])
+    return out
+
+
+def _same_cell(got, want):
+    assert got.keys() == want.keys()
+    for name in got:
+        assert np.shape(got[name]) == np.shape(want[name]), name
+        if name == "hit":
+            assert np.array_equal(got[name], want[name])
+        else:
+            assert np.array_equal(_bits(got[name]), _bits(want[name])), name
+
+
+# one workspace for every example below, so it is reused across planes,
+# surfaces, textures and grid shapes
+SHARED = Workspace()
+
+captures = st.builds(
+    TextureSpec,
+    st.sampled_from([(20.0, 30.0, 40.0, 50.0, 60.0), (7.0,), (3.0, 45.5)]),
+    st.sampled_from([0.0, 5.0]),
+    st.sampled_from([0.0, 0.05]),
+)
+
+
+@given(
+    param=planes,
+    surface=surfaces,
+    texture=captures,
+    k=st.sampled_from([1, 2, 4, 8]),
+    rows=st.integers(2, 4),
+    n_u=st.integers(2, 19),
+)
+@example(
+    param=PlaneParam(1.0, math.inf),
+    surface=SurfaceSpec(1.5, 10.0, 0.0, (-1.0, 1.0)),
+    texture=TextureSpec(noise_sigma=0.05),
+    k=8,
+    rows=2,
+    n_u=9,
+)
+def test_workspace_stages_match_fresh_calls_and_the_oracle(param, surface, texture, k, rows, n_u):
+    scene = SceneDef(surface, texture, "w")
+    n_s = 8 * rows
+    with np.errstate(all="ignore"):
+        fresh = _cell(scene, param, n_s, n_u, k, None)
+        reused = _cell(scene, param, n_s, n_u, k, SHARED)
+        _same_cell(reused, fresh)
+        _same_cell(reused, _oracle_cell(scene, param, n_s, n_u, k))
+
+
+def test_one_workspace_across_changing_shapes(scene_a, scene_b):
+    workspace = Workspace()
+    noisy_b = SceneDef(scene_b.surface, TextureSpec(angular_bandwidth=5.0, noise_sigma=0.05), "B")
+    param = PlaneParam(1.0, 1.5, 17.0)
+    for scene, (n_s, n_u), k in (
+        (noisy_b, (256, 256), 8),
+        (noisy_b, (32, 256), 4),
+        (scene_a, (33, 17), 1),
+        (noisy_b, (9, 5), 1),
+        (scene_a, (256, 256), 2),
+        (noisy_b, (256, 256), 1),
+    ):
+        reused = _cell(scene, param, n_s, n_u, k, workspace)
+        _same_cell(reused, _cell(scene, param, n_s, n_u, k, None))
+
+
+def test_results_without_a_workspace_are_owned(scene_b):
+    noisy_b = SceneDef(scene_b.surface, TextureSpec(noise_sigma=0.05), "B")
+    param = PlaneParam(1.0, 1.5, 17.0)
+    epi = render_epi(noisy_b, param, 32, 32, check_occlusion=False)
+    spectrum = dft2_magnitude(epi, "rect")
+    x, hit = intersect_rays(param, scene_b.surface, epi.s_axis[:, None], epi.u_axis[None, :])
+    owned = {"data": epi.data, "mag": spectrum.mag, "x": x, "hit": hit.view(np.uint8)}
+    kept = {name: value.copy() for name, value in owned.items()}
+    sweep_sparsity(noisy_b, [1.2, 1.5], [0.0, 17.0], n_s=32, n_u=32, threads=2)
+    sweep_reconstruction(noisy_b, [1.2, 1.5], [0.0, 17.0], factor=4, n_s=32, n_u=32)
+    # a caller's spectrum passed with a workspace is partitioned in a copy
+    workspace = Workspace()
+    dft2_magnitude(epi, "rect", workspace=workspace)
+    sparsity_rmse(spectrum, 0.02, workspace=workspace)
+    for name, value in owned.items():
+        assert np.array_equal(value.view(np.uint8), kept[name].view(np.uint8)), name
