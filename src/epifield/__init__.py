@@ -12,11 +12,9 @@ from .scene import (
 )
 from .mapping import (
     DEFAULT_U_MAX,
-    NoIntersection,
     OcclusionCheck,
     PlaneParam,
     check_no_self_occlusion,
-    intersect_ray,
     intersect_rays,
     map_surface_to_image,
     rewarp_coords,
@@ -26,10 +24,10 @@ from .render import (
     Epi,
     NonDivisibleFactor,
     SelfOcclusionError,
+    interp_u,
     psnr,
     reconstruct_epi,
     render_epi,
-    rewarp_epi,
     subsample_epi,
 )
 from .spectral import (

@@ -33,7 +33,6 @@ from .fileio import (
     write_spectrum,
     write_sweep_csv,
 )
-from .mapping import NoIntersection
 from .render import NonDivisibleFactor, SelfOcclusionError, render_epi
 from .scene import SceneGeometryError, partition_depth_layers
 from .spectral import (
@@ -101,7 +100,6 @@ def main(argv=None) -> int:
     except (
         SceneGeometryError,
         SelfOcclusionError,
-        NoIntersection,
         NonDivisibleFactor,
         ValueError,
     ) as exc:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .mapping import DEFAULT_U_MAX, PlaneParam, rewarp_coords
-from .render import psnr, reconstruct_epi, render_epi, subsample_epi
+from .render import interp_u, psnr, reconstruct_epi, render_epi, subsample_epi
 from .scene import SceneDef, SurfaceSpec, TextureSpec, partition_depth_layers
 from .spectral import (
     dft2_magnitude,
@@ -273,36 +273,24 @@ class LayersResult:
     curve: SamplingCurve
 
 
-def _trajectory_reconstruct(src, s_axis, u_axis, factor, traj, rows):
-    """Rebuild dropped camera rows by interpolating the kept rows along a
-    plane's iso-u trajectories.
+def _trajectory_rebuild(src, dense, canon, prm, rows, xi, factor):
+    """Rebuild pixels of dropped camera rows by interpolating the kept rows
+    along the iso-u trajectories of the plane prm.
 
-    traj is the (n_s, n_u) grid of trajectory coordinates (the plane
-    parameterization's u for each pixel's ray) together with the map back:
-    a pixel on row i follows its trajectory to the two bracketing kept
-    rows, samples each by linear interpolation in u, and blends by camera
-    distance. Trajectories that leave the captured window read the
-    background value 0. Kept rows are copied; only `rows` are rebuilt.
+    rows are the pixels' rows and xi their coordinates under prm. A pixel
+    follows its trajectory to the two bracketing kept rows (0, factor,
+    2 * factor, ...), samples src along u on each and blends by camera
+    distance; past the last kept row it takes that row's sample.
+    Trajectories that leave the captured window read the background value 0.
     """
-    xi, to_row = traj
-    out = src.copy()
-    if factor == 1:
-        return out
-    kept = np.arange(0, s_axis.size, factor)
-    for i in rows:
-        if i % factor == 0:
-            continue
-        k0 = min(i // factor, kept.size - 1)
-        k1 = min(k0 + 1, kept.size - 1)
-        r0, r1 = int(kept[k0]), int(kept[k1])
-        v0 = np.interp(to_row(r0, xi[i]), u_axis, src[r0], left=0.0, right=0.0)
-        if r1 == r0:
-            out[i] = v0
-            continue
-        v1 = np.interp(to_row(r1, xi[i]), u_axis, src[r1], left=0.0, right=0.0)
-        w = (i - r0) / (r1 - r0)
-        out[i] = (1.0 - w) * v0 + w * v1
-    return out
+    s_axis, u_axis = dense.s_axis, dense.u_axis
+    k0 = rows // factor
+    r0 = k0 * factor
+    r1 = np.minimum(k0 + 1, (dense.n_s - 1) // factor) * factor
+    v0 = interp_u(src, u_axis, r0, rewarp_coords(prm, canon, s_axis[r0], xi))
+    v1 = interp_u(src, u_axis, r1, rewarp_coords(prm, canon, s_axis[r1], xi))
+    w = (rows - r0) / np.maximum(r1 - r0, 1)
+    return np.where(r1 == r0, v0, (1.0 - w) * v0 + w * v1)
 
 
 def _dense_capture(scene, param, n_s, n_u, seed):
@@ -386,21 +374,22 @@ def layers_experiment(
             worst["parallel"] = max(worst["parallel"], min_image_count(sp_par, s_max))
             worst["tilted"] = max(worst["tilted"], min_image_count(sp_til, s_max))
             mask = hit & (owner == key)
-            rows = np.flatnonzero(mask.any(axis=1))
-            if rows.size == 0:
+            pi, pj = np.nonzero(mask)
+            if pi.size == 0:
                 continue
             src = np.where(mask, dense.data, 0.0)
+            s_px, u_px, d_px = dense.s_axis[pi], dense.u_axis[pj], dense.data[pi, pj]
             for fam, prm in params.items():
-                xi = rewarp_coords(canon, prm, dense.s_axis[:, None], dense.u_axis[None, :])
-
-                def to_row(r, xi_row, prm=prm):
-                    return rewarp_coords(prm, canon, dense.s_axis[r], xi_row)
-
+                xi = rewarp_coords(canon, prm, s_px, u_px)
                 for fi, factor in enumerate(factors):
-                    rebuilt = _trajectory_reconstruct(
-                        src, dense.s_axis, dense.u_axis, factor, (xi, to_row), rows
+                    # pixels on kept rows are exact; they stay in as zeros so
+                    # that np.sum pairs up the same vector as a full-grid diff
+                    drop = pi % factor != 0
+                    diff = np.zeros(pi.size)
+                    diff[drop] = (
+                        _trajectory_rebuild(src, dense, canon, prm, pi[drop], xi[drop], factor)
+                        - d_px[drop]
                     )
-                    diff = rebuilt[mask] - dense.data[mask]
                     sum_sq[fam][fi] += float(np.sum(np.square(diff)))
         for fam in rmse:
             rmse[fam][li] = np.sqrt(sum_sq[fam] / n_hit)

@@ -29,12 +29,10 @@ from .workspace import Workspace, scratch
 
 __all__ = [
     "DEFAULT_U_MAX",
-    "NoIntersection",
     "PlaneParam",
     "OcclusionCheck",
     "map_surface_to_image",
     "u_infinity",
-    "intersect_ray",
     "intersect_rays",
     "rewarp_coords",
     "check_no_self_occlusion",
@@ -42,10 +40,6 @@ __all__ = [
 
 # Half-width of the image window for a 30 degree field of view at focal 1.
 DEFAULT_U_MAX = 0.2679
-
-
-class NoIntersection(RuntimeError):
-    """The ray does not meet the surface inside its lateral extent."""
 
 
 @dataclass(frozen=True)
@@ -124,7 +118,7 @@ def map_surface_to_image(param: PlaneParam, surface: SurfaceSpec, x, s):
 
     Follows the ray from (s, 0) through (x, z(x)) to the global plane.
     The analytic profile is evaluated as given; the lateral extent is
-    enforced by intersect_ray, not here. Broadcasts over x and s.
+    enforced by intersect_rays, not here. Broadcasts over x and s.
     """
     z = surface.depth(x)
     u_parallel = np.multiply(x, param.focal) / z + np.multiply(s, param.focal) * (
@@ -280,14 +274,6 @@ def _valid_root(surface: SurfaceSpec, r):
     z = surface.depth(r)
     ok = np.isfinite(r) & surface.contains(r) & (z > 0.0)
     return ok, z
-
-
-def intersect_ray(param: PlaneParam, surface: SurfaceSpec, s: float, u: float) -> float:
-    """Scalar intersection; raises NoIntersection when the ray misses."""
-    x, hit = intersect_rays(param, surface, s, u)
-    if not hit:
-        raise NoIntersection(f"ray (s={s}, u={u}) misses the surface")
-    return float(x)
 
 
 def rewarp_coords(src: PlaneParam, dst: PlaneParam, s, u_src):

@@ -3,8 +3,8 @@
 An EPI is the 2D slice of the light field over (s, u): one row per camera
 position, one column per image coordinate. Rendering traces every ray of
 the grid to the scene surface; subsampling drops camera rows; linear
-interpolation puts them back. Re-warping resamples an EPI onto a
-different global-plane parameterization without touching the scene.
+interpolation puts them back. interp_u samples rows along u, the one
+resampling step every re-warp onto another global plane needs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mapping import PlaneParam, check_no_self_occlusion, intersect_rays, rewarp_coords
+from .mapping import PlaneParam, check_no_self_occlusion, intersect_rays
 from .scene import SceneDef
 from .workspace import Workspace, scratch
 
@@ -26,7 +26,7 @@ __all__ = [
     "render_epi",
     "subsample_epi",
     "reconstruct_epi",
-    "rewarp_epi",
+    "interp_u",
 ]
 
 
@@ -210,22 +210,35 @@ def reconstruct_epi(epi: Epi, n_s_target: int, *, workspace: Workspace | None = 
     return replace(epi, data=data, s_axis=s_axis, u_axis=epi.u_axis.copy())
 
 
-def rewarp_epi(epi: Epi, dst: PlaneParam) -> Epi:
-    """Resample an EPI onto a different global-plane parameterization.
+def interp_u(data: np.ndarray, u_axis: np.ndarray, rows, u) -> np.ndarray:
+    """Sample rows of an EPI at image coordinates by linear interpolation.
 
-    For each target ray (s_i, u_j) the source coordinate comes from
-    rewarp_coords and row i is sampled by linear interpolation along u;
-    coordinates outside the source window produce 0. The camera line is
-    shared, so dst must keep the focal length and s_max of the source.
+    Returns numpy.interp(u[k], u_axis, data[rows[k]], left=0.0, right=0.0)
+    for every k, bit for bit on finite data, without a call per row; rows
+    and u broadcast. u_axis must be uniform and ascending, as ray_grid
+    makes it. The interval comes from arithmetic on the spacing, corrected
+    by one step to the one numpy's binary search finds, and the value from
+    numpy's formula with its special cases: an exact node or the last node
+    reads the node, a point outside the window reads 0 and a NaN point
+    reads itself.
     """
-    if dst.focal != epi.param.focal or dst.s_max != epi.param.s_max:
-        raise ValueError("rewarp requires a shared focal length and camera range")
-    u_dst = np.linspace(-dst.u_max, dst.u_max, epi.n_u)
-    out = np.empty_like(epi.data)
-    for i, s in enumerate(epi.s_axis):
-        u_src = rewarp_coords(dst, epi.param, s, u_dst)
-        out[i] = np.interp(u_src, epi.u_axis, epi.data[i], left=0.0, right=0.0)
-    return Epi(out, epi.s_axis.copy(), u_dst, dst, epi.scene_id)
+    u = np.asarray(u, dtype=float)
+    n = u_axis.size
+    nan = np.isnan(u)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        t = np.where(nan, 0.0, u - u_axis[0]) / (u_axis[1] - u_axis[0])
+        j = np.clip(np.floor(t), 0, n - 2).astype(np.intp)
+        j -= (u < u_axis[j]) & (j > 0)
+        j += (u >= u_axis[j + 1]) & (j < n - 2)
+        x0, x1 = u_axis[j], u_axis[j + 1]
+        y0, y1 = data[rows, j], data[rows, j + 1]
+        slope = (y1 - y0) / (x1 - x0)
+        out = slope * (u - x0) + y0
+    np.copyto(out, y0, where=u == x0)
+    np.copyto(out, y1, where=u == u_axis[-1])
+    np.copyto(out, 0.0, where=(u < u_axis[0]) | (u > u_axis[-1]))
+    np.copyto(out, u, where=nan)
+    return out
 
 
 def psnr(

@@ -188,11 +188,11 @@ class TextureSpec:
         "radiance" buffer whenever x has the full shape.
         """
         a = self.albedo(x, workspace=workspace)
+        shape = np.broadcast_shapes(a.shape, np.shape(s))
         if self.is_lambertian:
-            return a
+            return a if a.shape == shape else np.broadcast_to(a, shape).copy()
         view = unnormalized_sinc(self.angular_bandwidth * np.asarray(s, dtype=float))
-        in_place = np.broadcast_shapes(a.shape, view.shape) == a.shape
-        return np.multiply(a, view, out=a if in_place else None)
+        return np.multiply(a, view, out=a if a.shape == shape else None)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,17 @@
 """The ray/surface intersection and radiance fill epifield used before its
-linear/quadratic split, and the spectrum and reconstruction stages as they
-were before they could write into a workspace, kept verbatim as the
-reference for the differential tests in tests/test_render_kernel.py.
+linear/quadratic split, the spectrum and reconstruction stages as they
+were before they could write into a workspace, and the layered
+reconstruction as it was before it sampled only a layer's own pixels,
+kept verbatim as the reference for the differential tests in
+tests/test_render_kernel.py and tests/test_resample.py.
 
 intersect_rays runs one general formula on every input: both quadratic
 roots through np.where chains, the linear case masked in. render_fill is
 the old render_epi fill: radiance (old albedo loop, old sinc factor)
 gathered on the hit rays and scattered into a zero image. dft2_magnitude,
 sparsity_rmse, reconstruct_data and psnr allocate every temporary.
+_trajectory_reconstruct and layers_experiment rebuild every column of every
+row a layer touches, one np.interp call per row and kept row.
 """
 
 from __future__ import annotations
@@ -16,8 +20,16 @@ import math
 
 import numpy as np
 
-from epifield.mapping import PlaneParam
-from epifield.scene import SurfaceSpec, unnormalized_sinc
+from epifield.experiments import LayersResult, SamplingCurve, _dense_capture
+from epifield.mapping import DEFAULT_U_MAX, PlaneParam, rewarp_coords
+from epifield.scene import SceneDef, SurfaceSpec, partition_depth_layers, unnormalized_sinc
+from epifield.spectral import (
+    max_camera_spacing,
+    max_camera_spacing_tilted,
+    min_image_count,
+    nyquist_omega,
+    optimal_depths,
+)
 
 
 def intersect_rays(param: PlaneParam, surface: SurfaceSpec, s, u):
@@ -138,3 +150,111 @@ def psnr(reference, test, peak=1.0):
     if err == 0.0:
         return math.inf
     return float(10.0 * math.log10(peak * peak / err))
+
+
+def _trajectory_reconstruct(src, s_axis, u_axis, factor, traj, rows):
+    """Rebuild dropped camera rows by interpolating the kept rows along a
+    plane's iso-u trajectories.
+
+    traj is the (n_s, n_u) grid of trajectory coordinates (the plane
+    parameterization's u for each pixel's ray) together with the map back:
+    a pixel on row i follows its trajectory to the two bracketing kept
+    rows, samples each by linear interpolation in u, and blends by camera
+    distance. Trajectories that leave the captured window read the
+    background value 0. Kept rows are copied; only `rows` are rebuilt.
+    """
+    xi, to_row = traj
+    out = src.copy()
+    if factor == 1:
+        return out
+    kept = np.arange(0, s_axis.size, factor)
+    for i in rows:
+        if i % factor == 0:
+            continue
+        k0 = min(i // factor, kept.size - 1)
+        k1 = min(k0 + 1, kept.size - 1)
+        r0, r1 = int(kept[k0]), int(kept[k1])
+        v0 = np.interp(to_row(r0, xi[i]), u_axis, src[r0], left=0.0, right=0.0)
+        if r1 == r0:
+            out[i] = v0
+            continue
+        v1 = np.interp(to_row(r1, xi[i]), u_axis, src[r1], left=0.0, right=0.0)
+        w = (i - r0) / (r1 - r0)
+        out[i] = (1.0 - w) * v0 + w * v1
+    return out
+
+
+def layers_experiment(
+    scene: SceneDef,
+    layer_counts,
+    factors,
+    *,
+    n_s: int = 1024,
+    n_u: int = 512,
+    focal: float = 1.0,
+    s_max: float = 1.0,
+    u_max: float = DEFAULT_U_MAX,
+    view_bandwidth: float = 0.0,
+    seed: int = 0,
+    fit_samples: int = 256,
+) -> LayersResult:
+    """The old layers_experiment: every touched row rebuilt with per-row np.interp."""
+    layer_counts = tuple(int(n) for n in layer_counts)
+    factors = tuple(int(f) for f in factors)
+    for f in factors:
+        if f < 1:
+            raise ValueError(f"factor {f} must be >= 1")
+    rmse = {
+        "parallel": np.zeros((len(layer_counts), len(factors))),
+        "tilted": np.zeros((len(layer_counts), len(factors))),
+    }
+    images = {"parallel": [], "tilted": []}
+    du = 2.0 * u_max / (n_u - 1)
+    wu_max = nyquist_omega(du)
+    surface = scene.surface
+    canon = PlaneParam(focal, math.inf, 0.0, s_max, u_max)
+    dense, x, hit = _dense_capture(scene, canon, n_s, n_u, seed)
+    n_hit = int(hit.sum())
+    if n_hit == 0:
+        raise RuntimeError("the capture never sees the surface")
+    for li, count in enumerate(layer_counts):
+        layers = partition_depth_layers(surface, count, fit_samples)
+        edges = np.array([lay.x_interval[0] for lay in layers] + [layers[-1].x_interval[1]])
+        owner = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, count - 1)
+        sum_sq = {k: np.zeros(len(factors)) for k in rmse}
+        worst = {k: 2 for k in rmse}
+        for key, layer in enumerate(layers):
+            params = {
+                "parallel": PlaneParam(
+                    focal, optimal_depths(layer.depth_range).plane_depth, 0.0, s_max, u_max
+                ),
+                "tilted": PlaneParam(
+                    focal, layer.fitted_z0, layer.fitted_tilt_deg, s_max, u_max, check=False
+                ),
+            }
+            sp_par = max_camera_spacing(layer.depth_range, focal, wu_max, view_bandwidth)
+            sp_til = max_camera_spacing_tilted(layer, focal, wu_max, view_bandwidth)
+            worst["parallel"] = max(worst["parallel"], min_image_count(sp_par, s_max))
+            worst["tilted"] = max(worst["tilted"], min_image_count(sp_til, s_max))
+            mask = hit & (owner == key)
+            rows = np.flatnonzero(mask.any(axis=1))
+            if rows.size == 0:
+                continue
+            src = np.where(mask, dense.data, 0.0)
+            for fam, prm in params.items():
+                xi = rewarp_coords(canon, prm, dense.s_axis[:, None], dense.u_axis[None, :])
+
+                def to_row(r, xi_row, prm=prm):
+                    return rewarp_coords(prm, canon, dense.s_axis[r], xi_row)
+
+                for fi, factor in enumerate(factors):
+                    rebuilt = _trajectory_reconstruct(
+                        src, dense.s_axis, dense.u_axis, factor, (xi, to_row), rows
+                    )
+                    diff = rebuilt[mask] - dense.data[mask]
+                    sum_sq[fam][fi] += float(np.sum(np.square(diff)))
+        for fam in rmse:
+            rmse[fam][li] = np.sqrt(sum_sq[fam] / n_hit)
+            images[fam].append(worst[fam])
+    curve = SamplingCurve(layer_counts, tuple(images["parallel"]), tuple(images["tilted"]))
+    return LayersResult(layer_counts, factors, rmse["parallel"], rmse["tilted"], curve)

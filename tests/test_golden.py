@@ -4,8 +4,10 @@ Each command runs on one tiny config, once with one thread and once with
 two; every artifact it writes (manifest included) must hash to the value
 pinned here. The pins were taken from the program before the sweep driver
 and the spacing helper were consolidated, so any refactor that moves a
-byte fails this test. Regenerate them only for a change that is meant to
-alter outputs, and say so in the change log.
+byte fails this test. The layers-70x33 pins come from the row-by-row
+layered reconstruction that preceded the pixel-wise one. Regenerate them
+only for a change that is meant to alter outputs, and say so in the
+change log.
 """
 
 import hashlib
@@ -51,6 +53,12 @@ TINY = dedent(
     layer_counts = 1 2
     factors = 2 4
     """
+)
+
+# the layers run on a grid no factor divides evenly: factor 3 leaves a
+# partial last block, 128 exceeds the row count and keeps one row
+LAYERS_70 = TINY.replace("n_s = 32\nn_u = 24", "n_s = 70\nn_u = 33").replace(
+    "layer_counts = 1 2\nfactors = 2 4", "layer_counts = 1 3\nfactors = 3 5 128"
 )
 
 # a single-depth Lambertian scene: every spacing is alias-free
@@ -104,6 +112,12 @@ PINS = {
         "manifest.txt": "2f062ec4763e0df5e4b96dbe86bdf7f143f02396be369823e55f3fe5ba4dbd44",
         "sampling_curve.csv": "a7efa1eadb21f8d4da2b0183f635f43ee9a0acf009929ad5df228c131919a513",
     },
+    "layers-70x33": {
+        "layers_rmse_parallel.csv": "c83adcb4ae99f05e853539c532ae5324681b5e94f968bc35b8c7f6a8aa7be9ff",
+        "layers_rmse_tilted.csv": "f3d13d29c6a36720598332593608de320697be35b6a208aa6189231d6671257d",
+        "manifest.txt": "ce4e6f5b0ce798abba1e551523f2cf1d36a3b26ae75752688ed8cf755e352d94",
+        "sampling_curve.csv": "73aa5c1eb4aa892f62d0ead18f9718970e2e41ca75d17257147566266dafe3a9",
+    },
     "reconstruct": {
         "manifest.txt": "c858fa6f80c7cea9a27cd185ea7fe520e3dcc5ab473fedc8076cb32569b42a70",
         "psnr.csv": "65e74181d4d180d554fa9068a90be41eabe0cb016db1e3a72d0590f1e73e0382",
@@ -145,6 +159,12 @@ def run_all(tmp_path, threads):
         code = main([*argv, "--config", str(cfg), "--out", str(out), "--threads", str(threads)])
         assert code == 0, name
         found[name] = _digests(out)
+    layers = tmp_path / "layers-70x33.cfg"
+    layers.write_text(LAYERS_70)
+    out = tmp_path / f"layers-70x33-t{threads}"
+    argv = ["layers", "--config", str(layers), "--out", str(out), "--threads", str(threads)]
+    assert main(argv) == 0
+    found["layers-70x33"] = _digests(out)
     for preset in "ABC":
         out = tmp_path / f"guidelines-{preset}-t{threads}"
         assert main(["guidelines", "--scene", preset, "--out", str(out)]) == 0

@@ -6,10 +6,8 @@ from hypothesis import assume, example, given, strategies as st
 
 from epifield.mapping import (
     DEFAULT_U_MAX,
-    NoIntersection,
     PlaneParam,
     check_no_self_occlusion,
-    intersect_ray,
     intersect_rays,
     map_surface_to_image,
     rewarp_coords,
@@ -107,8 +105,9 @@ def test_direction_coordinate_collapses_plane_choice(scene_b, directional, depth
 
 @given(s=st.floats(-1.0, 1.0), u=st.floats(-DEFAULT_U_MAX, DEFAULT_U_MAX))
 def test_directional_intersection_flat_scene(directional, flat_scene, s, u):
-    x = intersect_ray(directional, flat_scene.surface, s, u)
-    assert x == pytest.approx(s + u * 1.5, abs=1e-12)
+    x, hit = intersect_rays(directional, flat_scene.surface, s, u)
+    assert hit
+    assert float(x) == pytest.approx(s + u * 1.5, abs=1e-12)
 
 
 @given(
@@ -129,8 +128,8 @@ def test_intersection_roundtrip(scene_a, scene_b, depth, tilt, s, u, key):
 
 def test_miss_reports_no_intersection(directional):
     narrow = SurfaceSpec(1.5, 0.0, 0.0, (-0.1, 0.1))
-    with pytest.raises(NoIntersection):
-        intersect_ray(directional, narrow, 2.0, 0.0)
+    x, hit = intersect_rays(directional, narrow, 2.0, 0.0)
+    assert not hit and math.isnan(x)
     x, hit = intersect_rays(directional, narrow, [2.0, 0.0], [0.0, 0.0])
     assert not hit[0] and math.isnan(x[0])
     assert hit[1] and x[1] == pytest.approx(0.0, abs=1e-15)
@@ -144,12 +143,12 @@ def test_vectorized_intersection_matches_scalar(scene_c):
     xs, hit = intersect_rays(p, scene_c.surface, s, u)
     assert hit.any() and not hit.all()
     for i in range(s.size):
+        one, one_hit = intersect_rays(p, scene_c.surface, s[i], u[i])
+        assert one_hit == hit[i]
         if hit[i]:
-            one = intersect_ray(p, scene_c.surface, s[i], u[i])
-            assert one == pytest.approx(float(xs[i]), abs=1e-12)
+            assert float(one) == pytest.approx(float(xs[i]), abs=1e-12)
         else:
-            with pytest.raises(NoIntersection):
-                intersect_ray(p, scene_c.surface, s[i], u[i])
+            assert math.isnan(one)
 
 
 def test_rewarp_same_param_is_exact_copy():

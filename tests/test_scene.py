@@ -12,6 +12,7 @@ from epifield.scene import (
     partition_depth_layers,
     unnormalized_sinc,
 )
+from epifield.workspace import Workspace
 
 # exact depth extremes of the shipped presets (quadratic endpoint/vertex
 # evaluation done by hand)
@@ -134,6 +135,25 @@ def test_radiance_view_dependence():
     assert np.all(np.abs(tex.radiance(x, math.pi / 5.0)) < 1e-15)
     lam = TextureSpec()
     assert np.array_equal(lam.radiance(x, 0.7), lam.albedo(x))
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, 1.0])
+def test_radiance_broadcasts_x_against_s(bandwidth):
+    tex = TextureSpec(angular_bandwidth=bandwidth)
+    out = tex.radiance(0.3, np.zeros(4))
+    assert out.shape == (4,)
+    assert np.all(out == tex.albedo(0.3))
+    s = np.linspace(-1.0, 1.0, 3)[:, None]
+    assert tex.radiance(np.array([0.1, 0.2]), s).shape == (3, 2)
+
+
+def test_radiance_of_a_full_grid_is_the_albedo_buffer():
+    # x with the full shape: the result is the albedo, left where it was computed
+    x = np.linspace(-0.5, 0.5, 6).reshape(2, 3)
+    for tex in (TextureSpec(), TextureSpec(angular_bandwidth=1.0)):
+        grid = Workspace()
+        out = tex.radiance(x, np.zeros((2, 1)), workspace=grid)
+        assert grid.holds("radiance", out)
 
 
 def test_partition_validation(scene_a):
