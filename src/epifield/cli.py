@@ -11,13 +11,14 @@ preconditions, 3 for I/O failures.
 from __future__ import annotations
 
 import argparse
+import configparser
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, default_config_for_preset, load_config
+from .config import ConfigError, RunConfig, _run_config, load_config
 from .experiments import (
     layers_experiment,
     sweep_plane_mae,
@@ -111,16 +112,15 @@ def main(argv=None) -> int:
 
 
 def _load(args) -> RunConfig:
-    if getattr(args, "scene", None) is not None and args.config is None:
-        return default_config_for_preset(
-            args.scene,
-            seed=args.seed if args.seed is not None else 0,
-            out_dir=args.out if args.out is not None else "out",
-            threads=args.threads if args.threads is not None else 1,
-        )
-    if args.config is None:
+    overrides = dict(seed=args.seed, out_dir=args.out, threads=args.threads)
+    if args.config is not None:
+        return load_config(args.config, **overrides)
+    if getattr(args, "scene", None) is None:
         raise ConfigError("either --config or --scene is required")
-    return load_config(args.config, seed=args.seed, out_dir=args.out, threads=args.threads)
+    # a dict, not INI text: the value cannot open sections of its own
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict({"scene": {"preset": args.scene}, "plane": {"depth": "inf"}})
+    return _run_config(parser, "--scene", **overrides)
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -312,7 +312,6 @@ def _cmd_layers(args, cfg: RunConfig) -> int:
         focal=cfg.plane.focal,
         s_max=cfg.plane.s_max,
         u_max=cfg.plane.u_max,
-        view_bandwidth=cfg.scene.texture.angular_bandwidth,
         seed=cfg.seed,
     )
     out = _out_dir(cfg)

@@ -237,7 +237,7 @@ def load_config(
     out_dir: str | None = None,
     threads: int | None = None,
 ) -> RunConfig:
-    """Parse an INI run config, applying any CLI overrides.
+    """Parse an INI run config file, applying any CLI overrides.
 
     Raises ConfigError for structural problems; lets domain validation
     errors from the constructed types propagate.
@@ -247,7 +247,11 @@ def load_config(
     if not path.is_file():
         raise ConfigError(f"{origin}: no such config file")
     parser = _parse_ini(path.read_text(), origin)
+    return _run_config(parser, origin, seed=seed, out_dir=out_dir, threads=threads)
 
+
+def _run_config(parser, origin: str, *, seed, out_dir, threads) -> RunConfig:
+    """The RunConfig a parsed INI describes; None overrides keep the file's value."""
     scene = _build_scene(parser, origin)
 
     if "plane" not in parser:
@@ -304,25 +308,3 @@ def load_config(
             raise ConfigError(f"{origin}: layer_counts and factors must be nonempty")
     return cfg
 
-
-def default_config_for_preset(
-    name: str,
-    *,
-    seed: int = 0,
-    out_dir: str = "out",
-    threads: int = 1,
-) -> RunConfig:
-    """Convenience config: preset scene under the default directional plane."""
-    scene = load_preset(name)
-    return RunConfig(
-        scene=scene,
-        plane=PlaneParam(focal=1.0, depth=math.inf),
-        n_s=512,
-        n_u=512,
-        seed=seed,
-        out_dir=out_dir,
-        threads=threads,
-        window=None,
-        keep_fraction=0.01,
-        subsample_factor=1,
-    )

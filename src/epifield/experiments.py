@@ -15,13 +15,13 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .mapping import DEFAULT_U_MAX, PlaneParam, rewarp_coords
 from .render import interp_u, psnr, reconstruct_epi, render_epi, subsample_epi
-from .scene import SceneDef, SurfaceSpec, TextureSpec, partition_depth_layers
+from .scene import SceneDef, SurfaceSpec, partition_depth_layers
 from .spectral import (
     dft2_magnitude,
     max_camera_spacing,
@@ -138,7 +138,6 @@ def sweep_sparsity(
     subsample_factor: int = 1,
     keep_fraction: float = 0.01,
     window: str = "rect",
-    texture_override: TextureSpec | None = None,
     seed: int = 0,
     threads: int = 1,
 ) -> SweepResult:
@@ -149,19 +148,15 @@ def sweep_sparsity(
     sparsity_rmse. The default window here is rectangular, unlike
     dft2_magnitude: row-to-row drift under a mismatched plane shows up as
     truncation leakage, and that leakage is the signal this sweep ranks
-    cells by; a taper would flatten the surface into sidelobe dust.
-    texture_override swaps the scene's texture (view dependence, noise)
-    while keeping its geometry, for robustness studies. The visibility
-    check is skipped: single crossings hold for these scenes even where
-    the conservative slope condition fails, and the grid must stay
-    comparable across cells.
+    cells by; a taper would flatten the surface into sidelobe dust. The
+    visibility check is skipped: single crossings hold for these scenes
+    even where the conservative slope condition fails, and the grid must
+    stay comparable across cells.
     """
     if subsample_factor < 1:
         raise ValueError(f"subsample_factor must be >= 1, got {subsample_factor}")
     if n_s % subsample_factor != 0:
         raise ValueError("subsample_factor must divide n_s")
-    if texture_override is not None:
-        scene = replace(scene, texture=texture_override)
 
     def cell_metric(param, workspace):
         epi = render_epi(
@@ -315,9 +310,7 @@ def layers_experiment(
     focal: float = 1.0,
     s_max: float = 1.0,
     u_max: float = DEFAULT_U_MAX,
-    view_bandwidth: float = 0.0,
     seed: int = 0,
-    fit_samples: int = 256,
 ) -> LayersResult:
     """Layered reconstruction of one capture: parallel vs. fitted planes.
 
@@ -334,7 +327,8 @@ def layers_experiment(
     interpolate cleanly; mismatch shows up as RMSE against the dense
     capture, pooled over each family's composite of the layers. Image
     counts come from the anti-aliasing spacing of each slab at the
-    grid's u Nyquist frequency, taking the worst layer.
+    grid's u Nyquist frequency and the texture's angular bandwidth,
+    taking the worst layer.
     """
     layer_counts = tuple(int(n) for n in layer_counts)
     factors = tuple(int(f) for f in factors)
@@ -349,13 +343,14 @@ def layers_experiment(
     du = 2.0 * u_max / (n_u - 1)
     wu_max = nyquist_omega(du)
     surface = scene.surface
+    view_bandwidth = scene.texture.angular_bandwidth
     canon = PlaneParam(focal, math.inf, 0.0, s_max, u_max)
     dense, x, hit = _dense_capture(scene, canon, n_s, n_u, seed)
     n_hit = int(hit.sum())
     if n_hit == 0:
         raise RuntimeError("the capture never sees the surface")
     for li, count in enumerate(layer_counts):
-        layers = partition_depth_layers(surface, count, fit_samples)
+        layers = partition_depth_layers(surface, count)
         edges = np.array([lay.x_interval[0] for lay in layers] + [layers[-1].x_interval[1]])
         owner = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, count - 1)
         sum_sq = {k: np.zeros(len(factors)) for k in rmse}

@@ -2,7 +2,7 @@
 
 EPIs and spectra are written as 16-bit binary PGM (maxval 65535,
 big-endian samples per the format) with the value scaling recorded in a
-plain-text sidecar, so the geometry metadata round-trips losslessly even
+plain-text sidecar, so the geometry metadata is kept losslessly even
 though the image itself is quantized. Spectra additionally get an exact
 raw float64 dump next to the viewable graymap. Tables are plain CSV with
 full-precision reprs.
@@ -23,12 +23,8 @@ from .spectral import SpectrumGrid
 
 __all__ = [
     "write_epi",
-    "read_epi",
-    "read_pgm16",
     "write_spectrum",
-    "read_spectrum",
     "write_sweep_csv",
-    "read_sweep_csv",
     "write_missing_csv",
     "write_curve_csv",
     "write_layers_rmse_csv",
@@ -45,21 +41,6 @@ def _write_pgm16(values01: np.ndarray, path: Path) -> None:
         fh.write(quantized.tobytes())
 
 
-def read_pgm16(path) -> np.ndarray:
-    """Read a binary 16-bit PGM written by this module; returns uint16."""
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P5":
-            raise ValueError(f"{path}: not a binary PGM")
-        dims = fh.readline().split()
-        width, height = int(dims[0]), int(dims[1])
-        maxval = int(fh.readline())
-        if maxval != 65535:
-            raise ValueError(f"{path}: expected 16-bit samples, got maxval {maxval}")
-        raw = fh.read(width * height * 2)
-    return np.frombuffer(raw, dtype=">u2").reshape(height, width).astype(np.uint16)
-
-
 def _format_float(x: float) -> str:
     return repr(float(x))
 
@@ -72,17 +53,6 @@ def _param_section(param: PlaneParam) -> dict[str, str]:
         "s_max": _format_float(param.s_max),
         "u_max": _format_float(param.u_max),
     }
-
-
-def _param_from_section(sec) -> PlaneParam:
-    return PlaneParam(
-        focal=float(sec["focal"]),
-        depth=float(sec["depth"]),
-        tilt_deg=float(sec["tilt_deg"]),
-        s_max=float(sec["s_max"]),
-        u_max=float(sec["u_max"]),
-        check=False,
-    )
 
 
 def write_epi(epi: Epi, stem) -> tuple[Path, Path]:
@@ -108,21 +78,6 @@ def write_epi(epi: Epi, stem) -> tuple[Path, Path]:
     with open(meta_path, "w") as fh:
         meta.write(fh)
     return pgm_path, meta_path
-
-
-def read_epi(stem) -> Epi:
-    """Sidecar metadata exactly, pixel values up to 16-bit quantization."""
-    stem = Path(stem)
-    meta = configparser.ConfigParser()
-    with open(stem.with_suffix(".meta")) as fh:
-        meta.read_file(fh)
-    sec = meta["epi"]
-    n_s, n_u = int(sec["n_s"]), int(sec["n_u"])
-    scale = float(sec["scale_max"])
-    data = read_pgm16(stem.with_suffix(".pgm")).astype(float) / 65535.0 * scale
-    s_axis = np.linspace(float(sec["s_first"]), float(sec["s_last"]), n_s)
-    u_axis = np.linspace(float(sec["u_first"]), float(sec["u_last"]), n_u)
-    return Epi(data, s_axis, u_axis, _param_from_section(meta["param"]), sec["scene_id"])
 
 
 def write_spectrum(spectrum: SpectrumGrid, stem) -> tuple[Path, Path, Path]:
@@ -156,19 +111,6 @@ def write_spectrum(spectrum: SpectrumGrid, stem) -> tuple[Path, Path, Path]:
     return pgm_path, raw_path, hdr_path
 
 
-def read_spectrum(stem) -> SpectrumGrid:
-    stem = Path(stem)
-    hdr = configparser.ConfigParser()
-    with open(stem.with_suffix(".hdr")) as fh:
-        hdr.read_file(fh)
-    sec = hdr["spectrum"]
-    n_s, n_u = int(sec["n_s"]), int(sec["n_u"])
-    mag = np.fromfile(stem.with_suffix(".f64"), dtype="<f8").reshape(n_s, n_u)
-    ws = np.linspace(float(sec["ws_first"]), float(sec["ws_last"]), n_s)
-    wu = np.linspace(float(sec["wu_first"]), float(sec["wu_last"]), n_u)
-    return SpectrumGrid(mag, ws, wu)
-
-
 def write_sweep_csv(result: SweepResult, path) -> Path:
     """One row per grid cell: depth, tilt_deg, metric (NaN for missing)."""
     path = Path(path)
@@ -191,20 +133,6 @@ def write_missing_csv(result: SweepResult, path) -> Path:
             d, t = result.d_values[i], result.tilt_values[j]
             writer.writerow([_format_float(d), _format_float(t), reason])
     return path
-
-
-def read_sweep_csv(path) -> SweepResult:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    kind = rows[0][2]
-    d_values = sorted({float(r[0]) for r in rows[1:]})
-    t_values = sorted({float(r[1]) for r in rows[1:]})
-    metric = np.full((len(d_values), len(t_values)), np.nan)
-    d_index = {v: i for i, v in enumerate(d_values)}
-    t_index = {v: j for j, v in enumerate(t_values)}
-    for r in rows[1:]:
-        metric[d_index[float(r[0])], t_index[float(r[1])]] = float(r[2])
-    return SweepResult(np.array(d_values), np.array(t_values), metric, kind)
 
 
 def write_curve_csv(curve: SamplingCurve, path) -> Path:

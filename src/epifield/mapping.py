@@ -152,8 +152,8 @@ def intersect_rays(
     broadcast; terms that depend on s alone are computed on s's own shape,
     so a column of cameras against a row of image coordinates pays for
     them once per camera. A planar surface (quad == 0) takes one division
-    and a range check; a curved one takes the stable root pair, and only
-    rays with a vanishing leading coefficient need the general formula.
+    and a range check; a curved one takes the stable root pair, which also
+    solves rays whose leading coefficient vanishes.
     With a workspace, x and hit are its "x" and "hit" buffers.
     """
     s = np.asarray(s, dtype=float)
@@ -187,9 +187,7 @@ def intersect_rays(
             return _linear_root(surface, bb, cc, big_a, grid)
         aa = big_a
         aa *= surface.quad
-        if aa.all() and _depth_bound(surface) < 1e300:
-            return _quadratic_root(surface, aa, bb, cc, grid)
-        return _general_root(surface, aa, bb, cc, grid)
+        return _quadratic_root(surface, aa, bb, cc, grid)
 
 
 def _linear_root(surface: SurfaceSpec, bb, cc, x_out, grid):
@@ -204,12 +202,6 @@ def _linear_root(surface: SurfaceSpec, bb, cc, x_out, grid):
     return x, hit
 
 
-def _depth_bound(surface: SurfaceSpec) -> float:
-    """Upper bound of |z(x)| over the extent."""
-    reach = max(abs(surface.x_range[0]), abs(surface.x_range[1]))
-    return abs(surface.z0) + abs(surface.tilt_slope) * reach + abs(surface.quad) * reach * reach
-
-
 def _quadratic_root(surface: SurfaceSpec, aa, bb, cc, grid):
     # stable form: the larger-magnitude root first, companion via c / q;
     # a negative discriminant leaves NaN roots, which the range check drops
@@ -221,10 +213,14 @@ def _quadratic_root(surface: SurfaceSpec, aa, bb, cc, grid):
     np.negative(qq, out=qq, where=np.less(bb, 0.0, out=grid("m1", bool)))
     qq += bb
     qq *= -0.5
+    if not aa.all():
+        # a vanishing leading coefficient leaves the linear equation: q = -b
+        # makes c / q its root, and q / 0 fails the range check
+        np.negative(bb, out=qq, where=np.equal(aa, 0.0, out=grid("m1", bool)))
     r1 = np.divide(qq, aa, out=aa)
     r2 = np.divide(cc, qq, out=cc)
-    # an invalid root gets depth inf, so the nearer valid root wins; the
-    # depth bound keeps every valid depth finite
+    # an invalid root gets depth inf, so the nearer valid root wins;
+    # SurfaceSpec bounds the depth, so every valid depth is finite
     v1, z1 = _root_depth(surface, r1, grid("t1"), grid("hit", bool), grid)
     v2, z2 = _root_depth(surface, r2, grid("t3"), grid("m2", bool), grid)
     np.copyto(r1, r2, where=np.less(z2, z1, out=grid("m1", bool)))
@@ -244,35 +240,6 @@ def _root_depth(surface: SurfaceSpec, r, z, ok, grid):
     ok &= np.less_equal(r, hi, out=grid("m1", bool))
     ok &= np.greater(z, 0.0, out=grid("m1", bool))
     np.copyto(z, np.inf, where=np.logical_not(ok, out=grid("m1", bool)))
-    return ok, z
-
-
-def _general_root(surface: SurfaceSpec, aa, bb, cc, grid):
-    # the rare path: allocates its intermediates, then writes x over aa
-    linear = aa == 0.0
-    x_lin = np.where(linear & (bb != 0.0), -cc / np.where(bb != 0.0, bb, 1.0), np.nan)
-    disc = bb * bb - 4.0 * aa * cc
-    solvable = ~linear & (disc >= 0.0)
-    sqrt_disc = np.sqrt(np.where(solvable, disc, 0.0))
-    qq = -0.5 * (bb + np.where(bb >= 0.0, 1.0, -1.0) * sqrt_disc)
-    r1 = np.where(solvable & (aa != 0.0), qq / np.where(aa != 0.0, aa, 1.0), np.nan)
-    r2 = np.where(solvable & (qq != 0.0), cc / np.where(qq != 0.0, qq, 1.0), np.nan)
-
-    x = np.where(linear, x_lin, np.nan)
-    v1, z1 = _valid_root(surface, r1)
-    v2, z2 = _valid_root(surface, r2)
-    both = v1 & v2
-    pick2 = (v2 & ~v1) | (both & (z2 < z1))
-    x = np.where(pick2, r2, np.where(v1, r1, x))
-    v_lin, _ = _valid_root(surface, x_lin)
-    np.copyto(aa, x)
-    np.copyto(aa, np.nan, where=linear & ~v_lin)
-    return aa, np.isfinite(aa, out=grid("hit", bool))
-
-
-def _valid_root(surface: SurfaceSpec, r):
-    z = surface.depth(r)
-    ok = np.isfinite(r) & surface.contains(r) & (z > 0.0)
     return ok, z
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "subsample_epi",
     "reconstruct_epi",
     "interp_u",
+    "psnr",
 ]
 
 

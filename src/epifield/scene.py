@@ -95,6 +95,11 @@ class SurfaceSpec:
         if abs(self.tilt_deg) >= 90.0:
             raise SceneGeometryError("surface tilt must satisfy |tilt| < 90 deg")
         object.__setattr__(self, "x_range", (float(lo), float(hi)))
+        reach = max(abs(lo), abs(hi))
+        bound = abs(self.z0) + abs(self.tilt_slope) * reach + abs(self.quad) * reach * reach
+        if not bound < 1e300:
+            # keeps every depth on the extent finite for the ray intersection
+            raise SceneGeometryError(f"surface depth bound {bound:.6g} must stay below 1e300")
         if self.depth_extremes()[0] <= 0.0:
             raise SceneGeometryError("surface must stay in front of the camera line")
 
@@ -228,7 +233,8 @@ def partition_depth_layers(
     mapped back to x through the profile, so for n_layers > 1 the profile
     must be strictly monotonic over the extent. Each slab carries a
     least-squares line fit of z(x), sampled at fit_samples uniform points
-    including both endpoints, plus the exact residual extremes of that fit.
+    including both endpoints (a planar profile takes its own line), plus
+    the exact residual extremes of that fit.
     """
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
@@ -279,9 +285,13 @@ def _invert_depth(surface: SurfaceSpec, z_target: float) -> float:
 
 
 def _fit_layer(surface: SurfaceSpec, x_a: float, x_b: float, fit_samples: int) -> DepthLayer:
-    xs = np.linspace(x_a, x_b, fit_samples)
-    slope, intercept = np.polyfit(xs, surface.depth(xs), 1)
-    slope, intercept = float(slope), float(intercept)
+    if surface.quad == 0.0:
+        # a plane is its own depth line; a sampled fit would leave rounding
+        slope, intercept = surface.tilt_slope, surface.z0
+    else:
+        xs = np.linspace(x_a, x_b, fit_samples)
+        slope, intercept = np.polyfit(xs, surface.depth(xs), 1)
+        slope, intercept = float(slope), float(intercept)
 
     def residual(x):
         return float(surface.depth(x)) - (intercept + slope * x)

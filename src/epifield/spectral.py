@@ -55,9 +55,6 @@ class SpectrumGrid:
     ws_axis: np.ndarray  # [rad per unit s]
     wu_axis: np.ndarray  # [rad per unit u]
 
-    def total_energy(self) -> float:
-        return float(np.sum(np.square(self.mag)))
-
 
 def dft2_magnitude(
     epi: Epi, window: str = "hann", *, workspace: Workspace | None = None

@@ -247,7 +247,7 @@ def test_criterion_07_argmin_robustness(
         base = base_sweep.argopt
         for kind, value in perturbations:
             total += 1
-            texture = None
+            texture = scene.texture
             factor = 1
             if kind == "view_bw":
                 texture = replace(scene.texture, angular_bandwidth=value)
@@ -256,11 +256,10 @@ def test_criterion_07_argmin_robustness(
             else:
                 factor = int(value)
             sweep = sweep_sparsity(
-                scene,
+                replace(scene, texture=texture),
                 D_VALUES,
                 TILT_VALUES,
                 subsample_factor=factor,
-                texture_override=texture,
                 seed=0,
                 threads=THREADS,
             )

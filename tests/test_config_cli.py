@@ -304,6 +304,25 @@ def test_cli_guidelines_rejects_unknown_preset():
     assert main(["guidelines", "--scene", "Z"]) == 1
 
 
+@pytest.mark.parametrize("preset", ["A", "B", "C"])
+def test_cli_guidelines_scene_equals_its_config(tmp_path, capsys, preset):
+    cfg = _write(tmp_path, f"[scene]\npreset = {preset}\n\n[plane]\ndepth = inf\n")
+    by_scene, by_config = tmp_path / "scene", tmp_path / "config"
+    assert main(["guidelines", "--scene", preset, "--out", str(by_scene)]) == 0
+    printed = capsys.readouterr().out
+    assert main(["guidelines", "--config", str(cfg), "--out", str(by_config)]) == 0
+    assert capsys.readouterr().out == printed
+    manifest = (by_config / "manifest.txt").read_bytes()
+    assert (by_scene / "manifest.txt").read_bytes() == manifest
+
+
+def test_cli_scene_value_cannot_inject_sections(capsys):
+    # as INI text this would parse as preset A plus a [grid] section
+    assert main(["guidelines", "--scene", "A\n[grid]\nn_u = 64"]) == 1
+    assert "unknown scene preset" in capsys.readouterr().err
+    assert main(["guidelines", "--scene", "A%(x)s"]) == 1
+
+
 def test_cli_sweep_sparsity(tmp_path, capsys):
     out = tmp_path / "sweep_out"
     cfg = _tiny_cfg(
@@ -572,3 +591,13 @@ def test_cli_precondition_failures_exit_2(tmp_path, capsys):
         name="badplane.cfg",
     )
     assert main(["render", "--config", str(bad_plane)]) == 2
+
+
+def test_cli_surface_past_the_depth_bound_exits_2(tmp_path, capsys):
+    far = _write(
+        tmp_path,
+        "[scene]\nz0 = 1e300\ntilt_deg = 0.0\nquad = 0.0\nx_min = -1.0\nx_max = 1.0\n"
+        "\n[plane]\ndepth = infinity\n",
+    )
+    assert main(["guidelines", "--config", str(far)]) == 2
+    assert "precondition failed: surface depth bound" in capsys.readouterr().err

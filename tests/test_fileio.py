@@ -1,13 +1,18 @@
+"""Writers, checked against the bytes they put on disk.
+
+The sidecars and headers are read back with configparser, the PGM samples
+with np.frombuffer after the exact header, and the raw spectrum with
+np.fromfile, so these checks pin the file formats themselves.
+"""
+
+import configparser
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from epifield.fileio import (
-    read_epi,
-    read_pgm16,
-    read_spectrum,
-    read_sweep_csv,
     write_curve_csv,
     write_epi,
     write_heatmap_pgm,
@@ -19,6 +24,30 @@ from epifield.experiments import LayersResult, SamplingCurve, SweepResult
 from epifield.mapping import PlaneParam
 from epifield.render import Epi
 from epifield.spectral import SpectrumGrid
+
+
+def _ini(path):
+    ini = configparser.ConfigParser()
+    ini.read_string(path.read_text())
+    return ini
+
+
+def _pgm16(path, height, width):
+    """Samples of a binary 16-bit PGM with exactly this header, as uint16."""
+    raw = path.read_bytes()
+    header = f"P5\n{width} {height}\n65535\n".encode("ascii")
+    assert raw[: len(header)] == header
+    return np.frombuffer(raw[len(header) :], dtype=">u2").reshape(height, width).astype(np.uint16)
+
+
+def _epi_on_disk(stem):
+    """(pixels up to 16-bit quantization, [epi] section, [param] as a PlaneParam)."""
+    meta = _ini(stem.with_suffix(".meta"))
+    sec = meta["epi"]
+    pixels = _pgm16(stem.with_suffix(".pgm"), int(sec["n_s"]), int(sec["n_u"]))
+    data = pixels.astype(float) / 65535.0 * float(sec["scale_max"])
+    param = PlaneParam(**{k: float(v) for k, v in meta["param"].items()}, check=False)
+    return data, sec, param
 
 
 def _epi(data, param=None):
@@ -38,28 +67,30 @@ def test_epi_roundtrip(tmp_path):
     epi = _epi(np.abs(rng.normal(size=(12, 7))) * 3.0)
     pgm, meta = write_epi(epi, tmp_path / "cap")
     assert pgm.name == "cap.pgm" and meta.name == "cap.meta"
-    back = read_epi(tmp_path / "cap")
+    data, sec, param = _epi_on_disk(tmp_path / "cap")
     # pixels are 16-bit quantized, everything else round-trips exactly
     scale = float(epi.data.max())
-    assert np.abs(back.data - epi.data).max() <= 0.5 * scale / 65535.0 + 1e-12
-    assert np.array_equal(back.s_axis, epi.s_axis)
-    assert np.array_equal(back.u_axis, epi.u_axis)
-    assert back.param == epi.param
-    assert back.scene_id == "B"
+    assert np.abs(data - epi.data).max() <= 0.5 * scale / 65535.0 + 1e-12
+    s_axis = np.linspace(float(sec["s_first"]), float(sec["s_last"]), int(sec["n_s"]))
+    u_axis = np.linspace(float(sec["u_first"]), float(sec["u_last"]), int(sec["n_u"]))
+    assert np.array_equal(s_axis, epi.s_axis)
+    assert np.array_equal(u_axis, epi.u_axis)
+    assert param == epi.param
+    assert sec["scene_id"] == "B"
 
 
 def test_epi_write_clips_negative_values(tmp_path):
     epi = _epi(np.array([[1.0, -0.5], [0.25, 0.0]]))
     write_epi(epi, tmp_path / "neg")
-    back = read_epi(tmp_path / "neg")
-    assert back.data[0, 1] == 0.0
-    assert back.data[0, 0] == pytest.approx(1.0, abs=1e-12)
+    data, _, _ = _epi_on_disk(tmp_path / "neg")
+    assert data[0, 1] == 0.0
+    assert data[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_epi_roundtrip(tmp_path):
     epi = _epi(np.zeros((4, 5)))
     write_epi(epi, tmp_path / "zero")
-    assert np.array_equal(read_epi(tmp_path / "zero").data, np.zeros((4, 5)))
+    assert np.array_equal(_epi_on_disk(tmp_path / "zero")[0], np.zeros((4, 5)))
 
 
 def test_epi_read_accepts_unchecked_params(tmp_path):
@@ -67,7 +98,7 @@ def test_epi_read_accepts_unchecked_params(tmp_path):
     wild = PlaneParam(1.0, 0.5, 45.0, check=False)
     epi = _epi(np.ones((3, 3)), param=wild)
     write_epi(epi, tmp_path / "wild")
-    assert read_epi(tmp_path / "wild").param.depth == 0.5
+    assert _epi_on_disk(tmp_path / "wild")[2].depth == 0.5
 
 
 def test_spectrum_roundtrip_is_exact(tmp_path):
@@ -79,24 +110,16 @@ def test_spectrum_roundtrip_is_exact(tmp_path):
     )
     pgm, raw, hdr = write_spectrum(spec, tmp_path / "spec")
     assert {p.suffix for p in (pgm, raw, hdr)} == {".pgm", ".f64", ".hdr"}
-    back = read_spectrum(tmp_path / "spec")
-    assert np.array_equal(back.mag, spec.mag)
-    assert np.array_equal(back.ws_axis, spec.ws_axis)
-    assert np.array_equal(back.wu_axis, spec.wu_axis)
-    view = read_pgm16(pgm)
+    sec = _ini(hdr)["spectrum"]
+    n_s, n_u = int(sec["n_s"]), int(sec["n_u"])
+    assert np.array_equal(np.fromfile(raw, dtype="<f8").reshape(n_s, n_u), spec.mag)
+    ws_axis = np.linspace(float(sec["ws_first"]), float(sec["ws_last"]), n_s)
+    wu_axis = np.linspace(float(sec["wu_first"]), float(sec["wu_last"]), n_u)
+    assert np.array_equal(ws_axis, spec.ws_axis)
+    assert np.array_equal(wu_axis, spec.wu_axis)
+    view = _pgm16(pgm, 9, 6)
     assert view.dtype == np.uint16 and view.shape == (9, 6)
     assert view.max() == 65535  # peak maps to white
-
-
-def test_read_pgm16_rejects_foreign_files(tmp_path):
-    text = tmp_path / "ascii.pgm"
-    text.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
-    with pytest.raises(ValueError):
-        read_pgm16(text)
-    eight_bit = tmp_path / "eight.pgm"
-    eight_bit.write_bytes(b"P5\n2 1\n255\n\x00\xff")
-    with pytest.raises(ValueError):
-        read_pgm16(eight_bit)
 
 
 def test_sweep_csv_roundtrip(tmp_path):
@@ -105,11 +128,13 @@ def test_sweep_csv_roundtrip(tmp_path):
         np.array([1.0, 2.0]), np.array([0.0, 10.0]), metric, "sparsity_rmse"
     )
     path = write_sweep_csv(res, tmp_path / "sweep.csv")
-    back = read_sweep_csv(path)
-    assert back.metric_kind == "sparsity_rmse"
-    assert np.array_equal(back.d_values, res.d_values)
-    assert np.array_equal(back.tilt_values, res.tilt_values)
-    assert np.array_equal(back.metric, metric, equal_nan=True)
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["depth", "tilt_deg", "sparsity_rmse"]
+    cells = np.array(rows, dtype=float)  # one row per cell, depth-major
+    assert np.array_equal(np.unique(cells[:, 0]), res.d_values)
+    assert np.array_equal(np.unique(cells[:, 1]), res.tilt_values)
+    assert np.array_equal(cells[:, 2].reshape(2, 2), metric, equal_nan=True)
 
 
 def test_curve_csv_contents(tmp_path):
@@ -140,10 +165,10 @@ def test_layers_rmse_csv(tmp_path):
 
 def test_heatmap_normalization(tmp_path):
     metric = np.array([[1.0, 3.0], [2.0, math.nan]])
-    img = read_pgm16(write_heatmap_pgm(metric, tmp_path / "map.pgm"))
+    img = _pgm16(write_heatmap_pgm(metric, tmp_path / "map.pgm"), 2, 2)
     assert img[0, 0] == 0 and img[0, 1] == 65535
     assert img[1, 0] == 32768  # midpoint, rounded half-up
     assert img[1, 1] == 0  # NaN renders black
 
-    flat = read_pgm16(write_heatmap_pgm(np.full((2, 2), 7.0), tmp_path / "flat.pgm"))
+    flat = _pgm16(write_heatmap_pgm(np.full((2, 2), 7.0), tmp_path / "flat.pgm"), 2, 2)
     assert (flat == 0).all()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from epifield.mapping import (
     rewarp_coords,
     u_infinity,
 )
+from epifield.render import ray_grid
 from epifield.scene import SurfaceSpec
+from epifield.workspace import Workspace
 
 
 @pytest.mark.parametrize(
@@ -149,6 +152,36 @@ def test_vectorized_intersection_matches_scalar(scene_c):
             assert float(one) == pytest.approx(float(xs[i]), abs=1e-12)
         else:
             assert math.isnan(one)
+
+
+def test_vanishing_leading_coefficient_takes_the_linear_root():
+    # quad * A underflows to zero while b * b overflows: the root pair must
+    # still return the linear root -c / b, not c / inf = 0
+    param = PlaneParam(1.0, 1e200, check=False)
+    curved = SurfaceSpec(1.5, 0.0, 5e-324, (-1.0, 1.0))
+    x, hit = intersect_rays(param, curved, [1e-200, 0.5e-200], [0.0, 0.0])
+    assert hit.all()
+    assert x[0] == 1e-200 and x[1] == 0.5e-200
+
+
+def test_odd_width_curved_capture_allocates_no_grid(scene_c):
+    # an odd-width directional grid puts u = 0 on a column, where the curved
+    # surface's leading coefficient vanishes; those rays take the same
+    # in-place root pair as the rest of the grid
+    param = PlaneParam(1.0, math.inf)
+    s_axis, u_axis = ray_grid(param, 256, 257)
+    assert u_axis[128] == 0.0
+    s, u = s_axis[:, None], u_axis[None, :]
+    workspace = Workspace()
+    intersect_rays(param, scene_c.surface, s, u, workspace=workspace)
+    tracemalloc.start()
+    try:
+        x, hit = intersect_rays(param, scene_c.surface, s, u, workspace=workspace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hit[:, 128].any()
+    assert peak < x.nbytes
 
 
 def test_rewarp_same_param_is_exact_copy():

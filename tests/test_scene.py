@@ -60,6 +60,19 @@ def test_surface_validation():
         SurfaceSpec(0.1, -80.0, 0.0, (-1.0, 1.0))
 
 
+def test_surface_depth_bound_stays_below_1e300():
+    # every depth on the extent must stay finite for the ray intersection
+    for z0, tilt, quad, x_range in (
+        (1e300, 0.0, 0.0, (-1.0, 1.0)),
+        (1.5, 0.0, 1e300, (-1.0, 1.0)),
+        (1.5, 0.0, 1.0, (-2e150, 2e150)),
+        (1.5, 60.0, 0.0, (0.0, 1e300)),
+    ):
+        with pytest.raises(SceneGeometryError, match="1e300"):
+            SurfaceSpec(z0, tilt, quad, x_range)
+    assert SurfaceSpec(1e299, 0.0, 0.0, (-1.0, 1.0)).depth_range().z_min == 1e299
+
+
 def test_depth_profile_basics():
     surf = SurfaceSpec(1.5, 17.0, -0.4, (-0.8, 0.8))
     assert surf.depth(0.0) == 1.5
