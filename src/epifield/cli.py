@@ -2,7 +2,7 @@
 
 Subcommands: render, spectrum, guidelines, sweep-sparsity, reconstruct,
 layers. Every run reads an INI config (see config.py; the guidelines
-command also accepts a bare --scene preset), writes its artifacts into
+command takes a bare --scene preset instead), writes its artifacts into
 the output directory next to a manifest.txt recording the config hash
 and seed, and exits 0 on success, 1 for config problems, 2 for failed
 preconditions, 3 for I/O failures.
@@ -34,8 +34,8 @@ from .fileio import (
     write_spectrum,
     write_sweep_csv,
 )
-from .render import NonDivisibleFactor, SelfOcclusionError, render_epi
-from .scene import SceneGeometryError, partition_depth_layers
+from .render import SelfOcclusionError, render_epi
+from .scene import partition_depth_layers
 from .spectral import (
     camera_axis_chirp,
     dft2_magnitude,
@@ -62,26 +62,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, config_required: bool = True):
+    def add(name: str, help_text: str):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=config_required, help="INI run config")
+        source = cmd.add_mutually_exclusive_group(required=True)
+        source.add_argument("--config", help="INI run config")
+        if name == "guidelines":
+            source.add_argument("--scene", help="preset letter instead of --config")
         cmd.add_argument("--seed", type=int, default=None, help="override [run] seed")
         cmd.add_argument("--out", default=None, help="override [run] out_dir")
         cmd.add_argument("--threads", type=int, default=None, help="override [run] threads")
         return cmd
 
     add("render", "render an EPI to 16-bit PGM plus sidecar")
-    spectrum = add("spectrum", "render, transform, and export the EPI spectrum")
-    spectrum.add_argument(
-        "--window", choices=("rect", "hann"), default=None, help="override [run] window"
-    )
-    guidelines = add("guidelines", "print sampling guidance for a scene/plane", False)
-    guidelines.add_argument("--scene", default=None, help="preset letter instead of --config")
+    add("spectrum", "render, transform, and export the EPI spectrum")
+    add("guidelines", "print sampling guidance for a scene/plane")
     sweep = add("sweep-sparsity", "spectral sparsity over a (depth, tilt) grid")
     reconstruct = add("reconstruct", "reconstruction PSNR over a (depth, tilt) grid")
-    reconstruct.add_argument(
-        "--factor", type=int, default=None, help="override [sweep] subsampling factor"
-    )
     for cmd in (sweep, reconstruct):
         cmd.add_argument("--heatmap", action="store_true", help="also write PGM heatmaps")
     add("layers", "layered capture: per-layer planes, error and image counts")
@@ -98,12 +94,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    except (
-        SceneGeometryError,
-        SelfOcclusionError,
-        NonDivisibleFactor,
-        ValueError,
-    ) as exc:
+    # SceneGeometryError and NonDivisibleFactor are ValueErrors too
+    except (SelfOcclusionError, ValueError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return _EXIT_PRECONDITION
     except OSError as exc:
@@ -115,8 +107,6 @@ def _load(args) -> RunConfig:
     overrides = dict(seed=args.seed, out_dir=args.out, threads=args.threads)
     if args.config is not None:
         return load_config(args.config, **overrides)
-    if getattr(args, "scene", None) is None:
-        raise ConfigError("either --config or --scene is required")
     # a dict, not INI text: the value cannot open sections of its own
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict({"scene": {"preset": args.scene}, "plane": {"depth": "inf"}})
@@ -163,7 +153,7 @@ def _cmd_render(args, cfg: RunConfig) -> int:
 
 
 def _cmd_spectrum(args, cfg: RunConfig) -> int:
-    window = args.window or cfg.window or "hann"
+    window = cfg.window or "hann"
     epi = render_epi(cfg.scene, cfg.plane, cfg.n_s, cfg.n_u, seed=cfg.seed)
     spec = dft2_magnitude(epi, window=window)
     out = _out_dir(cfg)
@@ -267,9 +257,8 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
         threads=cfg.threads,
     )
     if args.command == "reconstruct":
-        factor = args.factor if args.factor is not None else sw.factor
-        result = sweep_reconstruction(cfg.scene, d_values, t_values, factor=factor, **common)
-        tables = [("psnr", result, f"psnr argmax (factor {factor})")]
+        result = sweep_reconstruction(cfg.scene, d_values, t_values, factor=sw.factor, **common)
+        tables = [("psnr", result, f"psnr argmax (factor {sw.factor})")]
     else:
         result = sweep_sparsity(
             cfg.scene,

@@ -1,6 +1,7 @@
 """Run configuration: INI files with scene presets.
 
-A run config collects a scene (usually one of the shipped presets), the
+A run config collects a scene (one of the shipped presets, whose texture
+the [texture] section may override, or inline geometry, never both), the
 capture plane, grid sizes and run housekeeping. Parsing errors (missing
 keys, unparseable numbers) raise ConfigError; domain violations (negative
 focal length, camera range touching the plane crossing) surface as the
@@ -14,12 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 from .mapping import DEFAULT_U_MAX, PlaneParam
-from .scene import DEFAULT_OMEGAS, SceneDef, SurfaceSpec, TextureSpec
+from .scene import SceneDef, SurfaceSpec, TextureSpec
 
 __all__ = [
     "ConfigError",
@@ -69,12 +70,6 @@ class RunConfig:
     subsample_factor: int
     sweep: SweepSpec | None = None
     layers: LayersSpec | None = None
-
-    def __post_init__(self):
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        if self.subsample_factor < 1:
-            raise ConfigError(f"subsample_factor must be >= 1, got {self.subsample_factor}")
 
     def canonical(self) -> str:
         """Deterministic one-line-per-field rendering of the semantic fields.
@@ -180,21 +175,18 @@ def _surface_fields(section, origin) -> dict:
     }
 
 
-def _texture_fields(section, origin, base: dict | None = None) -> dict:
-    fields = dict(base) if base else {
-        "omegas": DEFAULT_OMEGAS,
-        "angular_bandwidth": 0.0,
-        "noise_sigma": 0.0,
-    }
+_TEXTURE_KEYS = {"omegas": _floats, "angular_bandwidth": _finite, "noise_sigma": _finite}
+
+
+def _texture_fields(section, origin) -> dict:
+    """The texture keys the section sets; TextureSpec or the preset fills the rest."""
     if section is None:
-        return fields
-    if "omegas" in section:
-        fields["omegas"] = _get(section, "omegas", _floats, origin)
-    if "angular_bandwidth" in section:
-        fields["angular_bandwidth"] = _get(section, "angular_bandwidth", _finite, origin)
-    if "noise_sigma" in section:
-        fields["noise_sigma"] = _get(section, "noise_sigma", _finite, origin)
-    return fields
+        return {}
+    return {
+        key: _get(section, key, convert, origin)
+        for key, convert in _TEXTURE_KEYS.items()
+        if key in section
+    }
 
 
 def load_preset(name: str) -> SceneDef:
@@ -217,14 +209,15 @@ def _build_scene(parser, origin: str) -> SceneDef:
     section = parser["scene"]
     tex_section = parser["texture"] if "texture" in parser else None
     if "preset" in section:
-        base = load_preset(section["preset"])
-        tex_base = {
-            "omegas": base.texture.omegas,
-            "angular_bandwidth": base.texture.angular_bandwidth,
-            "noise_sigma": base.texture.noise_sigma,
-        }
-        texture = TextureSpec(**_texture_fields(tex_section, origin, tex_base))
-        return SceneDef(base.surface, texture, name=base.name)
+        for key in section:
+            if key != "preset":
+                raise ConfigError(
+                    f"{origin}: [scene] sets both preset and {key}; "
+                    "a scene is a preset or inline geometry"
+                )
+        preset = load_preset(section["preset"])
+        texture = replace(preset.texture, **_texture_fields(tex_section, origin))
+        return SceneDef(preset.surface, texture, name=preset.name)
     surface = SurfaceSpec(**_surface_fields(section, origin))
     texture = TextureSpec(**_texture_fields(tex_section, origin))
     return SceneDef(surface, texture, name=section.get("name", "custom"))
@@ -251,7 +244,10 @@ def load_config(
 
 
 def _run_config(parser, origin: str, *, seed, out_dir, threads) -> RunConfig:
-    """The RunConfig a parsed INI describes; None overrides keep the file's value."""
+    """The RunConfig a parsed INI describes; None overrides keep the file's value.
+
+    Every check on the run settings is made here; RunConfig is built nowhere else.
+    """
     scene = _build_scene(parser, origin)
 
     if "plane" not in parser:
@@ -280,6 +276,10 @@ def _run_config(parser, origin: str, *, seed, out_dir, threads) -> RunConfig:
         keep_fraction=_opt(run, "keep_fraction", _finite, 0.01, origin),
         subsample_factor=_opt(run, "subsample_factor", int, 1, origin),
     )
+    if cfg.threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {cfg.threads}")
+    if cfg.subsample_factor < 1:
+        raise ConfigError(f"subsample_factor must be >= 1, got {cfg.subsample_factor}")
     if cfg.window not in (None, "rect", "hann"):
         raise ConfigError(f"{origin}: window must be rect or hann, got {cfg.window!r}")
     if cfg.n_s < 2 or cfg.n_u < 2:
@@ -294,7 +294,7 @@ def _run_config(parser, origin: str, *, seed, out_dir, threads) -> RunConfig:
             tilt_min=_get(sw, "tilt_min", _finite, origin),
             tilt_max=_get(sw, "tilt_max", _finite, origin),
             tilt_count=_get(sw, "tilt_count", int, origin),
-            factor=_get(sw, "factor", int, origin) if "factor" in sw else 1,
+            factor=_opt(sw, "factor", int, 1, origin),
         )
         if cfg.sweep.depth_count < 1 or cfg.sweep.tilt_count < 1:
             raise ConfigError(f"{origin}: sweep counts must be >= 1")

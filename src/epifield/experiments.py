@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _MAXIMIZED_METRICS = {"psnr"}
+_MAE_SAMPLES = 1024  # uniform points over the extent in plane_mae
 
 
 @dataclass
@@ -184,21 +185,19 @@ def sweep_sparsity(
     )
 
 
-def plane_mae(surface: SurfaceSpec, depth: float, tilt_deg: float, n_samples: int = 1024) -> float:
+def plane_mae(surface: SurfaceSpec, depth: float, tilt_deg: float) -> float:
     """Mean absolute depth gap between the surface and a candidate plane."""
-    xs = np.linspace(*surface.x_range, n_samples)
+    xs = np.linspace(*surface.x_range, _MAE_SAMPLES)
     plane = depth + math.tan(math.radians(tilt_deg)) * xs
     return float(np.mean(np.abs(surface.depth(xs) - plane)))
 
 
-def sweep_plane_mae(
-    surface: SurfaceSpec, d_values, tilt_values, n_samples: int = 1024
-) -> SweepResult:
+def sweep_plane_mae(surface: SurfaceSpec, d_values, tilt_values) -> SweepResult:
     """Geometric plane-fit error over the same grid the render sweeps use."""
     metric = np.empty((len(d_values), len(tilt_values)))
     for i, d in enumerate(d_values):
         for j, t in enumerate(tilt_values):
-            metric[i, j] = plane_mae(surface, float(d), float(t), n_samples)
+            metric[i, j] = plane_mae(surface, float(d), float(t))
     return SweepResult(
         np.asarray(d_values, dtype=float),
         np.asarray(tilt_values, dtype=float),
@@ -348,7 +347,7 @@ def layers_experiment(
     dense, x, hit = _dense_capture(scene, canon, n_s, n_u, seed)
     n_hit = int(hit.sum())
     if n_hit == 0:
-        raise RuntimeError("the capture never sees the surface")
+        raise ValueError("the capture never sees the surface")
     for li, count in enumerate(layer_counts):
         layers = partition_depth_layers(surface, count)
         edges = np.array([lay.x_interval[0] for lay in layers] + [layers[-1].x_interval[1]])

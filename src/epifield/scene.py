@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 DEFAULT_OMEGAS = (20.0, 30.0, 40.0, 50.0, 60.0)  # [rad/m]
+_FIT_SAMPLES = 256  # uniform points per depth-line fit, both ends included
 
 
 class SceneGeometryError(ValueError):
@@ -224,22 +225,18 @@ class DepthLayer:
     residual_range: tuple[float, float]
 
 
-def partition_depth_layers(
-    surface: SurfaceSpec, n_layers: int, fit_samples: int = 256
-) -> list[DepthLayer]:
+def partition_depth_layers(surface: SurfaceSpec, n_layers: int) -> list[DepthLayer]:
     """Split the extent into n_layers slabs of equal depth width.
 
     Slab boundaries are uniform in depth between z(x_lo) and z(x_hi) and
     mapped back to x through the profile, so for n_layers > 1 the profile
     must be strictly monotonic over the extent. Each slab carries a
-    least-squares line fit of z(x), sampled at fit_samples uniform points
+    least-squares line fit of z(x), sampled at 256 uniform points
     including both endpoints (a planar profile takes its own line), plus
     the exact residual extremes of that fit.
     """
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
-    if fit_samples < 2:
-        raise ValueError("fit_samples must be >= 2")
     x_lo, x_hi = surface.x_range
     if n_layers == 1:
         edges = [x_lo, x_hi]
@@ -258,7 +255,7 @@ def partition_depth_layers(
     layers = []
     for a, b in zip(edges[:-1], edges[1:]):
         x_a, x_b = (a, b) if a < b else (b, a)
-        layers.append(_fit_layer(surface, x_a, x_b, fit_samples))
+        layers.append(_fit_layer(surface, x_a, x_b))
     return layers
 
 
@@ -284,12 +281,12 @@ def _invert_depth(surface: SurfaceSpec, z_target: float) -> float:
     return min(max(x, lo), hi)
 
 
-def _fit_layer(surface: SurfaceSpec, x_a: float, x_b: float, fit_samples: int) -> DepthLayer:
+def _fit_layer(surface: SurfaceSpec, x_a: float, x_b: float) -> DepthLayer:
     if surface.quad == 0.0:
         # a plane is its own depth line; a sampled fit would leave rounding
         slope, intercept = surface.tilt_slope, surface.z0
     else:
-        xs = np.linspace(x_a, x_b, fit_samples)
+        xs = np.linspace(x_a, x_b, _FIT_SAMPLES)
         slope, intercept = np.polyfit(xs, surface.depth(xs), 1)
         slope, intercept = float(slope), float(intercept)
 

@@ -196,7 +196,6 @@ def layers_experiment(
     u_max: float = DEFAULT_U_MAX,
     view_bandwidth: float = 0.0,
     seed: int = 0,
-    fit_samples: int = 256,
 ) -> LayersResult:
     """The old layers_experiment: every touched row rebuilt with per-row np.interp."""
     layer_counts = tuple(int(n) for n in layer_counts)
@@ -218,7 +217,7 @@ def layers_experiment(
     if n_hit == 0:
         raise RuntimeError("the capture never sees the surface")
     for li, count in enumerate(layer_counts):
-        layers = partition_depth_layers(surface, count, fit_samples)
+        layers = partition_depth_layers(surface, count)
         edges = np.array([lay.x_interval[0] for lay in layers] + [layers[-1].x_interval[1]])
         owner = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, count - 1)
         sum_sq = {k: np.zeros(len(factors)) for k in rmse}

@@ -4,7 +4,9 @@ bench/tracer.py wraps epifield's public functions by module and name, and
 reads `threads=` from the sweep calls' keywords. A rename, a move, or a
 caller that binds a function before the tracer can replace it would drop
 a layer from the traced run without any error, so these checks pin the
-names and run one traced CLI command end to end.
+names and run one traced CLI command end to end. A workload whose config
+the parser rejects would fail every operation, so every workload's step
+configs are loaded too.
 """
 
 import importlib
@@ -19,6 +21,7 @@ from textwrap import dedent
 import epifield
 import epifield.cli
 import epifield.experiments
+from epifield.config import load_config
 from epifield.scene import TextureSpec
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -29,6 +32,22 @@ def _load_tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_every_benchmark_workload_parses(tmp_path, monkeypatch):
+    # bench/run.py imports its tracer as a top-level module
+    monkeypatch.setitem(sys.modules, "tracer", _load_tracer())
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_run", run)  # its dataclasses look it up
+    spec.loader.exec_module(run)
+    workloads = sorted((BENCH / "workloads").glob("*.ini"))
+    assert workloads
+    for workload in workloads:
+        work = tmp_path / workload.stem
+        work.mkdir()
+        for step in run.load_steps(workload, work):
+            load_config(step.config)
 
 
 def test_every_trace_target_resolves():

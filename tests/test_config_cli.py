@@ -220,8 +220,8 @@ def test_cli_render_seed_override_keeps_hash(tmp_path):
 
 def test_cli_spectrum(tmp_path):
     out = tmp_path / "spec_out"
-    cfg = _tiny_cfg(tmp_path, out)
-    assert main(["spectrum", "--config", str(cfg), "--window", "rect"]) == 0
+    cfg = _tiny_cfg(tmp_path, out, extra="window = rect\n")  # appended to [run]
+    assert main(["spectrum", "--config", str(cfg)]) == 0
     for suffix in (".pgm", ".f64", ".hdr"):
         assert (out / f"spectrum{suffix}").is_file()
     bounds = (out / "bounds.txt").read_text()
@@ -300,6 +300,29 @@ def test_cli_guidelines_tilted_plane_prints_chirp(tmp_path, capsys):
     assert "command = guidelines" in (out / "manifest.txt").read_text()
 
 
+def test_cli_config_and_scene_are_exclusive(tmp_path, capsys):
+    out = tmp_path / "both_out"
+    cfg = _tiny_cfg(tmp_path, out)
+    assert main(["guidelines", "--config", str(cfg), "--scene", "C", "--out", str(out)]) == 1
+    assert "not allowed with" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["guidelines"]) == 1
+
+
+@pytest.mark.parametrize("key, value", [("z0", "9.0"), ("name", "mine"), ("quad", "0.3")])
+def test_preset_scene_takes_no_other_scene_key(tmp_path, capsys, key, value):
+    out = tmp_path / "mixed_out"
+    path = _write(
+        tmp_path,
+        f"[scene]\npreset = A\n{key} = {value}\n\n[plane]\ndepth = inf\n\n[run]\nout_dir = {out}\n",
+    )
+    with pytest.raises(ConfigError, match=f"preset and {key}"):
+        load_config(path)
+    assert main(["render", "--config", str(path)]) == 1
+    assert f"preset and {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_guidelines_rejects_unknown_preset():
     assert main(["guidelines", "--scene", "Z"]) == 1
 
@@ -364,16 +387,47 @@ def test_cli_reconstruct(tmp_path, capsys):
         tilt_min = 0.0
         tilt_max = 0.0
         tilt_count = 1
-        factor = 2
+        factor = 4
         """,
     )
-    assert main(["reconstruct", "--config", str(cfg), "--factor", "4"]) == 0
+    assert main(["reconstruct", "--config", str(cfg)]) == 0
     assert (out / "psnr.csv").is_file()
     assert not (out / "psnr_heatmap.pgm").exists()
     assert "factor 4" in capsys.readouterr().out
     assert main(["reconstruct", "--config", str(cfg), "--heatmap"]) == 0
     assert (out / "psnr_heatmap.pgm").is_file()
     assert "artifact = psnr_heatmap.pgm" in (out / "manifest.txt").read_text()
+
+
+def test_removed_override_flags_are_usage_errors(tmp_path):
+    out = tmp_path / "flag_out"
+    cfg = _tiny_cfg(tmp_path, out, extra=_depth_sweep(1.4, 1.6))
+    assert main(["spectrum", "--config", str(cfg), "--window", "rect"]) == 1
+    assert main(["reconstruct", "--config", str(cfg), "--factor", "4"]) == 1
+    assert not out.exists()
+
+
+def test_manifest_hash_identifies_the_artifacts(tmp_path):
+    # every run that asks for another window or factor must record another hash
+    sweep = _depth_sweep(1.4, 1.6)
+    runs = [
+        ("spectrum", "", []),
+        ("spectrum", "window = rect\n", []),
+        ("spectrum", "", ["--window", "rect"]),
+        ("reconstruct", sweep, []),
+        ("reconstruct", sweep.replace("factor = 2", "factor = 4"), []),
+        ("reconstruct", sweep, ["--factor", "4"]),
+    ]
+    artifacts_by_hash = {}
+    for i, (command, extra, flags) in enumerate(runs):
+        out = tmp_path / f"run{i}"
+        if main([command, "--config", str(_tiny_cfg(tmp_path, out, extra)), *flags]) != 0:
+            continue
+        manifest = (out / "manifest.txt").read_text()
+        config_hash = re.search(r"config_hash = (\S+)", manifest).group(1)
+        artifacts = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.txt"}
+        assert artifacts_by_hash.setdefault(config_hash, artifacts) == artifacts
+    assert len(artifacts_by_hash) == 4
 
 
 def _depth_sweep(depth_min, depth_max):
@@ -591,6 +645,41 @@ def test_cli_precondition_failures_exit_2(tmp_path, capsys):
         name="badplane.cfg",
     )
     assert main(["render", "--config", str(bad_plane)]) == 2
+
+
+def test_cli_blind_layers_capture_exits_2(tmp_path, capsys):
+    out = tmp_path / "blind_out"
+    blind = _write(
+        tmp_path,
+        dedent(
+            f"""
+            [scene]
+            z0 = 1.5
+            tilt_deg = 17.0
+            quad = 0.0
+            x_min = 10.0
+            x_max = 11.0
+
+            [plane]
+            depth = infinity
+
+            [grid]
+            n_s = 16
+            n_u = 16
+
+            [run]
+            out_dir = {out}
+
+            [layers]
+            layer_counts = 1
+            factors = 2
+            """
+        ),
+        name="blind.cfg",
+    )
+    assert main(["layers", "--config", str(blind)]) == 2
+    assert "precondition failed: the capture never sees the surface" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_surface_past_the_depth_bound_exits_2(tmp_path, capsys):

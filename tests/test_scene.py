@@ -172,8 +172,6 @@ def test_radiance_of_a_full_grid_is_the_albedo_buffer():
 def test_partition_validation(scene_a):
     with pytest.raises(ValueError):
         partition_depth_layers(scene_a.surface, 0)
-    with pytest.raises(ValueError):
-        partition_depth_layers(scene_a.surface, 2, fit_samples=1)
 
 
 def test_partition_single_layer_spans_extent(scene_b):
