@@ -2,22 +2,29 @@
 
 A run config collects a scene (one of the shipped presets, whose texture
 the [texture] section may override, or inline geometry, never both), the
-capture plane, grid sizes and run housekeeping. Parsing errors (missing
-keys, unparseable numbers) raise ConfigError; domain violations (negative
-focal length, camera range touching the plane crossing) surface as the
-constructing type's own error so the CLI can report them as failed
-preconditions rather than malformed input. The plane depth accepts the
-token "infinity" for the directional limit; every other number must be
-finite.
+capture plane, grid sizes and run housekeeping. The table _SECTIONS
+declares each section's keys with their parser, default and range. Unknown
+sections and keys, missing keys, unparseable numbers and run settings out
+of range raise ConfigError naming them: n_s and n_u >= 2, seed >= 0,
+keep_fraction in (0, 1], window rect or hann, and threads,
+subsample_factor and the [sweep] and [layers] counts and factors >= 1.
+Domain violations (negative focal length, camera range touching the plane
+crossing) surface as the constructing type's own error so the CLI can
+report them as failed preconditions rather than malformed input. The
+plane depth accepts the token "infinity" for the directional limit; every
+other number must be finite.
 """
 
 from __future__ import annotations
 
+import configparser
 import hashlib
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
+from typing import Any, NamedTuple
 
 from .mapping import DEFAULT_U_MAX, PlaneParam
 from .scene import SceneDef, SurfaceSpec, TextureSpec
@@ -116,36 +123,15 @@ class RunConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
 
-def _preset_text(name: str) -> str:
-    fname = f"scene_{name.lower()}.cfg"
-    return resources.files("epifield").joinpath("presets", fname).read_text()
-
-
-def _parse_ini(text: str, origin: str):
-    import configparser
-
+def _parse_ini(text: str, origin: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text, source=origin)
+        for section in parser.values():
+            dict(section)  # resolve every %-interpolation here, inside the try
     except configparser.Error as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
     return parser
-
-
-def _get(section, key, convert, origin):
-    if key not in section:
-        raise ConfigError(f"{origin}: missing key '{key}' in [{section.name}]")
-    raw = section[key]
-    try:
-        return convert(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{origin}: bad value for {key}: {raw!r}") from exc
-
-
-def _opt(section, key, convert, default, origin):
-    if section is None or key not in section:
-        return default
-    return _get(section, key, convert, origin)
 
 
 def _finite(raw: str) -> float:
@@ -163,30 +149,109 @@ def _ints(raw: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in raw.split())
 
 
-def _surface_fields(section, origin) -> dict:
-    return {
-        "z0": _get(section, "z0", _finite, origin),
-        "tilt_deg": _get(section, "tilt_deg", _finite, origin),
-        "quad": _get(section, "quad", _finite, origin),
-        "x_range": (
-            _get(section, "x_min", _finite, origin),
-            _get(section, "x_max", _finite, origin),
-        ),
-    }
+_REQUIRED = object()  # the key must be set
+_UNSET = object()  # an unset key stays out of the dict; the preset or the type fills it
 
 
-_TEXTURE_KEYS = {"omegas": _floats, "angular_bandwidth": _finite, "noise_sigma": _finite}
+class _Key(NamedTuple):
+    parse: Callable[[str], Any]
+    default: Any = _REQUIRED
+    allowed: tuple[Callable[[Any], bool], str] | None = None  # range test and its wording
 
 
-def _texture_fields(section, origin) -> dict:
-    """The texture keys the section sets; TextureSpec or the preset fills the rest."""
-    if section is None:
-        return {}
-    return {
-        key: _get(section, key, convert, origin)
-        for key, convert in _TEXTURE_KEYS.items()
-        if key in section
-    }
+def _at_least(low: int):
+    return (lambda v: v >= low, f"must be >= {low}")
+
+
+_POSITIVE_INTS = (lambda v: len(v) > 0 and min(v) >= 1, "must list integers >= 1")
+
+# Every section a run config may hold, with every key it takes. A [scene]
+# that names a shipped scene holds `preset` alone; any other [scene] holds
+# the inline geometry below.
+_SECTIONS: dict[str, dict[str, _Key]] = {
+    "scene": {
+        "name": _Key(str, "custom"),
+        "z0": _Key(_finite),
+        "tilt_deg": _Key(_finite),
+        "quad": _Key(_finite),
+        "x_min": _Key(_finite),
+        "x_max": _Key(_finite),
+    },
+    "texture": {
+        "omegas": _Key(_floats, _UNSET),
+        "angular_bandwidth": _Key(_finite, _UNSET),
+        "noise_sigma": _Key(_finite, _UNSET),
+    },
+    "plane": {
+        "focal": _Key(_finite, 1.0),
+        "depth": _Key(float),  # inf selects the directional limit
+        "tilt_deg": _Key(_finite, 0.0),
+        "s_max": _Key(_finite, 1.0),
+        "u_max": _Key(_finite, DEFAULT_U_MAX),
+    },
+    "grid": {
+        "n_s": _Key(int, 512, _at_least(2)),
+        "n_u": _Key(int, 512, _at_least(2)),
+    },
+    "run": {
+        "seed": _Key(int, 0, _at_least(0)),
+        "out_dir": _Key(str, "out"),
+        "threads": _Key(int, 1, _at_least(1)),
+        "window": _Key(str, None, (lambda v: v in ("rect", "hann"), "must be rect or hann")),
+        "keep_fraction": _Key(_finite, 0.01, (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")),
+        "subsample_factor": _Key(int, 1, _at_least(1)),
+    },
+    "sweep": {
+        "depth_min": _Key(_finite),
+        "depth_max": _Key(_finite),
+        "depth_count": _Key(int, allowed=_at_least(1)),
+        "tilt_min": _Key(_finite),
+        "tilt_max": _Key(_finite),
+        "tilt_count": _Key(int, allowed=_at_least(1)),
+        "factor": _Key(int, 1, _at_least(1)),
+    },
+    "layers": {
+        "layer_counts": _Key(_ints, allowed=_POSITIVE_INTS),
+        "factors": _Key(_ints, allowed=_POSITIVE_INTS),
+    },
+}
+
+
+def _read(parser, name: str, origin: str, overrides: dict | None = None) -> dict:
+    """The typed values of section [name], with the table's defaults filled in.
+
+    Raises ConfigError naming the key for an unknown or missing key and for
+    a bad or out-of-range value. Overrides that are not None replace the
+    file's values and pass the same checks.
+    """
+    keys = _SECTIONS[name]
+    if name not in parser and any(key.default is _REQUIRED for key in keys.values()):
+        raise ConfigError(f"{origin}: missing [{name}] section")
+    given = dict(parser[name]) if name in parser else {}
+    given.update((k, str(v)) for k, v in (overrides or {}).items() if v is not None)
+    values = {k: s.default for k, s in keys.items() if s.default not in (_REQUIRED, _UNSET)}
+    for key, raw in given.items():
+        if key not in keys:
+            raise ConfigError(f"{origin}: unknown key {key!r} in [{name}]")
+        spec = keys[key]
+        try:
+            values[key] = spec.parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{origin}: bad value for {key} in [{name}]: {raw!r}") from exc
+        if spec.allowed is not None and not spec.allowed[0](values[key]):
+            raise ConfigError(f"{origin}: [{name}] {key} {spec.allowed[1]}, got {values[key]!r}")
+    for key, spec in keys.items():
+        if spec.default is _REQUIRED and key not in given:
+            raise ConfigError(f"{origin}: missing key {key!r} in [{name}]")
+    return values
+
+
+def _inline_scene(parser, origin: str) -> SceneDef:
+    fields = _read(parser, "scene", origin)
+    name = fields.pop("name")
+    x_range = (fields.pop("x_min"), fields.pop("x_max"))
+    texture = TextureSpec(**_read(parser, "texture", origin))
+    return SceneDef(SurfaceSpec(x_range=x_range, **fields), texture, name=name)
 
 
 def load_preset(name: str) -> SceneDef:
@@ -195,32 +260,23 @@ def load_preset(name: str) -> SceneDef:
     if key not in PRESET_NAMES:
         raise ConfigError(f"unknown scene preset {name!r} (have {', '.join(PRESET_NAMES)})")
     origin = f"preset {key}"
-    parser = _parse_ini(_preset_text(key), origin)
-    surface = SurfaceSpec(**_surface_fields(parser["scene"], origin))
-    texture = TextureSpec(
-        **_texture_fields(parser["texture"] if "texture" in parser else None, origin)
-    )
-    return SceneDef(surface, texture, name=key)
+    text = resources.files("epifield").joinpath("presets", f"scene_{key.lower()}.cfg").read_text()
+    return replace(_inline_scene(_parse_ini(text, origin), origin), name=key)
 
 
 def _build_scene(parser, origin: str) -> SceneDef:
-    if "scene" not in parser:
-        raise ConfigError(f"{origin}: missing [scene] section")
-    section = parser["scene"]
-    tex_section = parser["texture"] if "texture" in parser else None
-    if "preset" in section:
-        for key in section:
-            if key != "preset":
-                raise ConfigError(
-                    f"{origin}: [scene] sets both preset and {key}; "
-                    "a scene is a preset or inline geometry"
-                )
-        preset = load_preset(section["preset"])
-        texture = replace(preset.texture, **_texture_fields(tex_section, origin))
-        return SceneDef(preset.surface, texture, name=preset.name)
-    surface = SurfaceSpec(**_surface_fields(section, origin))
-    texture = TextureSpec(**_texture_fields(tex_section, origin))
-    return SceneDef(surface, texture, name=section.get("name", "custom"))
+    section = parser["scene"] if "scene" in parser else {}
+    if "preset" not in section:
+        return _inline_scene(parser, origin)
+    extra = [key for key in section if key != "preset"]
+    if extra:
+        raise ConfigError(
+            f"{origin}: [scene] sets both preset and {extra[0]}; "
+            "a scene is a preset or inline geometry"
+        )
+    preset = load_preset(section["preset"])
+    texture = replace(preset.texture, **_read(parser, "texture", origin))
+    return replace(preset, texture=texture)
 
 
 def load_config(
@@ -246,65 +302,18 @@ def load_config(
 def _run_config(parser, origin: str, *, seed, out_dir, threads) -> RunConfig:
     """The RunConfig a parsed INI describes; None overrides keep the file's value.
 
-    Every check on the run settings is made here; RunConfig is built nowhere else.
+    Every check on the run settings is made here, through _SECTIONS;
+    RunConfig is built nowhere else.
     """
+    if parser.defaults():  # [DEFAULT] would hand its keys to every section
+        raise ConfigError(f"{origin}: unknown section [{parser.default_section}]")
+    for name in parser.sections():
+        if name not in _SECTIONS:
+            raise ConfigError(f"{origin}: unknown section [{name}]")
     scene = _build_scene(parser, origin)
-
-    if "plane" not in parser:
-        raise ConfigError(f"{origin}: missing [plane] section")
-    plane_sec = parser["plane"]
-    plane_raw = {
-        "focal": _opt(plane_sec, "focal", _finite, 1.0, origin),
-        "depth": _get(plane_sec, "depth", float, origin),
-        "tilt_deg": _opt(plane_sec, "tilt_deg", _finite, 0.0, origin),
-        "s_max": _opt(plane_sec, "s_max", _finite, 1.0, origin),
-        "u_max": _opt(plane_sec, "u_max", _finite, DEFAULT_U_MAX, origin),
-    }
-    plane = PlaneParam(**plane_raw)
-
-    grid = parser["grid"] if "grid" in parser else None
-    run = parser["run"] if "run" in parser else None
-    cfg = RunConfig(
-        scene=scene,
-        plane=plane,
-        n_s=_opt(grid, "n_s", int, 512, origin),
-        n_u=_opt(grid, "n_u", int, 512, origin),
-        seed=seed if seed is not None else _opt(run, "seed", int, 0, origin),
-        out_dir=out_dir if out_dir is not None else _opt(run, "out_dir", str, "out", origin),
-        threads=threads if threads is not None else _opt(run, "threads", int, 1, origin),
-        window=_opt(run, "window", str, None, origin),
-        keep_fraction=_opt(run, "keep_fraction", _finite, 0.01, origin),
-        subsample_factor=_opt(run, "subsample_factor", int, 1, origin),
-    )
-    if cfg.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {cfg.threads}")
-    if cfg.subsample_factor < 1:
-        raise ConfigError(f"subsample_factor must be >= 1, got {cfg.subsample_factor}")
-    if cfg.window not in (None, "rect", "hann"):
-        raise ConfigError(f"{origin}: window must be rect or hann, got {cfg.window!r}")
-    if cfg.n_s < 2 or cfg.n_u < 2:
-        raise ConfigError(f"{origin}: grid sizes must be >= 2")
-
-    if "sweep" in parser:
-        sw = parser["sweep"]
-        cfg.sweep = SweepSpec(
-            depth_min=_get(sw, "depth_min", _finite, origin),
-            depth_max=_get(sw, "depth_max", _finite, origin),
-            depth_count=_get(sw, "depth_count", int, origin),
-            tilt_min=_get(sw, "tilt_min", _finite, origin),
-            tilt_max=_get(sw, "tilt_max", _finite, origin),
-            tilt_count=_get(sw, "tilt_count", int, origin),
-            factor=_opt(sw, "factor", int, 1, origin),
-        )
-        if cfg.sweep.depth_count < 1 or cfg.sweep.tilt_count < 1:
-            raise ConfigError(f"{origin}: sweep counts must be >= 1")
-    if "layers" in parser:
-        ly = parser["layers"]
-        cfg.layers = LayersSpec(
-            layer_counts=_get(ly, "layer_counts", _ints, origin),
-            factors=_get(ly, "factors", _ints, origin),
-        )
-        if not cfg.layers.layer_counts or not cfg.layers.factors:
-            raise ConfigError(f"{origin}: layer_counts and factors must be nonempty")
-    return cfg
-
+    plane = PlaneParam(**_read(parser, "plane", origin))
+    grid = _read(parser, "grid", origin)
+    run = _read(parser, "run", origin, dict(seed=seed, out_dir=out_dir, threads=threads))
+    sweep = SweepSpec(**_read(parser, "sweep", origin)) if "sweep" in parser else None
+    layers = LayersSpec(**_read(parser, "layers", origin)) if "layers" in parser else None
+    return RunConfig(scene, plane, **grid, **run, sweep=sweep, layers=layers)

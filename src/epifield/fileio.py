@@ -111,50 +111,47 @@ def write_spectrum(spectrum: SpectrumGrid, stem) -> tuple[Path, Path, Path]:
     return pgm_path, raw_path, hdr_path
 
 
-def write_sweep_csv(result: SweepResult, path) -> Path:
-    """One row per grid cell: depth, tilt_deg, metric (NaN for missing)."""
+def _write_csv(path, header, rows) -> Path:
     path = Path(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["depth", "tilt_deg", result.metric_kind])
-        for i, d in enumerate(result.d_values):
-            for j, t in enumerate(result.tilt_values):
-                writer.writerow([_format_float(d), _format_float(t), _format_float(result.metric[i, j])])
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
+
+
+def write_sweep_csv(result: SweepResult, path) -> Path:
+    """One row per grid cell: depth, tilt_deg, metric (NaN for missing)."""
+    rows = (
+        [_format_float(d), _format_float(t), _format_float(result.metric[i, j])]
+        for i, d in enumerate(result.d_values)
+        for j, t in enumerate(result.tilt_values)
+    )
+    return _write_csv(path, ["depth", "tilt_deg", result.metric_kind], rows)
 
 
 def write_missing_csv(result: SweepResult, path) -> Path:
     """One row per missing cell: depth, tilt_deg and why it was skipped."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["depth", "tilt_deg", "reason"])
-        for i, j, reason in result.missing:
-            d, t = result.d_values[i], result.tilt_values[j]
-            writer.writerow([_format_float(d), _format_float(t), reason])
-    return path
+    rows = (
+        [_format_float(result.d_values[i]), _format_float(result.tilt_values[j]), reason]
+        for i, j, reason in result.missing
+    )
+    return _write_csv(path, ["depth", "tilt_deg", "reason"], rows)
 
 
 def write_curve_csv(curve: SamplingCurve, path) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layers", "images_parallel", "images_tilted"])
-        for row in zip(curve.layer_counts, curve.images_parallel, curve.images_tilted):
-            writer.writerow(row)
-    return path
+    rows = zip(curve.layer_counts, curve.images_parallel, curve.images_tilted)
+    return _write_csv(path, ["layers", "images_parallel", "images_tilted"], rows)
 
 
 def write_layers_rmse_csv(result: LayersResult, family: str, path) -> Path:
     table = {"parallel": result.rmse_parallel, "tilted": result.rmse_tilted}[family]
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layers", "factor", "rmse"])
-        for li, count in enumerate(result.layer_counts):
-            for fi, factor in enumerate(result.factors):
-                writer.writerow([count, factor, _format_float(table[li, fi])])
-    return path
+    rows = (
+        [count, factor, _format_float(table[li, fi])]
+        for li, count in enumerate(result.layer_counts)
+        for fi, factor in enumerate(result.factors)
+    )
+    return _write_csv(path, ["layers", "factor", "rmse"], rows)
 
 
 def write_heatmap_pgm(metric: np.ndarray, path) -> Path:

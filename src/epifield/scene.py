@@ -61,10 +61,6 @@ class DepthRange:
                 f"invalid depth range [{self.z_min}, {self.z_max}]"
             )
 
-    @property
-    def width(self) -> float:
-        return self.z_max - self.z_min
-
 
 @dataclass(frozen=True)
 class SurfaceSpec:
@@ -115,10 +111,6 @@ class SurfaceSpec:
     def depth_slope(self, x):
         """Derivative dz/dx, affine in x."""
         return self.tilt_slope + 2.0 * self.quad * x
-
-    def contains(self, x):
-        lo, hi = self.x_range
-        return (x >= lo) & (x <= hi)
 
     def depth_extremes(self, x_lo=None, x_hi=None) -> tuple[float, float]:
         """Exact min and max depth over [x_lo, x_hi] (default: full extent).

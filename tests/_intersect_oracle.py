@@ -87,7 +87,7 @@ def _valid_root(surface: SurfaceSpec, r):
     # huge rejected candidates may overflow the depth polynomial; that is fine
     with np.errstate(invalid="ignore", over="ignore"):
         z = surface.depth(r)
-        ok = np.isfinite(r) & surface.contains(r) & (z > 0.0)
+        ok = np.isfinite(r) & (r >= surface.x_range[0]) & (r <= surface.x_range[1]) & (z > 0.0)
     return ok, z
 
 

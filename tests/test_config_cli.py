@@ -558,7 +558,78 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, section, key, va
     assert "config error" in capsys.readouterr().err
 
 
+def _assert_rejected(tmp_path, capsys, path, command, *words, flags=()):
+    """The command exits 1 before writing anything, naming every word on stderr."""
+    out = tmp_path / "rejected_out"
+    assert main([command, "--config", str(path), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    for word in words:
+        assert word in err
+    assert not out.exists()
+
+
+def _insert(text, section, line):
+    head, sep, body = text.partition(f"[{section}]\n")
+    assert sep
+    return f"{head}{sep}{line}\n{body}"
+
+
+@pytest.mark.parametrize(
+    "section", ["scene", "texture", "plane", "grid", "run", "sweep", "layers"]
+)
+def test_unknown_key_is_a_config_error(tmp_path, capsys, section):
+    path = _write(tmp_path, _insert(FULL_CONFIG, section, "colour = red"))
+    with pytest.raises(ConfigError, match=rf"unknown key 'colour' in \[{section}\]"):
+        load_config(path)
+    _assert_rejected(tmp_path, capsys, path, "render", "colour", f"[{section}]")
+
+
+@pytest.mark.parametrize("section", ["textures", "DEFAULT"])
+def test_unknown_section_is_a_config_error(tmp_path, capsys, section):
+    path = _write(tmp_path, FULL_CONFIG + f"\n[{section}]\nnoise_sigma = 0.5\n")
+    with pytest.raises(ConfigError, match=rf"unknown section \[{section}\]"):
+        load_config(path)
+    _assert_rejected(tmp_path, capsys, path, "render", f"[{section}]")
+
+
+def test_misspelt_keys_do_not_run_as_defaults(tmp_path, capsys):
+    # a typo must not run reconstruct at factor 1 and noise 0 under an ordinary hash
+    sweep = dedent(_depth_sweep(1.4, 1.6)).replace("factor = 2", "factr = 4")
+    textures = "[textures]\nnoise_sigma = 0.5\n"
+    misspelt = _tiny_cfg(tmp_path, tmp_path / "unused", sweep + textures)
+    _assert_rejected(tmp_path, capsys, misspelt, "reconstruct", "[textures]")
+    misspelt = _tiny_cfg(tmp_path, tmp_path / "unused", sweep)
+    _assert_rejected(tmp_path, capsys, misspelt, "reconstruct", "factr")
+
+
+def test_negative_seed_is_a_config_error_on_a_noise_free_scene(tmp_path, capsys):
+    path = _tiny_cfg(tmp_path, tmp_path / "unused")
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        load_config(path, seed=-1)
+    _assert_rejected(tmp_path, capsys, path, "render", "seed must be >= 0", flags=["--seed", "-1"])
+
+
+@pytest.mark.parametrize(
+    "command, extra, words",
+    [
+        ("reconstruct", _depth_sweep(1.4, 1.6).replace("factor = 2", "factor = 0"), "factor"),
+        ("layers", "[layers]\nlayer_counts = 0\nfactors = 2\n", "layer_counts"),
+        ("layers", "[layers]\nlayer_counts = 1\nfactors = 0\n", "factors"),
+        ("sweep-sparsity", "keep_fraction = 0\n" + dedent(_depth_sweep(1.4, 1.6)), "keep_fraction"),
+        ("sweep-sparsity", "keep_fraction = 1.5\n" + dedent(_depth_sweep(1.4, 1.6)), "keep_fraction"),
+    ],
+    ids=["factor-0", "layer_counts-0", "factors-0", "keep_fraction-0", "keep_fraction-1.5"],
+)
+def test_settings_out_of_range_are_config_errors(tmp_path, capsys, command, extra, words):
+    path = _tiny_cfg(tmp_path, tmp_path / "unused", extra)
+    with pytest.raises(ConfigError, match=words):
+        load_config(path)
+    _assert_rejected(tmp_path, capsys, path, command, words)
+
+
 STUDIES = Path(__file__).resolve().parent.parent / "studies"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_study_configs_keep_the_study_defaults():
@@ -572,6 +643,25 @@ def test_study_configs_keep_the_study_defaults():
     assert layers.scene.name == "C" and (layers.n_s, layers.n_u) == (1024, 512)
     assert layers.layers.layer_counts == (1, 2, 4, 8, 16)
     assert layers.layers.factors == (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 512)
+    # the manifests of earlier study runs must keep naming these settings
+    assert sparsity.config_hash() == (
+        "2184d8da93a20c3286f03ca3144fb44cc542a83a02ec7185e81d99ae4f94fe8d"
+    )
+    assert recon.config_hash() == (
+        "a108f27f1a9dd6c41f3264dac07ef70ae788ffc3429b9fc1da94e1d493ecb0a9"
+    )
+    assert layers.config_hash() == (
+        "1fc0783b61da59a4a218ebc0795172af92c4ebf767f24a3eeb0ff4860ea08b7d"
+    )
+
+
+def test_readme_config_example_loads(tmp_path):
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), flags=re.S)
+    assert len(blocks) == 1
+    cfg = load_config(_write(tmp_path, blocks[0], name="readme.ini"))
+    assert cfg.scene.name == "A" and cfg.scene.texture.noise_sigma == 0.05
+    assert cfg.window == "hann" and cfg.sweep.factor == 64
+    assert cfg.layers.factors == (2, 4, 8, 16, 32, 64, 128, 256)
 
 
 def test_cli_layers(tmp_path, capsys):

@@ -45,7 +45,8 @@ def test_depth_range_rejects_bad_intervals():
         DepthRange(0.0, 1.0)
     with pytest.raises(SceneGeometryError):
         DepthRange(2.0, 1.0)
-    assert DepthRange(1.0, 2.5).width == 1.5
+    depth_range = DepthRange(1.0, 2.5)
+    assert depth_range.z_max - depth_range.z_min == 1.5
 
 
 def test_surface_validation():
@@ -79,7 +80,8 @@ def test_depth_profile_basics():
     t = math.tan(math.radians(17.0))
     assert math.isclose(surf.depth(0.5), 1.5 + 0.5 * t - 0.1, rel_tol=1e-15)
     assert math.isclose(surf.depth_slope(0.5), t - 0.4, rel_tol=1e-15)
-    assert surf.contains(0.8) and not surf.contains(0.81)
+    lo, hi = surf.x_range
+    assert lo <= 0.8 <= hi and not lo <= 0.81 <= hi
 
 
 def test_preset_depth_ranges(scene_a, scene_b, scene_c):
