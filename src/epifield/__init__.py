@@ -39,8 +39,6 @@ from .spectral import (
     dft2_magnitude,
     fan_bounds_parallel,
     fan_bounds_tilted,
-    max_camera_spacing,
-    max_camera_spacing_tilted,
     min_image_count,
     nyquist_omega,
     optimal_depths,

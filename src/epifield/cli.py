@@ -34,6 +34,7 @@ from .fileio import (
     write_spectrum,
     write_sweep_csv,
 )
+from .mapping import PlaneParam
 from .render import SelfOcclusionError, render_epi
 from .scene import partition_depth_layers
 from .spectral import (
@@ -41,8 +42,6 @@ from .spectral import (
     dft2_magnitude,
     fan_bounds_parallel,
     fan_bounds_tilted,
-    max_camera_spacing,
-    max_camera_spacing_tilted,
     min_image_count,
     nyquist_omega,
     optimal_depths,
@@ -206,11 +205,13 @@ def _guideline_lines(cfg: RunConfig) -> list[str]:
         f"wu_max = {wu_max:.6g}",
         f"view_bandwidth = {bandwidth:.6g}",
     ]
-    spacing = max_camera_spacing(depth_range, cfg.plane.focal, wu_max, bandwidth)
+    recommended = PlaneParam(cfg.plane.focal, depths.plane_depth, 0.0)
+    spacing = fan_bounds_parallel(recommended, depth_range, bandwidth).max_spacing(wu_max)
     lines.append(f"max_spacing_parallel = {spacing:.6g}")
     lines.append(f"images_parallel = {min_image_count(spacing, cfg.plane.s_max)}")
     layer = partition_depth_layers(surface, 1)[0]
-    spacing_tilted = max_camera_spacing_tilted(layer, cfg.plane.focal, wu_max, bandwidth)
+    fitted = PlaneParam(cfg.plane.focal, layer.fitted_z0, layer.fitted_tilt_deg, check=False)
+    spacing_tilted = fan_bounds_tilted(fitted, layer, bandwidth).max_spacing(wu_max)
     lines += [
         f"fitted_z0 = {layer.fitted_z0:.6g}",
         f"fitted_tilt_deg = {layer.fitted_tilt_deg:.6g}",

@@ -217,29 +217,34 @@ _SECTIONS: dict[str, dict[str, _Key]] = {
 }
 
 
+# the CLI flag behind each override of a [run] key
+_FLAGS = {"seed": "--seed", "out_dir": "--out", "threads": "--threads"}
+
+
 def _read(parser, name: str, origin: str, overrides: dict | None = None) -> dict:
     """The typed values of section [name], with the table's defaults filled in.
 
     Raises ConfigError naming the key for an unknown or missing key and for
     a bad or out-of-range value. Overrides that are not None replace the
-    file's values and pass the same checks.
+    file's values and pass the same checks; their errors name the flag.
     """
     keys = _SECTIONS[name]
     if name not in parser and any(key.default is _REQUIRED for key in keys.values()):
         raise ConfigError(f"{origin}: missing [{name}] section")
-    given = dict(parser[name]) if name in parser else {}
-    given.update((k, str(v)) for k, v in (overrides or {}).items() if v is not None)
+    section = parser[name] if name in parser else {}
+    given = {k: (raw, f"{origin}: [{name}] {k}") for k, raw in section.items()}
+    given.update((k, (str(v), _FLAGS[k])) for k, v in (overrides or {}).items() if v is not None)
     values = {k: s.default for k, s in keys.items() if s.default not in (_REQUIRED, _UNSET)}
-    for key, raw in given.items():
+    for key, (raw, where) in given.items():
         if key not in keys:
             raise ConfigError(f"{origin}: unknown key {key!r} in [{name}]")
         spec = keys[key]
         try:
             values[key] = spec.parse(raw)
         except ValueError as exc:
-            raise ConfigError(f"{origin}: bad value for {key} in [{name}]: {raw!r}") from exc
+            raise ConfigError(f"{where}: bad value {raw!r}") from exc
         if spec.allowed is not None and not spec.allowed[0](values[key]):
-            raise ConfigError(f"{origin}: [{name}] {key} {spec.allowed[1]}, got {values[key]!r}")
+            raise ConfigError(f"{where} {spec.allowed[1]}, got {values[key]!r}")
     for key, spec in keys.items():
         if spec.default is _REQUIRED and key not in given:
             raise ConfigError(f"{origin}: missing key {key!r} in [{name}]")

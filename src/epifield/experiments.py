@@ -24,8 +24,8 @@ from .render import interp_u, psnr, reconstruct_epi, render_epi, subsample_epi
 from .scene import SceneDef, SurfaceSpec, partition_depth_layers
 from .spectral import (
     dft2_magnitude,
-    max_camera_spacing,
-    max_camera_spacing_tilted,
+    fan_bounds_parallel,
+    fan_bounds_tilted,
     min_image_count,
     nyquist_omega,
     optimal_depths,
@@ -363,10 +363,14 @@ def layers_experiment(
                     focal, layer.fitted_z0, layer.fitted_tilt_deg, s_max, u_max, check=False
                 ),
             }
-            sp_par = max_camera_spacing(layer.depth_range, focal, wu_max, view_bandwidth)
-            sp_til = max_camera_spacing_tilted(layer, focal, wu_max, view_bandwidth)
-            worst["parallel"] = max(worst["parallel"], min_image_count(sp_par, s_max))
-            worst["tilted"] = max(worst["tilted"], min_image_count(sp_til, s_max))
+            fans = {
+                "parallel": fan_bounds_parallel(
+                    params["parallel"], layer.depth_range, view_bandwidth
+                ),
+                "tilted": fan_bounds_tilted(params["tilted"], layer, view_bandwidth),
+            }
+            for fam, fan in fans.items():
+                worst[fam] = max(worst[fam], min_image_count(fan.max_spacing(wu_max), s_max))
             mask = hit & (owner == key)
             pi, pj = np.nonzero(mask)
             if pi.size == 0:

@@ -5,7 +5,7 @@ slope is set by scene depth: a feature at depth z under a plane at depth
 D contributes near omega_s = focal * (1/z - 1/D) * omega_u. A depth range
 therefore predicts a fan-shaped support region, and the widest camera
 spacing that avoids aliasing follows from the fan's extreme lines plus
-any view-dependence bandwidth of the texture.
+any view-dependence bandwidth of the texture (FanBounds.max_spacing).
 
 Angular frequencies are in rad per unit s (omega_s) and rad per unit u
 (omega_u); texture frequencies enter in rad/m.
@@ -34,8 +34,6 @@ __all__ = [
     "fan_bounds_tilted",
     "out_of_bound_energy",
     "optimal_depths",
-    "max_camera_spacing",
-    "max_camera_spacing_tilted",
     "min_image_count",
     "camera_axis_chirp",
     "nyquist_omega",
@@ -138,14 +136,30 @@ class FanBounds:
     slope_hi: float
     margin: float = 0.0
 
+    def max_spacing(self, wu_max: float) -> float:
+        """Widest alias-free camera spacing for content up to |omega_u| = wu_max.
 
-def _bound_slope(z: float, param: PlaneParam) -> float:
-    if param.is_directional:
-        return z / param.focal
-    gap = param.depth - z
+        1 / (wu_max * |1/slope_lo - 1/slope_hi| + 2 * margin), the inverse of
+        the fan's omega_s extent at wu_max; inf when that extent vanishes (a
+        fan on the omega_s = 0 line with no margin: the baseline is unbounded).
+        """
+        if wu_max < 0.0 or self.margin < 0.0:
+            raise ValueError("wu_max and margin must be >= 0")
+        denom = wu_max * abs(1.0 / self.slope_lo - 1.0 / self.slope_hi) + 2.0 * self.margin
+        return math.inf if denom == 0.0 else 1.0 / denom
+
+
+def _line_slope(z: float, gap: float, param: PlaneParam) -> float:
+    """z * D / (f * gap) for depth z at offset gap from the plane; inf at gap 0."""
     if gap == 0.0:
         return math.inf
     return z * param.depth / (param.focal * gap)
+
+
+def _bound_slope(z: float, param: PlaneParam) -> float:
+    if param.is_directional:
+        return z / param.focal  # the D -> inf limit; the finite form gives inf / inf
+    return _line_slope(z, param.depth - z, param)
 
 
 def fan_bounds_parallel(
@@ -177,13 +191,9 @@ def fan_bounds_tilted(
         raise ValueError("plane parameters do not match the layer fit")
     r_lo, r_hi = layer.residual_range
     dr = layer.depth_range
-
-    def slope(z, r):
-        if r == 0.0:
-            return math.inf
-        return z * param.depth / (param.focal * r)
-
-    return FanBounds(slope(dr.z_min, r_lo), slope(dr.z_max, r_hi), margin)
+    return FanBounds(
+        _line_slope(dr.z_min, r_lo, param), _line_slope(dr.z_max, r_hi, param), margin
+    )
 
 
 def out_of_bound_energy(spectrum: SpectrumGrid, bounds: FanBounds) -> float:
@@ -238,50 +248,6 @@ def optimal_depths(depth_range: DepthRange) -> OptimalDepths:
         midpoint_depth=0.5 * (depth_range.z_min + depth_range.z_max),
         plane_depth=harmonic,
     )
-
-
-def max_camera_spacing(
-    depth_range: DepthRange,
-    focal: float,
-    wu_max: float,
-    view_bandwidth: float = 0.0,
-) -> float:
-    """Widest alias-free camera spacing for a parallel plane.
-
-    The spacing is 1 / (focal * (1/z_min - 1/z_max) * wu_max +
-    2 * view_bandwidth); when the denominator vanishes (a single depth and
-    a Lambertian texture) the baseline is unbounded and the spacing is inf.
-    """
-    if wu_max < 0.0 or view_bandwidth < 0.0:
-        raise ValueError("wu_max and view_bandwidth must be >= 0")
-    denom = (
-        focal * (1.0 / depth_range.z_min - 1.0 / depth_range.z_max) * wu_max
-        + 2.0 * view_bandwidth
-    )
-    return math.inf if denom == 0.0 else 1.0 / denom
-
-
-def max_camera_spacing_tilted(
-    layer: DepthLayer,
-    focal: float,
-    wu_max: float,
-    view_bandwidth: float = 0.0,
-) -> float:
-    """Widest alias-free spacing for a plane aligned with a layer fit.
-
-    Replaces the raw depth spread by the fit residual extremes scaled by
-    the fitted plane depth: 1 / ((focal / fitted_z0) * |r_min/z_min -
-    r_max/z_max| * wu_max + 2 * view_bandwidth); inf for an exact plane
-    layer under a Lambertian texture.
-    """
-    if wu_max < 0.0 or view_bandwidth < 0.0:
-        raise ValueError("wu_max and view_bandwidth must be >= 0")
-    r_lo, r_hi = layer.residual_range
-    dr = layer.depth_range
-    denom = (focal / layer.fitted_z0) * abs(
-        r_lo / dr.z_min - r_hi / dr.z_max
-    ) * wu_max + 2.0 * view_bandwidth
-    return math.inf if denom == 0.0 else 1.0 / denom
 
 
 def min_image_count(spacing: float, s_max: float) -> int:

@@ -1,9 +1,11 @@
 """The ray/surface intersection and radiance fill epifield used before its
 linear/quadratic split, the spectrum and reconstruction stages as they
-were before they could write into a workspace, and the layered
-reconstruction as it was before it sampled only a layer's own pixels,
-kept verbatim as the reference for the differential tests in
-tests/test_render_kernel.py and tests/test_resample.py.
+were before they could write into a workspace, the layered
+reconstruction as it was before it sampled only a layer's own pixels, and
+the two spacing functions used before the spacing came from the fan, kept
+verbatim as the reference for the differential tests in
+tests/test_render_kernel.py, tests/test_resample.py and
+tests/test_spectral.py.
 
 intersect_rays runs one general formula on every input: both quadratic
 roots through np.where chains, the linear case masked in. render_fill is
@@ -12,6 +14,8 @@ gathered on the hit rays and scattered into a zero image. dft2_magnitude,
 sparsity_rmse, reconstruct_data and psnr allocate every temporary.
 _trajectory_reconstruct and layers_experiment rebuild every column of every
 row a layer touches, one np.interp call per row and kept row.
+max_camera_spacing and max_camera_spacing_tilted are the spacing formulas,
+from raw depths and from fit residuals, that FanBounds.max_spacing replaced.
 """
 
 from __future__ import annotations
@@ -22,14 +26,15 @@ import numpy as np
 
 from epifield.experiments import LayersResult, SamplingCurve, _dense_capture
 from epifield.mapping import DEFAULT_U_MAX, PlaneParam, rewarp_coords
-from epifield.scene import SceneDef, SurfaceSpec, partition_depth_layers, unnormalized_sinc
-from epifield.spectral import (
-    max_camera_spacing,
-    max_camera_spacing_tilted,
-    min_image_count,
-    nyquist_omega,
-    optimal_depths,
+from epifield.scene import (
+    DepthLayer,
+    DepthRange,
+    SceneDef,
+    SurfaceSpec,
+    partition_depth_layers,
+    unnormalized_sinc,
 )
+from epifield.spectral import min_image_count, nyquist_omega, optimal_depths
 
 
 def intersect_rays(param: PlaneParam, surface: SurfaceSpec, s, u):
@@ -182,6 +187,50 @@ def _trajectory_reconstruct(src, s_axis, u_axis, factor, traj, rows):
         w = (i - r0) / (r1 - r0)
         out[i] = (1.0 - w) * v0 + w * v1
     return out
+
+
+def max_camera_spacing(
+    depth_range: DepthRange,
+    focal: float,
+    wu_max: float,
+    view_bandwidth: float = 0.0,
+) -> float:
+    """Widest alias-free camera spacing for a parallel plane.
+
+    The spacing is 1 / (focal * (1/z_min - 1/z_max) * wu_max +
+    2 * view_bandwidth); when the denominator vanishes (a single depth and
+    a Lambertian texture) the baseline is unbounded and the spacing is inf.
+    """
+    if wu_max < 0.0 or view_bandwidth < 0.0:
+        raise ValueError("wu_max and view_bandwidth must be >= 0")
+    denom = (
+        focal * (1.0 / depth_range.z_min - 1.0 / depth_range.z_max) * wu_max
+        + 2.0 * view_bandwidth
+    )
+    return math.inf if denom == 0.0 else 1.0 / denom
+
+
+def max_camera_spacing_tilted(
+    layer: DepthLayer,
+    focal: float,
+    wu_max: float,
+    view_bandwidth: float = 0.0,
+) -> float:
+    """Widest alias-free spacing for a plane aligned with a layer fit.
+
+    Replaces the raw depth spread by the fit residual extremes scaled by
+    the fitted plane depth: 1 / ((focal / fitted_z0) * |r_min/z_min -
+    r_max/z_max| * wu_max + 2 * view_bandwidth); inf for an exact plane
+    layer under a Lambertian texture.
+    """
+    if wu_max < 0.0 or view_bandwidth < 0.0:
+        raise ValueError("wu_max and view_bandwidth must be >= 0")
+    r_lo, r_hi = layer.residual_range
+    dr = layer.depth_range
+    denom = (focal / layer.fitted_z0) * abs(
+        r_lo / dr.z_min - r_hi / dr.z_max
+    ) * wu_max + 2.0 * view_bandwidth
+    return math.inf if denom == 0.0 else 1.0 / denom
 
 
 def layers_experiment(

@@ -32,8 +32,7 @@ from epifield.spectral import (
     camera_axis_chirp,
     dft2_magnitude,
     fan_bounds_parallel,
-    max_camera_spacing,
-    max_camera_spacing_tilted,
+    fan_bounds_tilted,
     optimal_depths,
     out_of_bound_energy,
 )
@@ -136,8 +135,8 @@ def test_criterion_03_parallel_plane_reductions(criterion_report):
         z_max = z_min + rng.uniform(0.05, 2.0)
         focal = rng.uniform(0.5, 2.0)
         wu = rng.uniform(1.0, 500.0)
-        got = max_camera_spacing(DepthRange(z_min, z_max), focal, wu)
-        track(got, 1.0 / (focal * (1.0 / z_min - 1.0 / z_max) * wu))
+        fan = fan_bounds_parallel(PlaneParam(focal, math.inf), DepthRange(z_min, z_max))
+        track(fan.max_spacing(wu), 1.0 / (focal * (1.0 / z_min - 1.0 / z_max) * wu))
 
     # (iv) a zero-residual layer leaves only the view-bandwidth term
     for _ in range(10_000):
@@ -150,10 +149,9 @@ def test_criterion_03_parallel_plane_reductions(criterion_report):
             continue
         layer = DepthLayer((lo, hi), DepthRange(*ends), z0, tilt, (0.0, 0.0))
         bandwidth = rng.uniform(0.1, 20.0)
-        got = max_camera_spacing_tilted(
-            layer, rng.uniform(0.5, 2.0), rng.uniform(1.0, 500.0), bandwidth
-        )
-        track(got, 0.5 / bandwidth)
+        plane = PlaneParam(rng.uniform(0.5, 2.0), z0, tilt, check=False)
+        fan = fan_bounds_tilted(plane, layer, bandwidth)
+        track(fan.max_spacing(rng.uniform(1.0, 500.0)), 0.5 / bandwidth)
 
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12

@@ -611,6 +611,22 @@ def test_negative_seed_is_a_config_error_on_a_noise_free_scene(tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
+    "flags, words",
+    [(["--seed", "-1"], ["--seed", "seed must be >= 0"]), (["--threads", "0"], ["--threads"])],
+)
+def test_override_range_errors_name_the_flag(tmp_path, capsys, flags, words):
+    # the file sets neither key, so its [run] section is not where the bad value is
+    out = tmp_path / "out"
+    path = _tiny_cfg(tmp_path, out)
+    assert main(["render", "--config", str(path), *flags]) == 1
+    err = capsys.readouterr().err
+    for word in words:
+        assert word in err
+    assert "[run]" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, extra, words",
     [
         ("reconstruct", _depth_sweep(1.4, 1.6).replace("factor = 2", "factor = 0"), "factor"),

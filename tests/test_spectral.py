@@ -1,10 +1,11 @@
 import math
 
+import _intersect_oracle as oracle
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from epifield.mapping import PlaneParam
+from epifield.mapping import DEFAULT_U_MAX, PlaneParam
 from epifield.render import Epi, render_epi
 from epifield.scene import DepthLayer, DepthRange, partition_depth_layers
 from epifield.spectral import (
@@ -14,8 +15,6 @@ from epifield.spectral import (
     dft2_magnitude,
     fan_bounds_parallel,
     fan_bounds_tilted,
-    max_camera_spacing,
-    max_camera_spacing_tilted,
     min_image_count,
     nyquist_omega,
     optimal_depths,
@@ -192,11 +191,25 @@ def test_focus_depth_never_exceeds_midpoint(z_min, width):
         assert depths.focus_depth == pytest.approx(z_min, abs=1e-12)
 
 
+def _parallel_spacing(depth_range, focal, wu_max, view_bandwidth=0.0):
+    # the depth-range fan under the directional plane
+    fan = fan_bounds_parallel(PlaneParam(focal, math.inf), depth_range, view_bandwidth)
+    return fan.max_spacing(wu_max)
+
+
+def _tilted_spacing(layer, focal, wu_max, view_bandwidth=0.0):
+    # the residual fan under the layer's own fitted plane
+    plane = PlaneParam(focal, layer.fitted_z0, layer.fitted_tilt_deg, check=False)
+    return fan_bounds_tilted(plane, layer, view_bandwidth).max_spacing(wu_max)
+
+
 def test_max_camera_spacing_hand_case():
-    assert max_camera_spacing(DepthRange(1.0, 2.0), 2.0, 3.0, 0.5) == pytest.approx(0.25)
-    assert max_camera_spacing(DepthRange(2.0, 2.0), 1.0, 3.0, 0.0) == math.inf
+    assert _parallel_spacing(DepthRange(1.0, 2.0), 2.0, 3.0, 0.5) == pytest.approx(0.25)
+    assert _parallel_spacing(DepthRange(2.0, 2.0), 1.0, 3.0, 0.0) == math.inf
     with pytest.raises(ValueError):
-        max_camera_spacing(DepthRange(1.0, 2.0), 1.0, -1.0)
+        _parallel_spacing(DepthRange(1.0, 2.0), 1.0, -1.0)
+    with pytest.raises(ValueError):
+        FanBounds(1.0, 2.0, margin=-0.5).max_spacing(3.0)
 
 
 @given(
@@ -209,25 +222,75 @@ def test_max_camera_spacing_hand_case():
 def test_wider_depth_ranges_need_tighter_spacing(z0, pad_lo, inner, pad_hi, wu):
     narrow = DepthRange(z0 + pad_lo, z0 + pad_lo + inner)
     wide = DepthRange(z0, z0 + pad_lo + inner + pad_hi)
-    assert max_camera_spacing(wide, 1.0, wu) <= max_camera_spacing(narrow, 1.0, wu) + 1e-12
+    assert _parallel_spacing(wide, 1.0, wu) <= _parallel_spacing(narrow, 1.0, wu) + 1e-12
 
 
 def test_max_camera_spacing_tilted(scene_a, scene_c):
     exact = _exact_plane_layer()
-    assert max_camera_spacing_tilted(exact, 1.0, 6.0) == math.inf
+    assert _tilted_spacing(exact, 1.0, 6.0) == math.inf
     # an exact plane leaves only the view-dependence term
-    assert max_camera_spacing_tilted(exact, 1.0, 6.0, view_bandwidth=0.5) == pytest.approx(1.0)
+    assert _tilted_spacing(exact, 1.0, 6.0, view_bandwidth=0.5) == pytest.approx(1.0)
     # the fitted version of the same plane is merely astronomically wide
     (fitted,) = partition_depth_layers(scene_a.surface, 1)
-    assert max_camera_spacing_tilted(fitted, 1.0, 6.0) > 1e6
+    assert _tilted_spacing(fitted, 1.0, 6.0) > 1e6
 
     (layer,) = partition_depth_layers(scene_c.surface, 1)
-    tilted = max_camera_spacing_tilted(layer, 1.0, 6.0)
-    parallel = max_camera_spacing(scene_c.surface.depth_range(), 1.0, 6.0)
+    tilted = _tilted_spacing(layer, 1.0, 6.0)
+    parallel = _parallel_spacing(scene_c.surface.depth_range(), 1.0, 6.0)
     assert tilted == pytest.approx(0.7885281423674932, abs=1e-12)
     assert parallel == pytest.approx(0.16885912926099123, abs=1e-12)
     # aligning the plane with the scene always buys baseline for scene C
     assert tilted > parallel
+
+
+def _spacing_grid(scenes):
+    """Every layer of every monotonic partition up to 32 layers (scene B,
+    which is not monotonic, gives its one layer)."""
+    for scene in scenes:
+        counts = range(1, 33) if scene.name != "B" else (1,)
+        for count in counts:
+            yield from partition_depth_layers(scene.surface, count)
+
+
+def test_max_spacing_matches_the_old_spacing_formulas(scene_a, scene_b, scene_c):
+    # the fan's spacing against the two functions it replaced, under the
+    # recommended and the directional parallel plane and the fitted plane
+    n_us = (33, 64, 128, 256, 512, 1024)
+    wus = [nyquist_omega(2.0 * DEFAULT_U_MAX / (n_u - 1)) for n_u in n_us]
+    cases = worst = exact_cases = 0
+    for layer in _spacing_grid((scene_a, scene_b, scene_c)):
+        dr = layer.depth_range
+        for focal in (0.5, 1.0, 1.3, 2.0):
+            parallel = [
+                PlaneParam(focal, optimal_depths(dr).plane_depth, 0.0),
+                PlaneParam(focal, math.inf),
+            ]
+            fitted = PlaneParam(focal, layer.fitted_z0, layer.fitted_tilt_deg, check=False)
+            for bandwidth in (0.0, 1.0, 5.0):
+                pairs = [
+                    (fan_bounds_parallel(p, dr, bandwidth), oracle.max_camera_spacing, dr)
+                    for p in parallel
+                ]
+                tilted = fan_bounds_tilted(fitted, layer, bandwidth)
+                pairs.append((tilted, oracle.max_camera_spacing_tilted, layer))
+                if layer.residual_range == (0.0, 0.0):
+                    # an exact plane layer leaves exactly the bandwidth term
+                    exact_cases += 1
+                    want = math.inf if bandwidth == 0.0 else 0.5 / bandwidth
+                    assert all(tilted.max_spacing(wu) == want for wu in wus)
+                for fan, old, arg in pairs:
+                    for wu in wus:
+                        got, want = fan.max_spacing(wu), old(arg, focal, wu, bandwidth)
+                        cases += 1
+                        assert min_image_count(got, 1.0) == min_image_count(want, 1.0)
+                        if math.isinf(want):
+                            assert got == want
+                        else:
+                            worst = max(worst, abs(got - want) / want)
+    # 1057 layers x 4 focals x 3 bandwidths x 6 grids, under each of the three planes
+    assert cases == 3 * 76_104
+    assert worst <= 1e-13
+    assert exact_cases == 528 * 4 * 3  # scene A is planar: every layer is exact
 
 
 def test_min_image_count():
