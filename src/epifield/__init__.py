@@ -1,5 +1,11 @@
 """Light-field EPI sampling analysis with a tiltable global image plane."""
 
+import os
+
+# Before numpy loads: the sweep workers are epifield's only threads, and the one
+# BLAS call (np.polyfit's 256 x 2 layer fit) is too small for OpenBLAS to thread.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # an exported value wins
+
 from .scene import (
     DEFAULT_OMEGAS,
     DepthLayer,

@@ -156,8 +156,8 @@ def sweep_sparsity(
     """
     if subsample_factor < 1:
         raise ValueError(f"subsample_factor must be >= 1, got {subsample_factor}")
-    if n_s % subsample_factor != 0:
-        raise ValueError("subsample_factor must divide n_s")
+    if n_s % subsample_factor != 0 or n_s // subsample_factor < 2:
+        raise ValueError(f"subsample_factor {subsample_factor} must split {n_s=} into 2+ rows")
 
     def cell_metric(param, workspace):
         epi = render_epi(

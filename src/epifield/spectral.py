@@ -67,16 +67,21 @@ def dft2_magnitude(
     "mag" buffer.
     """
     data = epi.data
+    # fft2 would cast the real data into a fresh complex grid; one copy into t1 instead
+    spec = scratch(workspace, "t1", data.shape, complex)
     if window == "hann":
         taper = np.multiply(
             np.hanning(epi.n_s)[:, None],
             np.hanning(epi.n_u)[None, :],
             out=scratch(workspace, "t2", data.shape),
         )
-        data = np.multiply(data, taper, out=scratch(workspace, "t3", data.shape))
-    elif window != "rect":
+        np.multiply(data, taper, out=spec)
+    elif window == "rect":
+        np.copyto(spec, data)
+    else:
         raise ValueError(f"unknown window {window!r}")
-    spec = np.fft.fft2(data, norm="ortho", out=scratch(workspace, "t1", data.shape, complex))
+    for axis in (1, 0):  # fft2's order, so the bits match
+        np.fft.fft(spec, axis=axis, norm="ortho", out=spec)
     mag = scratch(workspace, "mag", data.shape)
     # |fftshift(spec)| written quadrant by quadrant, without the rolled copy
     for dst_s, src_s in _shift_halves(epi.n_s):

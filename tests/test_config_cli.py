@@ -528,6 +528,17 @@ def test_subsample_factor_below_one_is_a_config_error(tmp_path, capsys, factor):
     assert not out.exists()
 
 
+def test_subsample_factor_leaving_one_row_exits_2(tmp_path, capsys):
+    # n_s = 64 at factor 64 keeps one camera row, which has no s spacing
+    text = FULL_CONFIG.replace("subsample_factor = 2", "subsample_factor = 64")
+    path = _write(tmp_path, text, name="one_row.cfg")
+    out = tmp_path / "out"
+    assert main(["sweep-sparsity", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "subsample_factor" in err and "n_s" in err
+    assert not out.exists()
+
+
 def _set(text, section, key, value):
     head, sep, body = text.partition(f"[{section}]")
     body = re.sub(rf"^{key} = .*$", f"{key} = {value}", body, count=1, flags=re.M)

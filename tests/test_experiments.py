@@ -3,6 +3,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -110,6 +111,8 @@ def test_sweep_sparsity_rejects_bad_subsample(scene_a):
     for factor in (0, -4):
         with pytest.raises(ValueError, match="subsample_factor must be >= 1"):
             sweep_sparsity(scene_a, [1.5], [0.0], n_s=32, n_u=16, subsample_factor=factor)
+    with pytest.raises(ValueError, match="subsample_factor 32 must split n_s=32 into 2"):
+        sweep_sparsity(scene_a, [1.5], [0.0], n_s=32, n_u=16, subsample_factor=32)
 
 
 def test_sweep_reconstruction(flat_scene):
@@ -255,3 +258,35 @@ def test_sweep_workers_never_share_a_workspace(scene_b, monkeypatch):
                 break
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("window", ["rect", "hann"])
+def test_warm_sweep_cells_allocate_less_than_one_grid(scene_b, window):
+    """A workspace'd cell allocates nothing grid-sized, the transform included."""
+    noisy_b = replace(scene_b, texture=TextureSpec(angular_bandwidth=5.0, noise_sigma=0.05))
+    param = PlaneParam(1.0, 1.5, 17.0)
+    workspace = Workspace()
+
+    def render_dense():
+        return render_epi(
+            noisy_b, param, 256, 256, seed=0, check_occlusion=False, workspace=workspace
+        )
+
+    def sparsity_cell():
+        spectrum = dft2_magnitude(render_dense(), window, workspace=workspace)
+        return sparsity_rmse(spectrum, 0.01, workspace=workspace)
+
+    def reconstruct_cell():
+        dense = render_dense()
+        rebuilt = render.reconstruct_epi(render.subsample_epi(dense, 64), 256, workspace=workspace)
+        return render.psnr(dense.data, rebuilt.data, workspace=workspace)
+
+    for cell in (sparsity_cell, reconstruct_cell):
+        cell()
+        tracemalloc.start()
+        try:
+            cell()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 256 * 8, cell.__name__
