@@ -45,6 +45,7 @@ from .spectral import (
     dft2_magnitude,
     fan_bounds_parallel,
     fan_bounds_tilted,
+    family_fans,
     min_image_count,
     nyquist_omega,
     optimal_depths,

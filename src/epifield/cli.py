@@ -34,12 +34,12 @@ from .fileio import (
     write_spectrum,
     write_sweep_csv,
 )
-from .mapping import PlaneParam
 from .render import SelfOcclusionError, render_epi
 from .scene import partition_depth_layers
 from .spectral import (
     camera_axis_chirp,
     dft2_magnitude,
+    family_fans,
     fan_bounds_parallel,
     fan_bounds_tilted,
     min_image_count,
@@ -205,18 +205,16 @@ def _guideline_lines(cfg: RunConfig) -> list[str]:
         f"wu_max = {wu_max:.6g}",
         f"view_bandwidth = {bandwidth:.6g}",
     ]
-    recommended = PlaneParam(cfg.plane.focal, depths.plane_depth, 0.0)
-    spacing = fan_bounds_parallel(recommended, depth_range, bandwidth).max_spacing(wu_max)
-    lines.append(f"max_spacing_parallel = {spacing:.6g}")
-    lines.append(f"images_parallel = {min_image_count(spacing, cfg.plane.s_max)}")
-    layer = partition_depth_layers(surface, 1)[0]
-    fitted = PlaneParam(cfg.plane.focal, layer.fitted_z0, layer.fitted_tilt_deg, check=False)
-    spacing_tilted = fan_bounds_tilted(fitted, layer, bandwidth).max_spacing(wu_max)
+    layer = partition_depth_layers(surface, 1)[0]  # its depth range is the surface's
+    fans = family_fans(layer, cfg.plane, bandwidth)
+    spacing = {fam: fan.max_spacing(wu_max) for fam, (_, fan) in fans.items()}
     lines += [
+        f"max_spacing_parallel = {spacing['parallel']:.6g}",
+        f"images_parallel = {min_image_count(spacing['parallel'], cfg.plane.s_max)}",
         f"fitted_z0 = {layer.fitted_z0:.6g}",
         f"fitted_tilt_deg = {layer.fitted_tilt_deg:.6g}",
-        f"max_spacing_tilted = {spacing_tilted:.6g}",
-        f"images_tilted = {min_image_count(spacing_tilted, cfg.plane.s_max)}",
+        f"max_spacing_tilted = {spacing['tilted']:.6g}",
+        f"images_tilted = {min_image_count(spacing['tilted'], cfg.plane.s_max)}",
     ]
     if cfg.plane.tilt_deg != 0.0 and not cfg.plane.is_directional:
         x_mid = 0.5 * (surface.x_range[0] + surface.x_range[1])
@@ -249,9 +247,7 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
     d_values = np.linspace(sw.depth_min, sw.depth_max, sw.depth_count)
     t_values = np.linspace(sw.tilt_min, sw.tilt_max, sw.tilt_count)
     common = dict(
-        focal=cfg.plane.focal,
-        s_max=cfg.plane.s_max,
-        u_max=cfg.plane.u_max,
+        plane=cfg.plane,
         n_s=cfg.n_s,
         n_u=cfg.n_u,
         seed=cfg.seed,
@@ -299,9 +295,7 @@ def _cmd_layers(args, cfg: RunConfig) -> int:
         cfg.layers.factors,
         n_s=cfg.n_s,
         n_u=cfg.n_u,
-        focal=cfg.plane.focal,
-        s_max=cfg.plane.s_max,
-        u_max=cfg.plane.u_max,
+        plane=cfg.plane,
         seed=cfg.seed,
     )
     out = _out_dir(cfg)

@@ -11,7 +11,7 @@ subsample_factor and the [sweep] and [layers] counts and factors >= 1.
 Domain violations (negative focal length, camera range touching the plane
 crossing) surface as the constructing type's own error so the CLI can
 report them as failed preconditions rather than malformed input. The
-plane depth accepts the token "infinity" for the directional limit; every
+plane depth may also be inf or "infinity", the directional limit; every
 other number must be finite.
 """
 
@@ -141,6 +141,10 @@ def _finite(raw: str) -> float:
     return value
 
 
+def _depth(raw: str) -> float:  # finite, or inf for the directional limit
+    return math.inf if float(raw) == math.inf else _finite(raw)
+
+
 def _floats(raw: str) -> tuple[float, ...]:
     return tuple(_finite(tok) for tok in raw.split())
 
@@ -184,7 +188,7 @@ _SECTIONS: dict[str, dict[str, _Key]] = {
     },
     "plane": {
         "focal": _Key(_finite, 1.0),
-        "depth": _Key(float),  # inf selects the directional limit
+        "depth": _Key(_depth),
         "tilt_deg": _Key(_finite, 0.0),
         "s_max": _Key(_finite, 1.0),
         "u_max": _Key(_finite, DEFAULT_U_MAX),

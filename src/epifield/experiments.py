@@ -15,20 +15,18 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .mapping import DEFAULT_U_MAX, PlaneParam, rewarp_coords
+from .mapping import PlaneParam, rewarp_coords
 from .render import interp_u, psnr, reconstruct_epi, render_epi, subsample_epi
 from .scene import SceneDef, SurfaceSpec, partition_depth_layers
 from .spectral import (
     dft2_magnitude,
-    fan_bounds_parallel,
-    fan_bounds_tilted,
+    family_fans,
     min_image_count,
     nyquist_omega,
-    optimal_depths,
     sparsity_rmse,
 )
 from .workspace import Workspace
@@ -46,6 +44,7 @@ __all__ = [
 
 _MAXIMIZED_METRICS = {"psnr"}
 _MAE_SAMPLES = 1024  # uniform points over the extent in plane_mae
+_CAPTURE = PlaneParam(1.0, math.inf)  # the default capture: focal 1, s_max 1, DEFAULT_U_MAX
 
 
 @dataclass
@@ -82,13 +81,12 @@ class SweepResult:
         return float(self.d_values[i]), float(self.tilt_values[j])
 
 
-def _sweep(
-    d_values, tilt_values, metric_kind, cell_metric, *, focal, s_max, u_max, threads
-) -> SweepResult:
+def _sweep(d_values, tilt_values, metric_kind, cell_metric, *, plane, threads) -> SweepResult:
     """Evaluate cell_metric(param, workspace) on every (depth, tilt) cell.
 
-    A cell whose PlaneParam cannot be built is recorded as missing with
-    the constructor's reason. The pool never has more workers than cells or
+    Each cell's param is plane under the cell's depth and tilt. A cell
+    whose param fails validation is recorded as missing with the
+    constructor's reason. The pool never has more workers than cells or
     cores, and each worker thread reuses one Workspace for all its cells.
     """
     if threads < 1:
@@ -99,7 +97,7 @@ def _sweep(
     for i, d in enumerate(d_values):
         for j, t in enumerate(tilt_values):
             try:
-                params[i, j] = PlaneParam(focal, float(d), float(t), s_max, u_max)
+                params[i, j] = replace(plane, depth=float(d), tilt_deg=float(t))
             except ValueError as exc:
                 missing.append((i, j, str(exc)))
     local = threading.local()
@@ -131,9 +129,7 @@ def sweep_sparsity(
     d_values,
     tilt_values,
     *,
-    focal: float = 1.0,
-    s_max: float = 1.0,
-    u_max: float = DEFAULT_U_MAX,
+    plane: PlaneParam = _CAPTURE,
     n_s: int = 256,
     n_u: int = 256,
     subsample_factor: int = 1,
@@ -144,15 +140,15 @@ def sweep_sparsity(
 ) -> SweepResult:
     """Spectral compressibility over a grid of plane depths and tilts.
 
-    Each cell renders the scene under its plane, tracing only every
-    subsample_factor-th camera row, and scores the spectrum with
-    sparsity_rmse. The default window here is rectangular, unlike
-    dft2_magnitude: row-to-row drift under a mismatched plane shows up as
-    truncation leakage, and that leakage is the signal this sweep ranks
-    cells by; a taper would flatten the surface into sidelobe dust. The
-    visibility check is skipped: single crossings hold for these scenes
-    even where the conservative slope condition fails, and the grid must
-    stay comparable across cells.
+    Each cell renders the scene under plane moved to the cell's depth and
+    tilt, tracing only every subsample_factor-th camera row, and scores
+    the spectrum with sparsity_rmse. The default window here is
+    rectangular, unlike dft2_magnitude: row-to-row drift under a
+    mismatched plane shows up as truncation leakage, and that leakage is
+    the signal this sweep ranks cells by; a taper would flatten the
+    surface into sidelobe dust. The visibility check is skipped: single
+    crossings hold for these scenes even where the conservative slope
+    condition fails, and the grid must stay comparable across cells.
     """
     if subsample_factor < 1:
         raise ValueError(f"subsample_factor must be >= 1, got {subsample_factor}")
@@ -178,9 +174,7 @@ def sweep_sparsity(
         tilt_values,
         "sparsity_rmse",
         cell_metric,
-        focal=focal,
-        s_max=s_max,
-        u_max=u_max,
+        plane=plane,
         threads=threads,
     )
 
@@ -212,9 +206,7 @@ def sweep_reconstruction(
     tilt_values,
     *,
     factor: int,
-    focal: float = 1.0,
-    s_max: float = 1.0,
-    u_max: float = DEFAULT_U_MAX,
+    plane: PlaneParam = _CAPTURE,
     n_s: int = 256,
     n_u: int = 256,
     seed: int = 0,
@@ -236,9 +228,7 @@ def sweep_reconstruction(
         tilt_values,
         "psnr",
         cell_metric,
-        focal=focal,
-        s_max=s_max,
-        u_max=u_max,
+        plane=plane,
         threads=threads,
     )
 
@@ -306,22 +296,20 @@ def layers_experiment(
     *,
     n_s: int = 1024,
     n_u: int = 512,
-    focal: float = 1.0,
-    s_max: float = 1.0,
-    u_max: float = DEFAULT_U_MAX,
+    plane: PlaneParam = _CAPTURE,
     seed: int = 0,
 ) -> LayersResult:
     """Layered reconstruction of one capture: parallel vs. fitted planes.
 
-    The scene is captured once, in the directional frame. For each layer
-    count the depth range splits into equal-width slabs; every captured
-    pixel belongs to the slab its ray hits. Reconstruction from the
-    factor-subsampled rows then runs per layer, interpolating along the
-    iso-u trajectories of the layer's plane: its best parallel depth for
-    the parallel family, its fitted depth line for the tilted family
-    (built unchecked, since steep fits may cross the camera line; the
-    trajectories remain straight lines through the crossing point, which
-    the window keeps out of frame for any tilt below 75 degrees). A
+    The scene is captured once, in the directional frame, with plane's
+    focal length, camera range and image window (its depth and tilt are
+    not used). For each layer count the depth range splits into
+    equal-width slabs; every captured pixel belongs to the slab its ray
+    hits. Reconstruction from the factor-subsampled rows then runs per
+    layer, interpolating along the iso-u trajectories of each family's
+    plane from family_fans (the fitted plane's trajectories remain
+    straight lines through its camera-line crossing, which the window
+    keeps out of frame for any tilt below 75 degrees). A
     matched plane makes trajectories follow the content, so dropped rows
     interpolate cleanly; mismatch shows up as RMSE against the dense
     capture, pooled over each family's composite of the layers. Image
@@ -339,11 +327,11 @@ def layers_experiment(
         "tilted": np.zeros((len(layer_counts), len(factors))),
     }
     images = {"parallel": [], "tilted": []}
-    du = 2.0 * u_max / (n_u - 1)
+    du = 2.0 * plane.u_max / (n_u - 1)
     wu_max = nyquist_omega(du)
     surface = scene.surface
     view_bandwidth = scene.texture.angular_bandwidth
-    canon = PlaneParam(focal, math.inf, 0.0, s_max, u_max)
+    canon = replace(plane, depth=math.inf, tilt_deg=0.0)
     dense, x, hit = _dense_capture(scene, canon, n_s, n_u, seed)
     n_hit = int(hit.sum())
     if n_hit == 0:
@@ -355,29 +343,17 @@ def layers_experiment(
         sum_sq = {k: np.zeros(len(factors)) for k in rmse}
         worst = {k: 2 for k in rmse}
         for key, layer in enumerate(layers):
-            params = {
-                "parallel": PlaneParam(
-                    focal, optimal_depths(layer.depth_range).plane_depth, 0.0, s_max, u_max
-                ),
-                "tilted": PlaneParam(
-                    focal, layer.fitted_z0, layer.fitted_tilt_deg, s_max, u_max, check=False
-                ),
-            }
-            fans = {
-                "parallel": fan_bounds_parallel(
-                    params["parallel"], layer.depth_range, view_bandwidth
-                ),
-                "tilted": fan_bounds_tilted(params["tilted"], layer, view_bandwidth),
-            }
-            for fam, fan in fans.items():
-                worst[fam] = max(worst[fam], min_image_count(fan.max_spacing(wu_max), s_max))
+            families = family_fans(layer, plane, view_bandwidth)
+            for fam, (_, fan) in families.items():
+                spacing = fan.max_spacing(wu_max)
+                worst[fam] = max(worst[fam], min_image_count(spacing, plane.s_max))
             mask = hit & (owner == key)
             pi, pj = np.nonzero(mask)
             if pi.size == 0:
                 continue
             src = np.where(mask, dense.data, 0.0)
             s_px, u_px, d_px = dense.s_axis[pi], dense.u_axis[pj], dense.data[pi, pj]
-            for fam, prm in params.items():
+            for fam, (prm, _) in families.items():
                 xi = rewarp_coords(canon, prm, s_px, u_px)
                 for fi, factor in enumerate(factors):
                     # pixels on kept rows are exact; they stay in as zeros so

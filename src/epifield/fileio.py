@@ -155,10 +155,10 @@ def write_layers_rmse_csv(result: LayersResult, family: str, path) -> Path:
 
 
 def write_heatmap_pgm(metric: np.ndarray, path) -> Path:
-    """Min-max normalized graymap of a metric grid; NaN renders black."""
+    """Min-max normalized graymap of the finite cells; +inf is white, -inf and NaN black."""
     path = Path(path)
     finite = np.isfinite(metric)
-    view = np.zeros_like(metric, dtype=float)
+    view = (metric == np.inf).astype(float)
     if finite.any():
         lo = float(metric[finite].min())
         hi = float(metric[finite].max())

@@ -14,7 +14,7 @@ Angular frequencies are in rad per unit s (omega_s) and rad per unit u
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "fan_bounds_tilted",
     "out_of_bound_energy",
     "optimal_depths",
+    "family_fans",
     "min_image_count",
     "camera_axis_chirp",
     "nyquist_omega",
@@ -253,6 +254,23 @@ def optimal_depths(depth_range: DepthRange) -> OptimalDepths:
         midpoint_depth=0.5 * (depth_range.z_min + depth_range.z_max),
         plane_depth=harmonic,
     )
+
+
+def family_fans(
+    layer: DepthLayer, plane: PlaneParam, margin: float = 0.0
+) -> dict[str, tuple[PlaneParam, FanBounds]]:
+    """Each family's plane for a layer, with its fan; both keep plane's focal, s_max, u_max.
+
+    The parallel plane is untilted at the layer's optimal plane_depth. The
+    tilted plane is the layer's fitted line, unchecked: a steep fit may cross
+    the camera line.
+    """
+    parallel = replace(plane, depth=optimal_depths(layer.depth_range).plane_depth, tilt_deg=0.0)
+    tilted = replace(plane, depth=layer.fitted_z0, tilt_deg=layer.fitted_tilt_deg, check=False)
+    return {
+        "parallel": (parallel, fan_bounds_parallel(parallel, layer.depth_range, margin)),
+        "tilted": (tilted, fan_bounds_tilted(tilted, layer, margin)),
+    }
 
 
 def min_image_count(spacing: float, s_max: float) -> int:

@@ -399,6 +399,30 @@ def test_cli_reconstruct(tmp_path, capsys):
     assert "artifact = psnr_heatmap.pgm" in (out / "manifest.txt").read_text()
 
 
+def test_cli_lossless_reconstruction_draws_a_white_heatmap(tmp_path):
+    # factor 1 drops no row: every cell rebuilds exactly, so every PSNR is inf
+    out = tmp_path / "lossless_out"
+    cfg = _tiny_cfg(
+        tmp_path,
+        out,
+        extra="""
+        [sweep]
+        depth_min = 1.4
+        depth_max = 1.6
+        depth_count = 2
+        tilt_min = 0.0
+        tilt_max = 10.0
+        tilt_count = 2
+        factor = 1
+        """,
+    )
+    assert main(["reconstruct", "--config", str(cfg), "--heatmap"]) == 0
+    rows = (out / "psnr.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4 and all(row.endswith(",inf") for row in rows)
+    samples = (out / "psnr_heatmap.pgm").read_bytes()[len(b"P5\n2 2\n65535\n") :]
+    assert samples == b"\xff\xff" * 4
+
+
 def test_removed_override_flags_are_usage_errors(tmp_path):
     out = tmp_path / "flag_out"
     cfg = _tiny_cfg(tmp_path, out, extra=_depth_sweep(1.4, 1.6))
@@ -555,6 +579,8 @@ def _set(text, section, key, value):
         ("plane", "tilt_deg", "nan"),
         ("plane", "s_max", "inf"),
         ("plane", "u_max", "nan"),
+        ("plane", "depth", "nan"),
+        ("plane", "depth", "-inf"),
         ("sweep", "depth_min", "-inf"),
         ("sweep", "tilt_max", "inf"),
     ],

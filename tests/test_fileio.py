@@ -172,3 +172,13 @@ def test_heatmap_normalization(tmp_path):
 
     flat = _pgm16(write_heatmap_pgm(np.full((2, 2), 7.0), tmp_path / "flat.pgm"), 2, 2)
     assert (flat == 0).all()
+
+
+def test_heatmap_draws_infinities_at_the_ends(tmp_path):
+    # a perfect PSNR is the best cell, not a missing one
+    metric = np.array([[1.0, 2.0], [math.inf, math.nan]])
+    img = _pgm16(write_heatmap_pgm(metric, tmp_path / "a.pgm"), 2, 2)
+    assert img.tolist() == [[0, 65535], [65535, 0]]
+    metric = np.array([[math.inf, -math.inf, 3.0]])
+    ends = _pgm16(write_heatmap_pgm(metric, tmp_path / "b.pgm"), 1, 3)
+    assert ends.tolist() == [[65535, 0, 0]]

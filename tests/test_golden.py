@@ -4,16 +4,21 @@ Each command runs on one tiny config, once with one thread and once with
 two; every artifact it writes (manifest included) must hash to the value
 pinned here. The pins were taken from the program before the sweep driver
 and the spacing helper were consolidated, so any refactor that moves a
-byte fails this test. The layers-70x33 pins come from the row-by-row
-layered reconstruction that preceded the pixel-wise one. The guidelines.txt
-pins of guidelines-A and guidelines-flat were retaken when planar surfaces
-began to take their own depth line instead of a sampled fit (scene A's
-tilted spacing became inf, the flat scene's fitted tilt exactly 0).
-Regenerate pins only for a change that is meant to alter outputs, and say
-so in the change log.
+byte fails this test. The CAPTURE pins (a non-default focal length, camera
+range and image window) were taken while the sweeps and the layers
+experiment still took that capture as three loose keywords. The
+layers-70x33 pins come from the row-by-row layered reconstruction that
+preceded the pixel-wise one. The guidelines.txt pins of guidelines-A and
+guidelines-flat were retaken when planar surfaces began to take their own
+depth line instead of a sampled fit (scene A's tilted spacing became inf,
+the flat scene's fitted tilt exactly 0). Regenerate pins only for a change
+that is meant to alter outputs, and say so in the change log.
 """
 
+import csv
 import hashlib
+import re
+from pathlib import Path
 from textwrap import dedent
 
 import pytest
@@ -78,6 +83,10 @@ FLAT = dedent(
     depth = infinity
     """
 )
+
+# a capture that is not the default: the sweeps, the layers capture and the
+# guideline planes must all take this focal length, camera range and window
+CAPTURE = TINY.replace("[plane]\n", "[plane]\nfocal = 1.3\ns_max = 0.6\nu_max = 0.2\n")
 
 RUNS = {
     "render": ["render"],
@@ -181,3 +190,62 @@ def run_all(tmp_path, threads):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_artifacts_match_pins(tmp_path, threads):
     assert run_all(tmp_path, threads) == PINS
+
+
+CAPTURE_PINS = {
+    "guidelines": {
+        "guidelines.txt": "1fb471300aeacd9967b7d88a4310c59b41d7ffef9ed273b104f1b2aae8ab9a94",
+        "manifest.txt": "f3f2be4e6eedca9c9718ce2f0d13b55a317f7b5afefe79cc98b01de4c26593cd",
+    },
+    "layers": {
+        "layers_rmse_parallel.csv": "3e16c0d6b77370abd1850f5d4b9e9a323c1efb4f2562e186b39ee8cba4021b76",
+        "layers_rmse_tilted.csv": "a2f5453bcb960a17b98023a18c2b6eb22df32099af2d9b8145983d78f06ba5d9",
+        "manifest.txt": "072efc53e4c65743830a444b9e8fd5311eca1b09a8e126e116ba52c05c6ee06b",
+        "sampling_curve.csv": "cde7c77aacc565024975bfb85079bde046fd6214f83863a2b0395490c6d9971e",
+    },
+    "reconstruct": {
+        "manifest.txt": "a6eeb9f1e81018cdc519086dfd4e04603d161a2ceb27f042b12da96e6d0a07ca",
+        "psnr.csv": "41cc7294bd0414906272fda0da54e2d986d096634044aa54636a7277898e714c",
+    },
+    "sweep-sparsity": {
+        "manifest.txt": "e684931dfc3eb13a49d94b3482d044a9f93114547203d9297dd8c05a3d7bf3d2",
+        "plane_mae.csv": "859192d10e22c7cd1d9ed0b555d4afbd12e715194b080351e49f69f17be32698",
+        "plane_mae_heatmap.pgm": "edd41c5e2336d0c87754ce63d44323c2e4d9e93a66c78df10decc52e57612046",
+        "sparsity.csv": "e82d432e7510ec5417c7c5ad6e7e486c10a15bd956846dc82329773df84b726b",
+        "sparsity_heatmap.pgm": "2f160b67842c7efc52852d26a9c61a8f5a26984b97bb83b8e1b3a0753d127084",
+    },
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_non_default_capture_matches_pins(tmp_path, threads):
+    cfg = tmp_path / "capture.cfg"
+    cfg.write_text(CAPTURE)
+    found = {}
+    for name in ("guidelines", "sweep-sparsity", "reconstruct", "layers"):
+        out = tmp_path / name
+        argv = [*RUNS[name], "--config", str(cfg), "--out", str(out), "--threads", str(threads)]
+        assert main(argv) == 0, name
+        found[name] = _digests(out)
+    assert found == CAPTURE_PINS
+
+
+STUDY_C = Path(__file__).resolve().parent.parent / "studies" / "layers_C.ini"
+
+
+@pytest.mark.parametrize("study", [True, False], ids=["layers_C", "capture"])
+def test_guidelines_agree_with_single_layer_curve(tmp_path, capsys, study):
+    # both commands take each family's plane and fan from family_fans
+    cfg = tmp_path / "run.cfg"
+    text = STUDY_C.read_text() if study else CAPTURE
+    # the study's grid and capture, with only the single-layer cell of the tables
+    text = re.sub(r"^layer_counts = .*$", "layer_counts = 1", text, flags=re.M)
+    cfg.write_text(re.sub(r"^factors = .*$", "factors = 2", text, flags=re.M))
+    assert main(["guidelines", "--config", str(cfg)]) == 0
+    printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    out = tmp_path / "layers"
+    assert main(["layers", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "sampling_curve.csv", newline="") as fh:
+        single = next(row for row in csv.DictReader(fh) if row["layers"] == "1")
+    for key in ("images_parallel", "images_tilted"):
+        assert single[key] == printed[key], key
