@@ -50,6 +50,8 @@ from .spectral import (
     nyquist_omega,
     optimal_depths,
     out_of_bound_energy,
+    plane_fan,
+    sampling_guidelines,
     sparsity_rmse,
 )
 from .experiments import (

@@ -36,16 +36,7 @@ from .fileio import (
 )
 from .render import SelfOcclusionError, render_epi
 from .scene import partition_depth_layers
-from .spectral import (
-    camera_axis_chirp,
-    dft2_magnitude,
-    family_fans,
-    fan_bounds_parallel,
-    fan_bounds_tilted,
-    min_image_count,
-    nyquist_omega,
-    optimal_depths,
-)
+from .spectral import dft2_magnitude, plane_fan, sampling_guidelines
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 1
@@ -159,27 +150,18 @@ def _cmd_spectrum(args, cfg: RunConfig) -> int:
     paths = list(write_spectrum(spec, out / "spectrum"))
     bounds_path = out / "bounds.txt"
     bounds_lines = [f"window = {window}"]
-    bounds = None
-    depth_range = cfg.scene.surface.depth_range()
-    if cfg.plane.tilt_deg == 0.0:
-        bounds = fan_bounds_parallel(
-            cfg.plane, depth_range, margin=cfg.scene.texture.angular_bandwidth
-        )
+    layer = partition_depth_layers(cfg.scene.surface, 1)[0]  # its depth range is the surface's
+    try:
+        bounds = plane_fan(cfg.plane, layer, margin=cfg.scene.texture.angular_bandwidth)
+    except ValueError:
+        bounds_lines.append("note = plane does not match the scene's depth-line fit")
     else:
-        layer = partition_depth_layers(cfg.scene.surface, 1)[0]
-        try:
-            bounds = fan_bounds_tilted(
-                cfg.plane, layer, margin=cfg.scene.texture.angular_bandwidth
-            )
-        except ValueError:
-            bounds_lines.append("note = plane does not match the scene's depth-line fit")
-    if bounds is not None:
         bounds_lines += [
             f"slope_lo = {bounds.slope_lo!r}",
             f"slope_hi = {bounds.slope_hi!r}",
             f"margin = {bounds.margin!r}",
-            f"z_min = {depth_range.z_min!r}",
-            f"z_max = {depth_range.z_max!r}",
+            f"z_min = {layer.depth_range.z_min!r}",
+            f"z_max = {layer.depth_range.z_max!r}",
         ]
     bounds_path.write_text("\n".join(bounds_lines) + "\n")
     paths.append(bounds_path)
@@ -188,49 +170,9 @@ def _cmd_spectrum(args, cfg: RunConfig) -> int:
     return _EXIT_OK
 
 
-def _guideline_lines(cfg: RunConfig) -> list[str]:
-    surface = cfg.scene.surface
-    depth_range = surface.depth_range()
-    depths = optimal_depths(depth_range)
-    du = 2.0 * cfg.plane.u_max / (cfg.n_u - 1)
-    wu_max = nyquist_omega(du)
-    bandwidth = cfg.scene.texture.angular_bandwidth
-    lines = [
-        f"scene = {cfg.scene.name}",
-        f"z_min = {depth_range.z_min:.6g}",
-        f"z_max = {depth_range.z_max:.6g}",
-        f"focus_depth = {depths.focus_depth:.6g}",
-        f"midpoint_depth = {depths.midpoint_depth:.6g}",
-        f"plane_depth = {depths.plane_depth:.6g}",
-        f"wu_max = {wu_max:.6g}",
-        f"view_bandwidth = {bandwidth:.6g}",
-    ]
-    layer = partition_depth_layers(surface, 1)[0]  # its depth range is the surface's
-    fans = family_fans(layer, cfg.plane, bandwidth)
-    spacing = {fam: fan.max_spacing(wu_max) for fam, (_, fan) in fans.items()}
-    lines += [
-        f"max_spacing_parallel = {spacing['parallel']:.6g}",
-        f"images_parallel = {min_image_count(spacing['parallel'], cfg.plane.s_max)}",
-        f"fitted_z0 = {layer.fitted_z0:.6g}",
-        f"fitted_tilt_deg = {layer.fitted_tilt_deg:.6g}",
-        f"max_spacing_tilted = {spacing['tilted']:.6g}",
-        f"images_tilted = {min_image_count(spacing['tilted'], cfg.plane.s_max)}",
-    ]
-    if cfg.plane.tilt_deg != 0.0 and not cfg.plane.is_directional:
-        x_mid = 0.5 * (surface.x_range[0] + surface.x_range[1])
-        z_mid = float(surface.depth(x_mid))
-        chirp = camera_axis_chirp(cfg.plane, x_mid, z_mid, wu_max)
-        lines += [
-            f"s_crossing = {cfg.plane.s_crossing:.6g}",
-            f"chirp_base_frequency = {chirp.base_frequency:.6g}",
-            f"chirp_rate = {chirp.rate:.6g}",
-            f"chirp_crossing_frequency = {chirp.crossing_frequency:.6g}",
-        ]
-    return lines
-
-
 def _cmd_guidelines(args, cfg: RunConfig) -> int:
-    lines = _guideline_lines(cfg)
+    pairs = sampling_guidelines(cfg.scene, cfg.plane, cfg.n_u)
+    lines = [f"{k} = {v:.6g}" if isinstance(v, float) else f"{k} = {v}" for k, v in pairs]
     print("\n".join(lines))
     if args.out is not None:
         out = _out_dir(cfg)
@@ -271,6 +213,7 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
             ("sparsity", result, "sparsity argmin"),
             ("plane_mae", geometry, "plane_mae argmin"),
         ]
+    best = {label: table.opt_cell_values() for _, table, label in tables}  # before any write
     out = _out_dir(cfg)
     paths = [write_sweep_csv(table, out / f"{stem}.csv") for stem, table, _ in tables]
     if args.heatmap:
@@ -280,8 +223,7 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
         paths.append(write_missing_csv(result, out / "missing.csv"))
         print(f"{len(result.missing)} of {result.metric.size} cells missing, see missing.csv")
     _write_manifest(out, args.command, cfg, paths)
-    for _, table, label in tables:
-        d_best, t_best = table.opt_cell_values()
+    for label, (d_best, t_best) in best.items():
         print(f"{label}: depth={d_best:.6g} tilt={t_best:.6g} deg")
     return _EXIT_OK
 

@@ -25,7 +25,6 @@ from .scene import SceneDef, SurfaceSpec, partition_depth_layers
 from .spectral import (
     dft2_magnitude,
     family_fans,
-    min_image_count,
     nyquist_omega,
     sparsity_rmse,
 )
@@ -343,17 +342,16 @@ def layers_experiment(
         sum_sq = {k: np.zeros(len(factors)) for k in rmse}
         worst = {k: 2 for k in rmse}
         for key, layer in enumerate(layers):
-            families = family_fans(layer, plane, view_bandwidth)
-            for fam, (_, fan) in families.items():
-                spacing = fan.max_spacing(wu_max)
-                worst[fam] = max(worst[fam], min_image_count(spacing, plane.s_max))
+            families = family_fans(layer, plane, wu_max, view_bandwidth)
+            for fam, (_, _, n_images) in families.items():
+                worst[fam] = max(worst[fam], n_images)
             mask = hit & (owner == key)
             pi, pj = np.nonzero(mask)
             if pi.size == 0:
                 continue
             src = np.where(mask, dense.data, 0.0)
             s_px, u_px, d_px = dense.s_axis[pi], dense.u_axis[pj], dense.data[pi, pj]
-            for fam, (prm, _) in families.items():
+            for fam, (prm, _, _) in families.items():
                 xi = rewarp_coords(canon, prm, s_px, u_px)
                 for fi, factor in enumerate(factors):
                     # pixels on kept rows are exact; they stay in as zeros so

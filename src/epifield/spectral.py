@@ -20,7 +20,7 @@ import numpy as np
 
 from .mapping import PlaneParam
 from .render import Epi
-from .scene import DepthLayer, DepthRange
+from .scene import DepthLayer, DepthRange, SceneDef, partition_depth_layers
 from .workspace import Workspace, scratch
 
 __all__ = [
@@ -32,12 +32,14 @@ __all__ = [
     "sparsity_rmse",
     "fan_bounds_parallel",
     "fan_bounds_tilted",
+    "plane_fan",
     "out_of_bound_energy",
     "optimal_depths",
     "family_fans",
     "min_image_count",
     "camera_axis_chirp",
     "nyquist_omega",
+    "sampling_guidelines",
 ]
 
 
@@ -202,6 +204,13 @@ def fan_bounds_tilted(
     )
 
 
+def plane_fan(plane: PlaneParam, layer: DepthLayer, margin: float = 0.0) -> FanBounds:
+    """The layer's fan under plane: fan_bounds_parallel if untilted, else fan_bounds_tilted."""
+    if plane.tilt_deg == 0.0:
+        return fan_bounds_parallel(plane, layer.depth_range, margin)
+    return fan_bounds_tilted(plane, layer, margin)
+
+
 def out_of_bound_energy(spectrum: SpectrumGrid, bounds: FanBounds) -> float:
     """Fraction of spectral energy outside the fan (margin included).
 
@@ -257,19 +266,26 @@ def optimal_depths(depth_range: DepthRange) -> OptimalDepths:
 
 
 def family_fans(
-    layer: DepthLayer, plane: PlaneParam, margin: float = 0.0
-) -> dict[str, tuple[PlaneParam, FanBounds]]:
-    """Each family's plane for a layer, with its fan; both keep plane's focal, s_max, u_max.
+    layer: DepthLayer, plane: PlaneParam, wu_max: float, margin: float = 0.0
+) -> dict[str, tuple[PlaneParam, float, int]]:
+    """Each family's plane for a layer, its max spacing at wu_max and its image count.
 
-    The parallel plane is untilted at the layer's optimal plane_depth. The
-    tilted plane is the layer's fitted line, unchecked: a steep fit may cross
-    the camera line.
+    Both planes keep plane's focal, s_max and u_max: the parallel one is
+    untilted at the layer's optimal plane_depth, the tilted one is the fitted
+    line, unchecked (a steep fit may cross the camera line). Each takes its
+    own fan constructor: plane_fan would give a fit of tilt 0.0 the parallel
+    fan, whose slopes are the tilted fan's negated.
     """
     parallel = replace(plane, depth=optimal_depths(layer.depth_range).plane_depth, tilt_deg=0.0)
     tilted = replace(plane, depth=layer.fitted_z0, tilt_deg=layer.fitted_tilt_deg, check=False)
+
+    def family(param: PlaneParam, fan: FanBounds) -> tuple[PlaneParam, float, int]:
+        spacing = fan.max_spacing(wu_max)
+        return param, spacing, min_image_count(spacing, plane.s_max)
+
     return {
-        "parallel": (parallel, fan_bounds_parallel(parallel, layer.depth_range, margin)),
-        "tilted": (tilted, fan_bounds_tilted(tilted, layer, margin)),
+        "parallel": family(parallel, fan_bounds_parallel(parallel, layer.depth_range, margin)),
+        "tilted": family(tilted, fan_bounds_tilted(tilted, layer, margin)),
     }
 
 
@@ -319,3 +335,42 @@ def camera_axis_chirp(param: PlaneParam, x: float, z: float, wu: float) -> Chirp
         rate=base_scale * t * (param.depth - z) / param.depth,
         crossing_frequency=base_scale * (z - param.depth - t * x),
     )
+
+
+def sampling_guidelines(scene: SceneDef, plane: PlaneParam, n_u: int) -> list[tuple[str, object]]:
+    """The sampling guideline of a scene under plane on n_u pixels, as (name, value) pairs.
+
+    Everything comes from the surface's single layer at the u Nyquist
+    frequency of plane's window; a tilted plane adds the chirp at mid-surface.
+    """
+    surface = scene.surface
+    layer = partition_depth_layers(surface, 1)[0]
+    depths = optimal_depths(layer.depth_range)
+    wu_max = nyquist_omega(2.0 * plane.u_max / (n_u - 1))
+    fams = family_fans(layer, plane, wu_max, scene.texture.angular_bandwidth)
+    pairs = [
+        ("scene", scene.name),
+        ("z_min", layer.depth_range.z_min),
+        ("z_max", layer.depth_range.z_max),
+        ("focus_depth", depths.focus_depth),
+        ("midpoint_depth", depths.midpoint_depth),
+        ("plane_depth", depths.plane_depth),
+        ("wu_max", wu_max),
+        ("view_bandwidth", scene.texture.angular_bandwidth),
+        ("max_spacing_parallel", fams["parallel"][1]),
+        ("images_parallel", fams["parallel"][2]),
+        ("fitted_z0", layer.fitted_z0),
+        ("fitted_tilt_deg", layer.fitted_tilt_deg),
+        ("max_spacing_tilted", fams["tilted"][1]),
+        ("images_tilted", fams["tilted"][2]),
+    ]
+    if plane.tilt_deg != 0.0:
+        x_mid = 0.5 * (surface.x_range[0] + surface.x_range[1])
+        chirp = camera_axis_chirp(plane, x_mid, float(surface.depth(x_mid)), wu_max)
+        pairs += [
+            ("s_crossing", plane.s_crossing),
+            ("chirp_base_frequency", chirp.base_frequency),
+            ("chirp_rate", chirp.rate),
+            ("chirp_crossing_frequency", chirp.crossing_frequency),
+        ]
+    return pairs

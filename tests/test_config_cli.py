@@ -482,10 +482,11 @@ def test_cli_sweep_with_every_cell_missing_exits_2(tmp_path, capsys):
     out = tmp_path / "all_missing_out"
     cfg = _tiny_cfg(tmp_path, out, extra=_depth_sweep(-2.0, -1.0))
     for command in ("sweep-sparsity", "reconstruct"):
-        assert main([command, "--config", str(cfg)]) == 2
+        assert main([command, "--config", str(cfg), "--heatmap"]) == 2
         err = capsys.readouterr().err
         assert "every cell is missing" in err and "plane depth must be positive" in err
         assert "All-NaN" not in err
+        assert not out.exists()  # no CSV, heatmap, missing.csv or manifest
 
 
 def test_cli_subnormal_tilt_is_a_valid_plane(tmp_path, capsys):

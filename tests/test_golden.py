@@ -11,7 +11,8 @@ layers-70x33 pins come from the row-by-row layered reconstruction that
 preceded the pixel-wise one. The guidelines.txt pins of guidelines-A and
 guidelines-flat were retaken when planar surfaces began to take their own
 depth line instead of a sampled fit (scene A's tilted spacing became inf,
-the flat scene's fitted tilt exactly 0). Regenerate pins only for a change
+the flat scene's fitted tilt exactly 0). The FITTED pins were taken while
+spectrum still chose its fan in the CLI. Regenerate pins only for a change
 that is meant to alter outputs, and say so in the change log.
 """
 
@@ -230,12 +231,36 @@ def test_non_default_capture_matches_pins(tmp_path, threads):
     assert found == CAPTURE_PINS
 
 
+# an untilted ramp: the plane 1.5 / 17 deg is the surface's own depth line,
+# so spectrum takes the tilted fan instead of writing the mismatch note
+FITTED = TINY.replace("quad = -0.15", "quad = 0.0")
+
+FITTED_PINS = {
+    "bounds.txt": "5fb6621f05f717b110c3d704a7c7b3218317f6d76b4a551c3d3823ab9816dabe",
+    "manifest.txt": "92e1fc3273574d25733ed347245b1f881526e639de920727e9660e93df406a79",
+    "spectrum.f64": "dc7573a89056280dbc8c01d2c6e912d4ffd40959a87395c141bda6fb8c26c729",
+    "spectrum.hdr": "47a4aaa37f617d1162873651f11eaa1c982c3e37aa7ac6c12c889b3ccdbe959b",
+    "spectrum.pgm": "df66997d42c6f76db98b1014ae32cf8fff868736e5a1615b06e207446d5532bf",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_spectrum_under_the_fitted_plane_matches_pins(tmp_path, threads):
+    cfg = tmp_path / "fitted.cfg"
+    cfg.write_text(FITTED)
+    out = tmp_path / "spectrum"
+    argv = ["spectrum", "--config", str(cfg), "--out", str(out), "--threads", str(threads)]
+    assert main(argv) == 0
+    assert "slope_lo = inf\n" in (out / "bounds.txt").read_text()
+    assert _digests(out) == FITTED_PINS
+
+
 STUDY_C = Path(__file__).resolve().parent.parent / "studies" / "layers_C.ini"
 
 
 @pytest.mark.parametrize("study", [True, False], ids=["layers_C", "capture"])
 def test_guidelines_agree_with_single_layer_curve(tmp_path, capsys, study):
-    # both commands take each family's plane and fan from family_fans
+    # both commands take their image counts from family_fans
     cfg = tmp_path / "run.cfg"
     text = STUDY_C.read_text() if study else CAPTURE
     # the study's grid and capture, with only the single-layer cell of the tables

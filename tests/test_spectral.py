@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import _intersect_oracle as oracle
 import numpy as np
@@ -15,10 +16,12 @@ from epifield.spectral import (
     dft2_magnitude,
     fan_bounds_parallel,
     fan_bounds_tilted,
+    family_fans,
     min_image_count,
     nyquist_omega,
     optimal_depths,
     out_of_bound_energy,
+    plane_fan,
     sparsity_rmse,
 )
 
@@ -162,6 +165,41 @@ def test_fan_bounds_tilted(scene_c):
 
     with pytest.raises(ValueError):
         fan_bounds_tilted(PlaneParam(1.0, layer.fitted_z0 + 0.1, layer.fitted_tilt_deg), layer)
+
+
+def test_plane_fan_takes_the_fan_of_the_plane(scene_a, scene_b, scene_c):
+    for scene in (scene_a, scene_b, scene_c):
+        (layer,) = partition_depth_layers(scene.surface, 1)
+        for untilted in (PlaneParam(1.0, math.inf), PlaneParam(1.3, 2.0, s_max=0.6)):
+            want = fan_bounds_parallel(untilted, layer.depth_range, 0.5)
+            assert plane_fan(untilted, layer, 0.5) == want
+        fitted = PlaneParam(1.0, layer.fitted_z0, layer.fitted_tilt_deg)
+        assert plane_fan(fitted, layer, 0.5) == fan_bounds_tilted(fitted, layer, 0.5)
+        for off in (replace(fitted, depth=1.3), replace(fitted, tilt_deg=10.0)):
+            with pytest.raises(ValueError, match="do not match the layer fit"):
+                plane_fan(off, layer, 0.5)
+
+
+def test_family_fans_spacing_and_count(scene_b, scene_c):
+    capture = PlaneParam(1.3, math.inf, s_max=0.6, u_max=0.2)
+    wu_max = nyquist_omega(2.0 * capture.u_max / 63)
+    layers = [
+        *partition_depth_layers(scene_b.surface, 1),
+        *partition_depth_layers(scene_c.surface, 1),
+        *partition_depth_layers(scene_c.surface, 4),
+    ]
+    for layer in layers:
+        parallel = PlaneParam(1.3, optimal_depths(layer.depth_range).plane_depth, 0.0, 0.6, 0.2)
+        fitted = PlaneParam(1.3, layer.fitted_z0, layer.fitted_tilt_deg, 0.6, 0.2, check=False)
+        fans = {
+            "parallel": (parallel, fan_bounds_parallel(parallel, layer.depth_range, 0.5)),
+            "tilted": (fitted, fan_bounds_tilted(fitted, layer, 0.5)),
+        }
+        got = family_fans(layer, capture, wu_max, 0.5)
+        assert list(got) == ["parallel", "tilted"]
+        for fam, (plane, fan) in fans.items():
+            spacing = fan.max_spacing(wu_max)
+            assert got[fam] == (plane, spacing, min_image_count(spacing, capture.s_max))
 
 
 def test_out_of_bound_energy_hand_case():
