@@ -53,6 +53,7 @@ from .spectral import (
     plane_fan,
     sampling_guidelines,
     sparsity_rmse,
+    u_nyquist,
 )
 from .experiments import (
     LayersResult,

@@ -18,7 +18,6 @@ other number must be finite.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -120,6 +119,8 @@ class RunConfig:
         return "\n".join(f"{k} = {v}" for k, v in sorted(fields.items()))
 
     def config_hash(self) -> str:
+        import hashlib  # loads OpenSSL (3.5 MB resident), so only when a manifest is written
+
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
 

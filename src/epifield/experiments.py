@@ -20,14 +20,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .mapping import PlaneParam, rewarp_coords
-from .render import interp_u, psnr, reconstruct_epi, render_epi, subsample_epi
+from .render import _noise_field, interp_u, psnr, reconstruct_epi, render_epi, subsample_epi
 from .scene import SceneDef, SurfaceSpec, partition_depth_layers
-from .spectral import (
-    dft2_magnitude,
-    family_fans,
-    nyquist_omega,
-    sparsity_rmse,
-)
+from .spectral import dft2_magnitude, family_fans, sparsity_rmse, u_nyquist
 from .workspace import Workspace
 
 __all__ = [
@@ -123,6 +118,16 @@ def _sweep(d_values, tilt_values, metric_kind, cell_metric, *, plane, threads) -
     )
 
 
+def _warm_noise(scene: SceneDef, seed: int, n_s: int, n_u: int) -> None:
+    """Draw a noisy scene's sensor field before the workers start.
+
+    Otherwise the first cell of every worker misses the cache at once and
+    each draws its own copy of the same field.
+    """
+    if scene.texture.noise_sigma > 0.0:
+        _noise_field(seed, n_s, n_u)
+
+
 def sweep_sparsity(
     scene: SceneDef,
     d_values,
@@ -168,6 +173,7 @@ def sweep_sparsity(
         spectrum = dft2_magnitude(epi, window, workspace=workspace)
         return sparsity_rmse(spectrum, keep_fraction, workspace=workspace)
 
+    _warm_noise(scene, seed, n_s, n_u)
     return _sweep(
         d_values,
         tilt_values,
@@ -222,6 +228,7 @@ def sweep_reconstruction(
         rebuilt = reconstruct_epi(subsample_epi(dense, factor), n_s, workspace=workspace)
         return psnr(dense.data, rebuilt.data, workspace=workspace)
 
+    _warm_noise(scene, seed, n_s, n_u)
     return _sweep(
         d_values,
         tilt_values,
@@ -280,12 +287,14 @@ def _dense_capture(scene, param, n_s, n_u, seed):
     """render_epi plus the (x, hit) it traced, read back from its workspace.
 
     The workspace's scratch buffers go with it when this returns; x and
-    hit keep only their own.
+    hit keep only their own, and the data is copied out of the two-grid
+    buffer it shares with a scratch role.
     """
     workspace = Workspace()
     dense = render_epi(scene, param, n_s, n_u, seed=seed, workspace=workspace)
     shape = dense.data.shape
-    return dense, workspace.array("x", shape), workspace.array("hit", shape, bool)
+    x, hit = workspace.array("x", shape), workspace.array("hit", shape, bool)
+    return replace(dense, data=dense.data.copy()), x, hit
 
 
 def layers_experiment(
@@ -326,8 +335,7 @@ def layers_experiment(
         "tilted": np.zeros((len(layer_counts), len(factors))),
     }
     images = {"parallel": [], "tilted": []}
-    du = 2.0 * plane.u_max / (n_u - 1)
-    wu_max = nyquist_omega(du)
+    wu_max = u_nyquist(plane, n_u)
     surface = scene.surface
     view_bandwidth = scene.texture.angular_bandwidth
     canon = replace(plane, depth=math.inf, tilt_deg=0.0)

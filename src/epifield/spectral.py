@@ -39,6 +39,7 @@ __all__ = [
     "min_image_count",
     "camera_axis_chirp",
     "nyquist_omega",
+    "u_nyquist",
     "sampling_guidelines",
 ]
 
@@ -46,6 +47,11 @@ __all__ = [
 def nyquist_omega(spacing: float) -> float:
     """Highest representable angular frequency for a given sample spacing."""
     return math.pi / spacing
+
+
+def u_nyquist(plane: PlaneParam, n_u: int) -> float:
+    """The u Nyquist frequency of plane's image window on n_u pixels."""
+    return nyquist_omega(2.0 * plane.u_max / (n_u - 1))
 
 
 @dataclass
@@ -73,10 +79,11 @@ def dft2_magnitude(
     # fft2 would cast the real data into a fresh complex grid; one copy into t1 instead
     spec = scratch(workspace, "t1", data.shape, complex)
     if window == "hann":
+        # not in t2: that is the second half of the spectrum's bytes
         taper = np.multiply(
             np.hanning(epi.n_s)[:, None],
             np.hanning(epi.n_u)[None, :],
-            out=scratch(workspace, "t2", data.shape),
+            out=scratch(workspace, "t4", data.shape),
         )
         np.multiply(data, taper, out=spec)
     elif window == "rect":
@@ -346,7 +353,7 @@ def sampling_guidelines(scene: SceneDef, plane: PlaneParam, n_u: int) -> list[tu
     surface = scene.surface
     layer = partition_depth_layers(surface, 1)[0]
     depths = optimal_depths(layer.depth_range)
-    wu_max = nyquist_omega(2.0 * plane.u_max / (n_u - 1))
+    wu_max = u_nyquist(plane, n_u)
     fams = family_fans(layer, plane, wu_max, scene.texture.angular_bandwidth)
     pairs = [
         ("scene", scene.name),

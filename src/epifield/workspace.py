@@ -4,25 +4,42 @@ A sweep evaluates hundreds of cells of one grid shape, and every cell
 needs a handful of grid-sized temporaries: the intersection terms, the
 radiance accumulator, the transform and its magnitude. Allocated afresh,
 these buffers go back to the kernel when a cell ends and are faulted in
-again by the next one. A Workspace keeps one buffer per name and hands
-out views of it, so a worker that reuses its workspace touches the same
-pages cell after cell.
+again by the next one. A Workspace keeps its buffers and hands out views
+of them, so a worker that reuses its workspace touches the same pages
+cell after cell.
 
 The stages take an optional `workspace` keyword. Without one they return
-arrays the caller owns. With one, a result is a view of the buffer named
-after it, and it stays valid until a later call produces a result of the
-same name:
+arrays the caller owns. With one, a result is a view of the role named
+after it:
 
     x, hit      intersect_rays (render_epi leaves its intersection there)
     radiance    TextureSpec.albedo and .radiance, so render_epi's data
     mag         dft2_magnitude (sparsity_rmse then partitions it in place)
     rebuilt     reconstruct_epi
 
-Intermediates live in scratch buffers (t1 .. t4, m1, m2) that never carry
+Intermediates live in scratch roles (t1 .. t4, m1, m2) that never carry
 a result out of a call. So the stages of one cell pass results straight
 on (render -> spectrum -> sparsity, render -> subsample -> reconstruct ->
-psnr) without copies. Keep a copy of anything needed past the next call.
-A workspace is not thread safe: give each worker thread its own.
+psnr) without copies.
+
+Roles whose lifetimes within a cell never overlap share bytes, so a cell
+holds at most 5 float grids and 3 bool grids (a grid is one element per
+pixel). A float grid counts one float64:
+
+    buffer  grids  roles
+    x       1      x, mag, rebuilt (x is spent once the radiance is computed)
+    t1      2      t1 in grid 0, t2 in grid 1; dft2_magnitude's complex
+                   spectrum is the whole buffer
+    t3      2      t3 and radiance in grid 0, t4 in grid 1
+
+Every other role (hit, m1, m2) has a buffer of its own. A shared buffer
+is allocated at its full size on first use, so growing it for one role
+never drops another role's live grid of the same shape.
+
+A result stays valid until the next call that writes any role sharing
+its bytes: mag and rebuilt overwrite x, and the next intersect_rays
+overwrites radiance. Keep a copy of anything needed past that. A
+workspace is not thread safe: give each worker thread its own.
 """
 
 from __future__ import annotations
@@ -33,38 +50,59 @@ import numpy as np
 
 __all__ = ["Workspace", "scratch"]
 
+# role -> (buffer, offset in float grids), for the roles that share bytes
+_SHARED = {
+    "mag": ("x", 0),
+    "rebuilt": ("x", 0),
+    "t2": ("t1", 1),
+    "radiance": ("t3", 0),
+    "t4": ("t3", 1),
+}
+_GRIDS = {"t1": 2, "t3": 2}  # float grids a shared buffer is allocated with
+_GRID_ITEMSIZE = np.dtype(float).itemsize
+
+
+def _place(name: str, count: int) -> tuple[str, int, int]:
+    """(buffer, first byte, allocation bytes) of role `name` on count pixels."""
+    buffer, offset = _SHARED.get(name, (name, 0))
+    grid = count * _GRID_ITEMSIZE
+    return buffer, offset * grid, _GRIDS.get(buffer, 0) * grid
+
 
 class Workspace:
-    """Named byte buffers that grow to the largest request and never shrink."""
+    """Byte buffers behind named roles; they grow to the largest request and never shrink."""
 
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
 
     def array(self, name: str, shape, dtype=float) -> np.ndarray:
-        """A C-contiguous view of buffer `name` with this shape and dtype.
+        """A C-contiguous view of role `name` with this shape and dtype.
 
-        The contents are whatever the buffer held last.
+        The contents are whatever the role's bytes held last.
         """
         dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < nbytes:
-            buf = self._buffers[name] = np.empty(nbytes, np.uint8)
-        return buf[:nbytes].view(dtype).reshape(shape)
+        count = math.prod(shape)
+        buffer, start, size = _place(name, count)
+        end = start + count * dtype.itemsize
+        buf = self._buffers.get(buffer)
+        if buf is None or buf.size < max(size, end):
+            buf = self._buffers[buffer] = np.empty(max(size, end), np.uint8)
+        return buf[start:end].view(dtype).reshape(shape)
 
     def holds(self, name: str, arr: np.ndarray) -> bool:
-        """Whether arr is a C-contiguous view starting at buffer `name`."""
-        buf = self._buffers.get(name)
+        """Whether arr is a C-contiguous view starting at role `name`."""
+        buffer, start, _ = _place(name, arr.size)
+        buf = self._buffers.get(buffer)
         return (
             buf is not None
             and arr.base is buf
             and arr.flags.c_contiguous
-            and arr.ctypes.data == buf.ctypes.data
+            and arr.ctypes.data == buf.ctypes.data + start
         )
 
 
 def scratch(workspace: Workspace | None, name: str, shape, dtype=float) -> np.ndarray:
-    """Buffer `name` of the workspace, or a fresh array without one."""
+    """Role `name` of the workspace, or a fresh array without one."""
     if workspace is None:
         return np.empty(shape, dtype)
     return workspace.array(name, shape, dtype)

@@ -290,3 +290,54 @@ def test_warm_sweep_cells_allocate_less_than_one_grid(scene_b, window):
         finally:
             tracemalloc.stop()
         assert peak < 256 * 256 * 8, cell.__name__
+
+
+@pytest.mark.parametrize("sweep", [sweep_sparsity, sweep_reconstruction])
+def test_pooled_sweep_draws_the_noise_field_once(scene_b, monkeypatch, sweep):
+    noisy_b = replace(scene_b, texture=TextureSpec(angular_bandwidth=5.0, noise_sigma=0.05))
+    kwargs = {"factor": 4} if sweep is sweep_reconstruction else {}
+    sizes = _record_pool_sizes(monkeypatch, cores=64)
+    render._noise_field.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # let the workers interleave in their first cells
+    try:
+        sweep(noisy_b, [1.4, 1.6], [0.0, 10.0], n_s=128, n_u=128, seed=4, threads=4, **kwargs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sizes == [4]
+    assert render._noise_field.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("cell", ["sparsity-hann", "sparsity-rect", "reconstruct"])
+def test_cold_sweep_cell_holds_five_float_grids(scene_b, cell):
+    """The workspace roles of one cell share bytes down to 5 float and 3 bool grids.
+
+    numpy 2 also buffers each ufunc call whose operands do not iterate as
+    one flat run (a broadcast, an fftshift quadrant) in chunks of
+    np.getbufsize() elements, up to a few operands at once; the bound
+    allows 4 such float64 buffers on top of the grids.
+    """
+    noisy_b = replace(scene_b, texture=TextureSpec(angular_bandwidth=5.0, noise_sigma=0.05))
+    param = PlaneParam(1.0, 1.5, 17.0)
+    n = 256
+
+    def run(workspace):
+        dense = render_epi(
+            noisy_b, param, n, n, seed=0, check_occlusion=False, workspace=workspace
+        )
+        if cell == "reconstruct":
+            rebuilt = render.reconstruct_epi(render.subsample_epi(dense, 64), n, workspace=workspace)
+            return render.psnr(dense.data, rebuilt.data, workspace=workspace)
+        spectrum = dft2_magnitude(dense, cell.removeprefix("sparsity-"), workspace=workspace)
+        return sparsity_rmse(spectrum, 0.01, workspace=workspace)
+
+    want = run(Workspace())  # caches the noise field and the FFT plan
+    tracemalloc.start()
+    try:
+        got = run(Workspace())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    grid = n * n * np.dtype(float).itemsize
+    assert peak < 5 * grid + 3 * n * n + 4 * np.getbufsize() * 8, peak / grid

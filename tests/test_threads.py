@@ -1,9 +1,11 @@
-"""`[run] threads` is the only thread count: importing epifield starts no thread.
+"""What importing the CLI costs: no thread, and no OpenSSL.
 
-numpy's bundled OpenBLAS starts a busy-waiting worker per extra core when
-numpy loads, unless OPENBLAS_NUM_THREADS says otherwise; epifield sets it to
-1 before its first numpy import, and a value the user exported wins. Each
-check runs in a fresh interpreter, since this one has loaded numpy already.
+`[run] threads` is the only thread count. numpy's bundled OpenBLAS starts a
+busy-waiting worker per extra core when numpy loads, unless
+OPENBLAS_NUM_THREADS says otherwise; epifield sets it to 1 before its first
+numpy import, and a value the user exported wins. hashlib loads OpenSSL,
+which only the manifest's config hash needs. Each check runs in a fresh
+interpreter, since this one has loaded numpy already.
 """
 
 import os
@@ -42,3 +44,8 @@ def test_an_exported_openblas_thread_count_wins():
     code = "import os, epifield; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert _run(code, OPENBLAS_NUM_THREADS="2") == "2"
     assert _run(code) == "1"
+
+
+def test_importing_the_cli_leaves_openssl_unloaded():
+    code = "import sys, epifield.cli; print('_hashlib' in sys.modules)"
+    assert _run(code) == "False"
