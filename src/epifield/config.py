@@ -119,9 +119,15 @@ class RunConfig:
         return "\n".join(f"{k} = {v}" for k, v in sorted(fields.items()))
 
     def config_hash(self) -> str:
-        import hashlib  # loads OpenSSL (3.5 MB resident), so only when a manifest is written
-
-        return hashlib.sha256(self.canonical().encode()).hexdigest()
+        # CPython's own SHA-256: hashlib loads OpenSSL (3.5 MB resident) for 500 bytes
+        try:
+            from _sha2 import sha256  # Python 3.12+
+        except ImportError:
+            try:
+                from _sha256 import sha256
+            except ImportError:
+                from hashlib import sha256
+        return sha256(self.canonical().encode()).hexdigest()
 
 
 def _parse_ini(text: str, origin: str) -> configparser.ConfigParser:

@@ -178,23 +178,24 @@ def intersect_rays(
         cc_s = s * param.focal * param.depth
     bb = np.multiply(big_a, surface.tilt_slope, out=grid("t1"))
     bb -= bb_shift
-    cc = np.multiply(big_a, surface.z0, out=grid("t2"))
+    planar = surface.quad == 0.0
+    # a planar root needs no leading coefficient, so c and then x take big_a's buffer
+    cc = np.multiply(big_a, surface.z0, out=big_a if planar else grid("t2"))
     cc += cc_s
     # rejected candidates may be huge, infinite or NaN; that is fine
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if surface.quad == 0.0:
-            # big_a is spent: the root goes into its buffer
-            return _linear_root(surface, bb, cc, big_a, grid)
+        if planar:
+            return _linear_root(surface, bb, cc, grid)
         aa = big_a
         aa *= surface.quad
         return _quadratic_root(surface, aa, bb, cc, grid)
 
 
-def _linear_root(surface: SurfaceSpec, bb, cc, x_out, grid):
+def _linear_root(surface: SurfaceSpec, bb, cc, grid):
     # a planar profile's depth is monotonic in x even after rounding, and
     # positive at both ends of the extent, so the range check implies z > 0
     lo, hi = surface.x_range
-    x = np.negative(cc, out=x_out)
+    x = np.negative(cc, out=cc)
     x /= bb
     hit = np.greater_equal(x, lo, out=grid("hit", bool))
     hit &= np.less_equal(x, hi, out=grid("m1", bool))

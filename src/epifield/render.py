@@ -205,7 +205,7 @@ def reconstruct_epi(epi: Epi, n_s_target: int, *, workspace: Workspace | None = 
     # indices are in range, and "clip" lets take write out unbuffered
     np.take(epi.data, i0, axis=0, out=data, mode="clip")
     data *= 1.0 - w
-    far = np.take(epi.data, i1, axis=0, out=scratch(workspace, "t2", shape), mode="clip")
+    far = np.take(epi.data, i1, axis=0, out=scratch(workspace, "t1", shape), mode="clip")
     far *= w
     data += far
     return replace(epi, data=data, s_axis=s_axis, u_axis=epi.u_axis.copy())
@@ -252,7 +252,7 @@ def psnr(
     """Peak signal-to-noise ratio in dB; math.inf for an exact match."""
     reference, test = np.asarray(reference), np.asarray(test)
     shape = np.broadcast_shapes(reference.shape, test.shape)
-    diff = scratch(workspace, "t2", shape, np.result_type(reference, test))
+    diff = scratch(workspace, "t1", shape, np.result_type(reference, test))
     np.subtract(reference, test, out=diff)
     err = np.mean(np.square(diff, out=diff))
     if err == 0.0:

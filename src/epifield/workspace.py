@@ -28,13 +28,14 @@ pixel). A float grid counts one float64:
 
     buffer  grids  roles
     x       1      x, mag, rebuilt (x is spent once the radiance is computed)
-    t1      2      t1 in grid 0, t2 in grid 1; dft2_magnitude's complex
-                   spectrum is the whole buffer
+    t1      2      t1 in grid 0, t2 in grid 1 (only the curved intersection's
+                   c); dft2_magnitude's complex spectrum is the whole buffer
     t3      2      t3 and radiance in grid 0, t4 in grid 1
 
 Every other role (hit, m1, m2) has a buffer of its own. A shared buffer
 is allocated at its full size on first use, so growing it for one role
-never drops another role's live grid of the same shape.
+never drops another role's live grid of the same shape. A planar
+reconstruct cell touches 3 float grids (x, t1, radiance) and 2 bool grids.
 
 A result stays valid until the next call that writes any role sharing
 its bytes: mag and rebuilt overwrite x, and the next intersect_rays

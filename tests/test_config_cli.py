@@ -1,5 +1,7 @@
+import hashlib
 import math
 import re
+import sys
 from pathlib import Path
 from textwrap import dedent
 
@@ -156,6 +158,14 @@ def test_config_hash_ignores_run_housekeeping(tmp_path):
     bumped = load_config(_write(tmp_path, FULL_CONFIG.replace("n_s = 64", "n_s = 128"), "b.cfg"))
     assert bumped.config_hash() != base
     assert re.fullmatch(r"[0-9a-f]{64}", base)
+
+
+def test_config_hash_falls_back_to_hashlib(tmp_path, monkeypatch):
+    cfg = load_config(_write(tmp_path, FULL_CONFIG))
+    builtin = cfg.config_hash()
+    monkeypatch.setitem(sys.modules, "_sha2", None)  # None makes the import fail
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert cfg.config_hash() == builtin == hashlib.sha256(cfg.canonical().encode()).hexdigest()
 
 
 # --- command line ---------------------------------------------------------

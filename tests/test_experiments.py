@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from epifield import experiments, mapping, render
+from epifield.config import load_preset
 from epifield.experiments import (
     LayersResult,
     SweepResult,
@@ -341,3 +342,28 @@ def test_cold_sweep_cell_holds_five_float_grids(scene_b, cell):
     assert got == want
     grid = n * n * np.dtype(float).itemsize
     assert peak < 5 * grid + 3 * n * n + 4 * np.getbufsize() * 8, peak / grid
+
+
+@pytest.mark.parametrize(
+    "preset, roles",
+    [
+        ("A", {"x", "t1", "radiance", "hit", "m1", "rebuilt"}),
+        ("B", {"x", "t1", "t2", "t3", "t4", "radiance", "hit", "m1", "m2", "rebuilt"}),
+    ],
+)
+def test_reconstruct_cell_asks_for_these_roles(monkeypatch, preset, roles):
+    """A planar cell touches 3 float grids (x, t1, radiance) and 2 bool grids.
+
+    Pinned as role names: tracemalloc counts allocated bytes, and a shared
+    buffer is allocated whole even where one of its grids is never touched.
+    """
+    asked = set()
+
+    class RecordingWorkspace(Workspace):
+        def array(self, name, shape, dtype=float):
+            asked.add(name)
+            return super().array(name, shape, dtype)
+
+    monkeypatch.setattr(experiments, "Workspace", RecordingWorkspace)
+    sweep_reconstruction(load_preset(preset), [1.5], [17.0], factor=64, n_s=256, n_u=256)
+    assert asked == roles

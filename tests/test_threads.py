@@ -1,21 +1,28 @@
-"""What importing the CLI costs: no thread, and no OpenSSL.
+"""What importing and running the CLI costs: no thread, and no OpenSSL.
 
 `[run] threads` is the only thread count. numpy's bundled OpenBLAS starts a
 busy-waiting worker per extra core when numpy loads, unless
 OPENBLAS_NUM_THREADS says otherwise; epifield sets it to 1 before its first
-numpy import, and a value the user exported wins. hashlib loads OpenSSL,
-which only the manifest's config hash needs. Each check runs in a fresh
-interpreter, since this one has loaded numpy already.
+numpy import, and a value the user exported wins. hashlib loads OpenSSL
+(3.5 MB resident); the manifest's config hash uses CPython's built-in
+SHA-256 instead, so no command loads it except through numpy.random, which
+only noisy scenes import. Each check runs in a fresh interpreter, since
+this one has loaded numpy already.
 """
 
+import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from textwrap import dedent
 
 import pytest
 
 import epifield
+from epifield import cli
+from epifield.config import load_config
 
 SRC = str(Path(epifield.__file__).resolve().parent.parent)
 
@@ -49,3 +56,50 @@ def test_an_exported_openblas_thread_count_wins():
 def test_importing_the_cli_leaves_openssl_unloaded():
     code = "import sys, epifield.cli; print('_hashlib' in sys.modules)"
     assert _run(code) == "False"
+
+
+def test_running_noise_free_commands_leaves_openssl_unloaded(tmp_path):
+    config = tmp_path / "planar.cfg"
+    config.write_text(
+        dedent(
+            f"""
+            [scene]
+            preset = A
+
+            [plane]
+            depth = 1.5
+
+            [grid]
+            n_s = 16
+            n_u = 16
+
+            [run]
+            out_dir = {tmp_path / "reconstruct"}
+
+            [sweep]
+            depth_min = 1.4
+            depth_max = 1.6
+            depth_count = 2
+            tilt_min = 0.0
+            tilt_max = 10.0
+            tilt_count = 2
+            factor = 4
+            """
+        )
+    )
+    guidelines = ["guidelines", "--scene", "C", "--out", str(tmp_path / "guidelines")]
+    code = (
+        "import sys\n"
+        "from epifield.cli import main\n"
+        f"assert main(['reconstruct', '--config', {str(config)!r}]) == 0\n"
+        f"assert main({guidelines!r}) == 0\n"
+        "print('_hashlib' in sys.modules)"
+    )
+    assert _run(code).splitlines()[-1] == "False"
+    for cfg, out in (
+        (load_config(config), "reconstruct"),
+        (cli._load(cli.build_parser().parse_args(guidelines)), "guidelines"),
+    ):
+        manifest = (tmp_path / out / "manifest.txt").read_text()
+        want = hashlib.sha256(cfg.canonical().encode()).hexdigest()
+        assert re.search(r"config_hash = (\S+)", manifest).group(1) == want
