@@ -110,10 +110,10 @@ def render_epi(
     Rows sweep s over [-s_max, s_max] and columns sweep u over
     [-u_max, u_max], both endpoint inclusive. Rays that miss the surface
     get the background value 0. With a noisy texture, every pixel (i, j)
-    receives sigma times a standard normal draw from a counter-based
-    stream laid out row-major over the grid, so the field depends only on
-    (seed, i, j) and not on traversal order; the noise models the sensor,
-    so it covers misses too.
+    receives sigma times the standard normal draw number i * n_u + j of
+    the seed's stream (epifield.noise): the field does not depend on
+    traversal order, but the same (i, j) reads another draw at another
+    n_u. The noise models the sensor, so it covers misses too.
 
     row_step = k traces only the camera rows 0, k, 2k, ... of the n_s-row
     grid; the result equals subsample_epi(render_epi(...), k) exactly. k
@@ -156,8 +156,9 @@ def render_epi(
 @functools.lru_cache(maxsize=4)
 def _noise_field(seed: int, n_s: int, n_u: int) -> np.ndarray:
     """The seeded sensor field, built once per (seed, grid) and read-only."""
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    field = gen.normal(size=(n_s, n_u))
+    from .noise import standard_normal  # here, so noise-free runs never compile it
+
+    field = standard_normal(seed, (n_s, n_u))
     field.flags.writeable = False
     return field
 

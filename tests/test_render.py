@@ -219,3 +219,11 @@ def test_noise_field_is_shared_and_read_only(directional):
     again = render_epi(noisy, directional, 8, 6, seed=9)
     assert np.array_equal(again.data, want)
     assert again.data is not first.data
+
+
+def test_noise_pixel_reads_its_row_major_draw():
+    from epifield.render import _noise_field
+
+    wide, narrow = _noise_field(9, 4, 8), _noise_field(9, 4, 4)
+    assert np.array_equal(narrow.ravel(), wide.ravel()[:16])  # pixel (i, j) reads draw i * n_u + j
+    assert not np.array_equal(narrow, wide[:, :4])  # so (i, j) moves with n_u

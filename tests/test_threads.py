@@ -4,10 +4,11 @@
 busy-waiting worker per extra core when numpy loads, unless
 OPENBLAS_NUM_THREADS says otherwise; epifield sets it to 1 before its first
 numpy import, and a value the user exported wins. hashlib loads OpenSSL
-(3.5 MB resident); the manifest's config hash uses CPython's built-in
-SHA-256 instead, so no command loads it except through numpy.random, which
-only noisy scenes import. Each check runs in a fresh interpreter, since
-this one has loaded numpy already.
+(3.5 MB resident), and so does numpy.random, through secrets and hmac. The
+manifest's config hash uses CPython's built-in SHA-256 and the sensor noise
+comes from epifield.noise, so no command loads numpy.random or OpenSSL,
+noisy scenes included. Each check runs in a fresh interpreter, since this
+one has loaded numpy already.
 """
 
 import hashlib
@@ -103,3 +104,45 @@ def test_running_noise_free_commands_leaves_openssl_unloaded(tmp_path):
         manifest = (tmp_path / out / "manifest.txt").read_text()
         want = hashlib.sha256(cfg.canonical().encode()).hexdigest()
         assert re.search(r"config_hash = (\S+)", manifest).group(1) == want
+
+
+def test_a_noisy_threaded_sweep_loads_neither_numpy_random_nor_openssl(tmp_path):
+    config = tmp_path / "noisy.cfg"
+    config.write_text(
+        dedent(
+            f"""
+            [scene]
+            preset = B
+
+            [texture]
+            noise_sigma = 0.05
+
+            [plane]
+            depth = 1.5
+
+            [grid]
+            n_s = 16
+            n_u = 16
+
+            [run]
+            threads = 2
+            out_dir = {tmp_path / "sweep"}
+
+            [sweep]
+            depth_min = 1.0
+            depth_max = 2.0
+            depth_count = 2
+            tilt_min = 0.0
+            tilt_max = 20.0
+            tilt_count = 2
+            """
+        )
+    )
+    code = (
+        "import sys\n"
+        "from epifield.cli import main\n"
+        f"assert main(['sweep-sparsity', '--config', {str(config)!r}]) == 0\n"
+        "print(sorted({'numpy.random', '_hashlib'} & set(sys.modules)))"
+    )
+    assert _run(code).splitlines()[-1] == "[]"
+    assert (tmp_path / "sweep" / "manifest.txt").exists()
