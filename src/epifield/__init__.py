@@ -43,8 +43,6 @@ from .spectral import (
     SpectrumGrid,
     camera_axis_chirp,
     dft2_magnitude,
-    fan_bounds_parallel,
-    fan_bounds_tilted,
     family_fans,
     min_image_count,
     nyquist_omega,

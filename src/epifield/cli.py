@@ -35,7 +35,6 @@ from .fileio import (
     write_sweep_csv,
 )
 from .render import SelfOcclusionError, render_epi
-from .scene import partition_depth_layers
 from .spectral import dft2_magnitude, plane_fan, sampling_guidelines
 
 _EXIT_OK = 0
@@ -149,20 +148,17 @@ def _cmd_spectrum(args, cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     paths = list(write_spectrum(spec, out / "spectrum"))
     bounds_path = out / "bounds.txt"
-    bounds_lines = [f"window = {window}"]
-    layer = partition_depth_layers(cfg.scene.surface, 1)[0]  # its depth range is the surface's
-    try:
-        bounds = plane_fan(cfg.plane, layer, margin=cfg.scene.texture.angular_bandwidth)
-    except ValueError:
-        bounds_lines.append("note = plane does not match the scene's depth-line fit")
-    else:
-        bounds_lines += [
-            f"slope_lo = {bounds.slope_lo!r}",
-            f"slope_hi = {bounds.slope_hi!r}",
-            f"margin = {bounds.margin!r}",
-            f"z_min = {layer.depth_range.z_min!r}",
-            f"z_max = {layer.depth_range.z_max!r}",
-        ]
+    surface = cfg.scene.surface
+    bounds = plane_fan(cfg.plane, surface, margin=cfg.scene.texture.angular_bandwidth)
+    z_min, z_max = surface.depth_extremes()
+    bounds_lines = [
+        f"window = {window}",
+        f"slope_lo = {bounds.slope_lo!r}",
+        f"slope_hi = {bounds.slope_hi!r}",
+        f"margin = {bounds.margin!r}",
+        f"z_min = {z_min!r}",
+        f"z_max = {z_max!r}",
+    ]
     bounds_path.write_text("\n".join(bounds_lines) + "\n")
     paths.append(bounds_path)
     _write_manifest(out, "spectrum", cfg, paths)

@@ -350,7 +350,7 @@ def layers_experiment(
         sum_sq = {k: np.zeros(len(factors)) for k in rmse}
         worst = {k: 2 for k in rmse}
         for key, layer in enumerate(layers):
-            families = family_fans(layer, plane, wu_max, view_bandwidth)
+            families = family_fans(surface, layer, plane, wu_max, view_bandwidth)
             for fam, (_, _, n_images) in families.items():
                 worst[fam] = max(worst[fam], n_images)
             mask = hit & (owner == key)

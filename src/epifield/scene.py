@@ -206,15 +206,13 @@ class SceneDef:
 class DepthLayer:
     """One slab of a layered decomposition, with its own plane fit.
 
-    residual_range holds the exact extremes of z(x) minus the fitted line
-    over the slab; a slab that is itself a plane has (0, 0).
+    The slab's own surface is replace(surface, x_range=x_interval).
     """
 
     x_interval: tuple[float, float]
     depth_range: DepthRange
     fitted_z0: float  # intercept of the least-squares depth line [m]
     fitted_tilt_deg: float
-    residual_range: tuple[float, float]
 
 
 def partition_depth_layers(surface: SurfaceSpec, n_layers: int) -> list[DepthLayer]:
@@ -224,8 +222,8 @@ def partition_depth_layers(surface: SurfaceSpec, n_layers: int) -> list[DepthLay
     mapped back to x through the profile, so for n_layers > 1 the profile
     must be strictly monotonic over the extent. Each slab carries a
     least-squares line fit of z(x), sampled at 256 uniform points
-    including both endpoints (a planar profile takes its own line), plus
-    the exact residual extremes of that fit.
+    including both endpoints; a planar profile takes its own z0 and
+    tilt_deg, so the plane they define is the surface bit for bit.
     """
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
@@ -254,47 +252,37 @@ def partition_depth_layers(surface: SurfaceSpec, n_layers: int) -> list[DepthLay
 def _invert_depth(surface: SurfaceSpec, z_target: float) -> float:
     """x with z(x) = z_target inside the extent (profile monotonic there)."""
     lo, hi = surface.x_range
-    t, q = surface.tilt_slope, surface.quad
-    if q == 0.0:
-        x = (z_target - surface.z0) / t
-    else:
-        disc = t * t - 4.0 * q * (surface.z0 - z_target)
-        if disc < 0.0:
-            raise SceneGeometryError(f"depth {z_target} is never reached")
-        # companion form: naive (-t + root)/(2q) cancels as q -> 0
-        qq = -0.5 * (t + math.copysign(math.sqrt(disc), t))
-        roots = [qq / q]
-        if qq != 0.0:
-            roots.append((surface.z0 - z_target) / qq)
-        inside = [x for x in roots if lo - 1e-9 <= x <= hi + 1e-9]
-        if not inside:
-            raise SceneGeometryError(f"depth {z_target} is not reached inside the extent")
-        x = inside[0]
-    return min(max(x, lo), hi)
+    roots = _real_roots(surface.quad, surface.tilt_slope, surface.z0 - z_target)
+    inside = [x for x in roots if lo - 1e-9 <= x <= hi + 1e-9]
+    if not inside:
+        raise SceneGeometryError(f"depth {z_target} is not reached inside the extent")
+    return min(max(inside[0], lo), hi)
+
+
+def _real_roots(a: float, b: float, c: float) -> list[float]:
+    """Real roots of a*x**2 + b*x + c (of b*x + c when a == 0; none if both vanish)."""
+    if a == 0.0:
+        return [] if b == 0.0 else [-c / b]
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    # companion form: naive (-b + root)/(2a) cancels as a -> 0
+    qq = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [qq / a] + ([c / qq] if qq != 0.0 else [])
 
 
 def _fit_layer(surface: SurfaceSpec, x_a: float, x_b: float) -> DepthLayer:
     if surface.quad == 0.0:
-        # a plane is its own depth line; a sampled fit would leave rounding
-        slope, intercept = surface.tilt_slope, surface.z0
+        # a plane is its own depth line; a sampled fit, or a tilt back from
+        # atan, would leave rounding between the plane and the surface
+        intercept, tilt_deg = surface.z0, surface.tilt_deg
     else:
         xs = np.linspace(x_a, x_b, _FIT_SAMPLES)
         slope, intercept = np.polyfit(xs, surface.depth(xs), 1)
-        slope, intercept = float(slope), float(intercept)
-
-    def residual(x):
-        return float(surface.depth(x)) - (intercept + slope * x)
-
-    cand = [x_a, x_b]
-    if surface.quad != 0.0:
-        x_vertex = -(surface.tilt_slope - slope) / (2.0 * surface.quad)
-        if x_a < x_vertex < x_b:
-            cand.append(x_vertex)
-    res = [residual(x) for x in cand]
+        intercept, tilt_deg = float(intercept), math.degrees(math.atan(float(slope)))
     return DepthLayer(
         x_interval=(x_a, x_b),
         depth_range=DepthRange(*surface.depth_extremes(x_a, x_b)),
         fitted_z0=intercept,
-        fitted_tilt_deg=math.degrees(math.atan(slope)),
-        residual_range=(min(res), max(res)),
+        fitted_tilt_deg=tilt_deg,
     )

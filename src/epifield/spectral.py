@@ -20,7 +20,14 @@ import numpy as np
 
 from .mapping import PlaneParam
 from .render import Epi
-from .scene import DepthLayer, DepthRange, SceneDef, partition_depth_layers
+from .scene import (
+    DepthLayer,
+    DepthRange,
+    SceneDef,
+    SurfaceSpec,
+    _real_roots,
+    partition_depth_layers,
+)
 from .workspace import Workspace, scratch
 
 __all__ = [
@@ -30,8 +37,6 @@ __all__ = [
     "ChirpParams",
     "dft2_magnitude",
     "sparsity_rmse",
-    "fan_bounds_parallel",
-    "fan_bounds_tilted",
     "plane_fan",
     "out_of_bound_energy",
     "optimal_depths",
@@ -141,9 +146,9 @@ class FanBounds:
     """Predicted spectral support: the fan between two lines through DC.
 
     slope_lo and slope_hi are the reciprocal slopes d(omega_u)/d(omega_s)
-    of the bounding lines, one per depth extreme (z_min first). A depth
-    equal to the plane depth gives an infinite value, meaning the line
-    omega_s = 0. margin widens the fan by a fixed amount along omega_s;
+    of the bounding lines (see plane_fan; under an untilted plane, z_min's
+    line first). A point on the plane gives an infinite value, meaning the
+    line omega_s = 0. margin widens the fan by a fixed amount along omega_s;
     use the texture's view bandwidth, or one frequency bin for grids.
     """
 
@@ -164,58 +169,36 @@ class FanBounds:
         return math.inf if denom == 0.0 else 1.0 / denom
 
 
-def _line_slope(z: float, gap: float, param: PlaneParam) -> float:
-    """z * D / (f * gap) for depth z at offset gap from the plane; inf at gap 0."""
-    if gap == 0.0:
-        return math.inf
-    return z * param.depth / (param.focal * gap)
+def plane_fan(plane: PlaneParam, surface: SurfaceSpec, margin: float = 0.0) -> FanBounds:
+    """The exact fan of surface under plane, any plane (check=False ones too).
 
-
-def _bound_slope(z: float, param: PlaneParam) -> float:
-    if param.is_directional:
-        return z / param.focal  # the D -> inf limit; the finite form gives inf / inf
-    return _line_slope(z, param.depth - z, param)
-
-
-def fan_bounds_parallel(
-    param: PlaneParam, depth_range: DepthRange, margin: float = 0.0
-) -> FanBounds:
-    """Fan bounds for a parallel (untilted) plane from a depth range."""
-    if param.tilt_deg != 0.0:
-        raise ValueError("fan_bounds_parallel requires an untilted plane")
-    return FanBounds(
-        slope_lo=_bound_slope(depth_range.z_min, param),
-        slope_hi=_bound_slope(depth_range.z_max, param),
-        margin=margin,
-    )
-
-
-def fan_bounds_tilted(
-    param: PlaneParam, layer: DepthLayer, margin: float = 0.0
-) -> FanBounds:
-    """Fan bounds for a plane aligned with a layer's depth-line fit.
-
-    The bounding slopes follow from the fit residual extremes instead of
-    the raw depths; an exact plane layer (zero residuals) collapses the
-    fan onto the omega_s = 0 line. The plane must match the layer fit.
+    A point at x and depth z has the line 1/slope = f * (g(x) - 1/D) with
+    g(x) = (1 + a*x) / z(x) and a = tan(tilt) / D, so the fan's bounding
+    lines come from the range of g: slope_lo where g is largest, slope_hi
+    where it is smallest. g' vanishes at the roots of a quadratic, so that
+    range is exact without sampling. At a = 0 the fan is the depth-range
+    fan of Chai et al. (slope_lo from z_min); a point on the plane gives
+    inf, and a directional plane z / f. For a layer, pass its slab,
+    replace(surface, x_range=layer.x_interval).
     """
-    if not (
-        math.isclose(param.depth, layer.fitted_z0, rel_tol=1e-9, abs_tol=1e-12)
-        and math.isclose(param.tilt_deg, layer.fitted_tilt_deg, rel_tol=1e-9, abs_tol=1e-12)
-    ):
-        raise ValueError("plane parameters do not match the layer fit")
-    r_lo, r_hi = layer.residual_range
-    dr = layer.depth_range
-    return FanBounds(
-        _line_slope(dr.z_min, r_lo, param), _line_slope(dr.z_max, r_hi, param), margin
-    )
+    t = plane.tilt_slope
+    a = t * plane.inv_depth
+    lo, hi = surface.x_range
+    roots = _real_roots(-a * surface.quad, -2.0 * surface.quad, a * surface.z0 - surface.tilt_slope)
+    xs = [lo, hi] + [x for x in roots if lo < x < hi]
+    zs = [float(surface.depth(x)) for x in xs]
+    g = [(1.0 + a * x) / z for x, z in zip(xs, zs)]
 
+    def slope(k: int) -> float:
+        if plane.is_directional:
+            return zs[k] / plane.focal  # the D -> inf limit; the finite form gives inf / inf
+        gap = (plane.depth + t * xs[k]) - zs[k]
+        return math.inf if gap == 0.0 else zs[k] * plane.depth / (plane.focal * gap)
 
-def plane_fan(plane: PlaneParam, layer: DepthLayer, margin: float = 0.0) -> FanBounds:
-    """The layer's fan under plane: fan_bounds_parallel if untilted, else fan_bounds_tilted."""
-    if plane.tilt_deg == 0.0:
-        return fan_bounds_parallel(plane, layer.depth_range, margin)
-    return fan_bounds_tilted(plane, layer, margin)
+    # ties in g go to the nearer depth for the largest g and the farther for
+    # the smallest, so that at a = 0 these are z_min and z_max exactly
+    order = sorted(range(len(xs)), key=lambda k: (g[k], -zs[k]))
+    return FanBounds(slope(order[-1]), slope(order[0]), margin)
 
 
 def out_of_bound_energy(spectrum: SpectrumGrid, bounds: FanBounds) -> float:
@@ -252,48 +235,41 @@ def out_of_bound_energy(spectrum: SpectrumGrid, bounds: FanBounds) -> float:
 class OptimalDepths:
     """Distinguished depths of a range.
 
-    focus_depth is the harmonic mean (best single rendering focus),
-    midpoint_depth the arithmetic midpoint (geometric center), and
-    plane_depth the global-plane depth that balances the fan; the
-    harmonic pair coincides by construction.
+    midpoint_depth is the arithmetic midpoint (geometric center), and
+    plane_depth the harmonic mean: the global-plane depth that balances
+    the fan, and the best single rendering focus.
     """
 
-    focus_depth: float
     midpoint_depth: float
     plane_depth: float
 
 
 def optimal_depths(depth_range: DepthRange) -> OptimalDepths:
-    harmonic = 2.0 / (1.0 / depth_range.z_min + 1.0 / depth_range.z_max)
     return OptimalDepths(
-        focus_depth=harmonic,
         midpoint_depth=0.5 * (depth_range.z_min + depth_range.z_max),
-        plane_depth=harmonic,
+        plane_depth=2.0 / (1.0 / depth_range.z_min + 1.0 / depth_range.z_max),
     )
 
 
 def family_fans(
-    layer: DepthLayer, plane: PlaneParam, wu_max: float, margin: float = 0.0
+    surface: SurfaceSpec, layer: DepthLayer, plane: PlaneParam, wu_max: float, margin: float = 0.0
 ) -> dict[str, tuple[PlaneParam, float, int]]:
-    """Each family's plane for a layer, its max spacing at wu_max and its image count.
+    """Each family's plane for a layer of surface, its max spacing at wu_max and image count.
 
     Both planes keep plane's focal, s_max and u_max: the parallel one is
     untilted at the layer's optimal plane_depth, the tilted one is the fitted
-    line, unchecked (a steep fit may cross the camera line). Each takes its
-    own fan constructor: plane_fan would give a fit of tilt 0.0 the parallel
-    fan, whose slopes are the tilted fan's negated.
+    line, unchecked (a steep fit may cross the camera line). Each spacing
+    comes from the plane's fan over the layer's slab.
     """
+    slab = replace(surface, x_range=layer.x_interval)
     parallel = replace(plane, depth=optimal_depths(layer.depth_range).plane_depth, tilt_deg=0.0)
     tilted = replace(plane, depth=layer.fitted_z0, tilt_deg=layer.fitted_tilt_deg, check=False)
 
-    def family(param: PlaneParam, fan: FanBounds) -> tuple[PlaneParam, float, int]:
-        spacing = fan.max_spacing(wu_max)
+    def family(param: PlaneParam) -> tuple[PlaneParam, float, int]:
+        spacing = plane_fan(param, slab, margin).max_spacing(wu_max)
         return param, spacing, min_image_count(spacing, plane.s_max)
 
-    return {
-        "parallel": family(parallel, fan_bounds_parallel(parallel, layer.depth_range, margin)),
-        "tilted": family(tilted, fan_bounds_tilted(tilted, layer, margin)),
-    }
+    return {"parallel": family(parallel), "tilted": family(tilted)}
 
 
 def min_image_count(spacing: float, s_max: float) -> int:
@@ -354,12 +330,11 @@ def sampling_guidelines(scene: SceneDef, plane: PlaneParam, n_u: int) -> list[tu
     layer = partition_depth_layers(surface, 1)[0]
     depths = optimal_depths(layer.depth_range)
     wu_max = u_nyquist(plane, n_u)
-    fams = family_fans(layer, plane, wu_max, scene.texture.angular_bandwidth)
+    fams = family_fans(surface, layer, plane, wu_max, scene.texture.angular_bandwidth)
     pairs = [
         ("scene", scene.name),
         ("z_min", layer.depth_range.z_min),
         ("z_max", layer.depth_range.z_max),
-        ("focus_depth", depths.focus_depth),
         ("midpoint_depth", depths.midpoint_depth),
         ("plane_depth", depths.plane_depth),
         ("wu_max", wu_max),

@@ -1,11 +1,11 @@
 """The ray/surface intersection and radiance fill epifield used before its
 linear/quadratic split, the spectrum and reconstruction stages as they
 were before they could write into a workspace, the layered
-reconstruction as it was before it sampled only a layer's own pixels, and
-the two spacing functions used before the spacing came from the fan, kept
-verbatim as the reference for the differential tests in
-tests/test_render_kernel.py, tests/test_resample.py and
-tests/test_spectral.py.
+reconstruction as it was before it sampled only a layer's own pixels,
+the two spacing functions used before the spacing came from the fan, and
+the two fan constructors used before plane_fan, kept verbatim as the
+reference for the differential tests in tests/test_render_kernel.py,
+tests/test_resample.py, tests/test_scene.py and tests/test_spectral.py.
 
 intersect_rays runs one general formula on every input: both quadratic
 roots through np.where chains, the linear case masked in. render_fill is
@@ -16,6 +16,10 @@ _trajectory_reconstruct and layers_experiment rebuild every column of every
 row a layer touches, one np.interp call per row and kept row.
 max_camera_spacing and max_camera_spacing_tilted are the spacing formulas,
 from raw depths and from fit residuals, that FanBounds.max_spacing replaced.
+fan_bounds_parallel is the depth-range fan, and fan_bounds_tilted the fan
+of a layer's own fitted plane that pairs the residual extremes with z_min
+and z_max (narrower than the exact fan). residual_range recomputes the
+fit residual extremes a DepthLayer used to carry, from its fitted line.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from epifield.scene import (
     partition_depth_layers,
     unnormalized_sinc,
 )
-from epifield.spectral import min_image_count, nyquist_omega, optimal_depths
+from epifield.spectral import FanBounds, min_image_count, nyquist_omega, optimal_depths, plane_fan
 
 
 def intersect_rays(param: PlaneParam, surface: SurfaceSpec, s, u):
@@ -210,8 +214,73 @@ def max_camera_spacing(
     return math.inf if denom == 0.0 else 1.0 / denom
 
 
+def residual_range(surface: SurfaceSpec, layer: DepthLayer) -> tuple[float, float]:
+    """Exact extremes of z(x) minus the layer's fitted line over its slab."""
+    slope = math.tan(math.radians(layer.fitted_tilt_deg))
+    intercept = layer.fitted_z0
+    x_a, x_b = layer.x_interval
+
+    def residual(x):
+        return float(surface.depth(x)) - (intercept + slope * x)
+
+    cand = [x_a, x_b]
+    if surface.quad != 0.0:
+        x_vertex = -(surface.tilt_slope - slope) / (2.0 * surface.quad)
+        if x_a < x_vertex < x_b:
+            cand.append(x_vertex)
+    res = [residual(x) for x in cand]
+    return min(res), max(res)
+
+
+def _line_slope(z: float, gap: float, param: PlaneParam) -> float:
+    if gap == 0.0:
+        return math.inf
+    return z * param.depth / (param.focal * gap)
+
+
+def _bound_slope(z: float, param: PlaneParam) -> float:
+    if param.is_directional:
+        return z / param.focal
+    return _line_slope(z, param.depth - z, param)
+
+
+def fan_bounds_parallel(
+    param: PlaneParam, depth_range: DepthRange, margin: float = 0.0
+) -> FanBounds:
+    """Fan bounds for a parallel (untilted) plane from a depth range."""
+    if param.tilt_deg != 0.0:
+        raise ValueError("fan_bounds_parallel requires an untilted plane")
+    return FanBounds(
+        slope_lo=_bound_slope(depth_range.z_min, param),
+        slope_hi=_bound_slope(depth_range.z_max, param),
+        margin=margin,
+    )
+
+
+def fan_bounds_tilted(
+    param: PlaneParam, surface: SurfaceSpec, layer: DepthLayer, margin: float = 0.0
+) -> FanBounds:
+    """Fan bounds for a plane aligned with a layer's depth-line fit.
+
+    The bounding slopes pair the fit residual extremes with z_min and
+    z_max; their sign is the opposite of the parallel fan's. The plane
+    must match the layer fit.
+    """
+    if not (
+        math.isclose(param.depth, layer.fitted_z0, rel_tol=1e-9, abs_tol=1e-12)
+        and math.isclose(param.tilt_deg, layer.fitted_tilt_deg, rel_tol=1e-9, abs_tol=1e-12)
+    ):
+        raise ValueError("plane parameters do not match the layer fit")
+    r_lo, r_hi = residual_range(surface, layer)
+    dr = layer.depth_range
+    return FanBounds(
+        _line_slope(dr.z_min, r_lo, param), _line_slope(dr.z_max, r_hi, param), margin
+    )
+
+
 def max_camera_spacing_tilted(
     layer: DepthLayer,
+    surface: SurfaceSpec,
     focal: float,
     wu_max: float,
     view_bandwidth: float = 0.0,
@@ -225,7 +294,7 @@ def max_camera_spacing_tilted(
     """
     if wu_max < 0.0 or view_bandwidth < 0.0:
         raise ValueError("wu_max and view_bandwidth must be >= 0")
-    r_lo, r_hi = layer.residual_range
+    r_lo, r_hi = residual_range(surface, layer)
     dr = layer.depth_range
     denom = (focal / layer.fitted_z0) * abs(
         r_lo / dr.z_min - r_hi / dr.z_max
@@ -281,7 +350,9 @@ def layers_experiment(
                 ),
             }
             sp_par = max_camera_spacing(layer.depth_range, focal, wu_max, view_bandwidth)
-            sp_til = max_camera_spacing_tilted(layer, focal, wu_max, view_bandwidth)
+            # the exact tilted fan, over the layer's slab
+            slab = SurfaceSpec(surface.z0, surface.tilt_deg, surface.quad, layer.x_interval)
+            sp_til = plane_fan(params["tilted"], slab, view_bandwidth).max_spacing(wu_max)
             worst["parallel"] = max(worst["parallel"], min_image_count(sp_par, s_max))
             worst["tilted"] = max(worst["tilted"], min_image_count(sp_til, s_max))
             mask = hit & (owner == key)

@@ -27,14 +27,13 @@ from epifield.mapping import (
     u_infinity,
 )
 from epifield.render import psnr, reconstruct_epi, render_epi, subsample_epi
-from epifield.scene import DepthLayer, DepthRange, SurfaceSpec
+from epifield.scene import SurfaceSpec
 from epifield.spectral import (
     camera_axis_chirp,
     dft2_magnitude,
-    fan_bounds_parallel,
-    fan_bounds_tilted,
     optimal_depths,
     out_of_bound_energy,
+    plane_fan,
 )
 
 D_VALUES = np.linspace(1.0, 2.0, 20)
@@ -82,7 +81,7 @@ def test_criterion_02_optimal_placements(criterion_report, scene_a):
     opt = optimal_depths(depth_range)
     zg_err = abs(opt.midpoint_depth - 1.5)
     dopt_err = abs(opt.plane_depth - 1.4601)
-    fan = fan_bounds_parallel(PlaneParam(1.0, opt.plane_depth, 0.0), depth_range)
+    fan = plane_fan(PlaneParam(1.0, opt.plane_depth, 0.0), scene_a.surface)
     symmetric = math.isclose(fan.slope_lo, -fan.slope_hi, rel_tol=1e-12)
     ok = zg_err <= 1e-9 and dopt_err <= 1e-3 and symmetric
     criterion_report.append(
@@ -135,10 +134,12 @@ def test_criterion_03_parallel_plane_reductions(criterion_report):
         z_max = z_min + rng.uniform(0.05, 2.0)
         focal = rng.uniform(0.5, 2.0)
         wu = rng.uniform(1.0, 500.0)
-        fan = fan_bounds_parallel(PlaneParam(focal, math.inf), DepthRange(z_min, z_max))
+        # depth z_min at x = 0 and z_max at x = 1: the sum rounds back to z_max here
+        surface = SurfaceSpec(z_min, 0.0, z_max - z_min, (0.0, 1.0))
+        fan = plane_fan(PlaneParam(focal, math.inf), surface)
         track(fan.max_spacing(wu), 1.0 / (focal * (1.0 / z_min - 1.0 / z_max) * wu))
 
-    # (iv) a zero-residual layer leaves only the view-bandwidth term
+    # (iv) a planar surface under its own plane leaves only the view-bandwidth term
     for _ in range(10_000):
         z0 = rng.uniform(1.0, 3.0)
         tilt = rng.uniform(-40.0, 40.0)
@@ -147,10 +148,10 @@ def test_criterion_03_parallel_plane_reductions(criterion_report):
         ends = sorted(z0 + math.tan(math.radians(tilt)) * np.array([lo, hi]))
         if ends[0] <= 0.0:
             continue
-        layer = DepthLayer((lo, hi), DepthRange(*ends), z0, tilt, (0.0, 0.0))
+        surface = SurfaceSpec(z0, tilt, 0.0, (lo, hi))
         bandwidth = rng.uniform(0.1, 20.0)
         plane = PlaneParam(rng.uniform(0.5, 2.0), z0, tilt, check=False)
-        fan = fan_bounds_tilted(plane, layer, bandwidth)
+        fan = plane_fan(plane, surface, bandwidth)
         track(fan.max_spacing(rng.uniform(1.0, 500.0)), 0.5 / bandwidth)
 
     elapsed = time.perf_counter() - t0
@@ -335,9 +336,7 @@ def test_criterion_10_spectral_containment(criterion_report, scene_a, directiona
     epi = render_epi(scene_a, directional, 512, 512, seed=0)
     spectrum = dft2_magnitude(epi)
     bin_width = 2.0 * math.pi / (512 * epi.ds)
-    bounds = fan_bounds_parallel(
-        directional, scene_a.surface.depth_range(), margin=bin_width
-    )
+    bounds = plane_fan(directional, scene_a.surface, margin=bin_width)
     energy = out_of_bound_energy(spectrum, bounds)
     ok = energy <= 0.05
     criterion_report.append(

@@ -16,6 +16,7 @@ from epifield.config import (
     load_preset,
 )
 from epifield.scene import DEFAULT_OMEGAS
+from epifield.spectral import plane_fan
 
 FULL_CONFIG = dedent(
     """
@@ -239,7 +240,8 @@ def test_cli_spectrum(tmp_path):
     assert "slope_lo" in bounds and "z_min" in bounds
 
 
-def test_cli_spectrum_mismatched_tilted_plane_notes_it(tmp_path):
+def test_cli_spectrum_writes_the_fan_of_any_plane(tmp_path):
+    # a tilted plane that is not the scene's depth-line fit still gets its fan
     out = tmp_path / "mismatch_out"
     cfg = _write(
         tmp_path,
@@ -262,9 +264,20 @@ def test_cli_spectrum_mismatched_tilted_plane_notes_it(tmp_path):
         ),
     )
     assert main(["spectrum", "--config", str(cfg)]) == 0
-    bounds = (out / "bounds.txt").read_text()
-    assert "note = plane does not match" in bounds
-    assert "slope_lo" not in bounds
+    run = load_config(cfg)
+    assert run.plane.tilt_deg == 10.0
+    surface = run.scene.surface
+    fan = plane_fan(run.plane, surface, run.scene.texture.angular_bandwidth)
+    z_min, z_max = surface.depth_extremes()
+    want = [
+        "window = hann",
+        f"slope_lo = {fan.slope_lo!r}",
+        f"slope_hi = {fan.slope_hi!r}",
+        f"margin = {fan.margin!r}",
+        f"z_min = {z_min!r}",
+        f"z_max = {z_max!r}",
+    ]
+    assert (out / "bounds.txt").read_text().splitlines() == want
 
 
 def test_cli_guidelines_preset(capsys):
@@ -273,8 +286,8 @@ def test_cli_guidelines_preset(capsys):
     values = dict(line.split(" = ") for line in text.strip().splitlines())
     assert values["scene"] == "A"
     assert float(values["z_min"]) == pytest.approx(1.2554154548330716, rel=1e-5)
-    assert float(values["focus_depth"]) == pytest.approx(1.4601189335103246, rel=1e-5)
-    assert values["plane_depth"] == values["focus_depth"]
+    assert float(values["plane_depth"]) == pytest.approx(1.4601189335103246, rel=1e-5)
+    assert "focus_depth" not in values
     assert float(values["wu_max"]) == pytest.approx(2996.18, rel=1e-5)
     assert int(values["images_parallel"]) == 1340
     # the scene is an exact plane: the tilted frame needs only the end cameras

@@ -12,8 +12,15 @@ preceded the pixel-wise one. The guidelines.txt pins of guidelines-A and
 guidelines-flat were retaken when planar surfaces began to take their own
 depth line instead of a sampled fit (scene A's tilted spacing became inf,
 the flat scene's fitted tilt exactly 0). The FITTED pins were taken while
-spectrum still chose its fan in the CLI. Regenerate pins only for a change
-that is meant to alter outputs, and say so in the change log.
+spectrum still chose its fan in the CLI. Every guidelines.txt pin and the
+TINY spectrum's bounds.txt were retaken when one exact fan replaced the
+parallel and tilted fan constructors: guidelines no longer prints
+focus_depth (a copy of plane_depth), the tilted spacing became the exact
+range of the fitted plane's fan rather than a pairing of residual extremes
+with z_min and z_max (TINY, CAPTURE, B and C), and bounds.txt now holds the
+fan of any configured plane where it held a mismatch note. Regenerate pins
+only for a change that is meant to alter outputs, and say so in the change
+log.
 """
 
 import csv
@@ -100,23 +107,23 @@ RUNS = {
 
 PINS = {
     "guidelines": {
-        "guidelines.txt": "851fd4efa1e02f825a4ad7c2a245ce64fd8e57f227272f7aafb4ae471e49c6f1",
+        "guidelines.txt": "2a71832529b10fb06199a9c4586fe44a0473e73fdb284eaac9e42fb52476a0f9",
         "manifest.txt": "a229aa5b9f1d95f49d371e523c1fedf8dc0e9705b1975f8ea6be122e28821362",
     },
     "guidelines-A": {
-        "guidelines.txt": "564232a2b9249ab30353faaf3ea2c84b032d53c94e907787f2a1c6649027d02e",
+        "guidelines.txt": "98b47d477ca483e5ef04db3014241a96952506d9e8926d17fbd697ce849e9e58",
         "manifest.txt": "c0dfc95c6cf6a7abacd5bb7aa8c41f879f4d059dcca7b5d5fb946f8d6be3aa49",
     },
     "guidelines-B": {
-        "guidelines.txt": "5e62b2c60ff0df246b80dc3773a211302d173e6a43741e357f2970d68b8bd115",
+        "guidelines.txt": "bf021a9bf27c7a99330df55d031202b6df076da35c15aa52a2505afe25acdea9",
         "manifest.txt": "8c09cce2a863536e0f09bf6a354e037a0c5f442945a2f3537c74fb51f9440063",
     },
     "guidelines-C": {
-        "guidelines.txt": "aab8e99349b3754ab7e248387c1d3e04914098d55ecc9e4fb97351fb3df7ad21",
+        "guidelines.txt": "ec73fa15ec8b69dad136feeb5129541f7d984b83c5417c6ca82e5ad75906781e",
         "manifest.txt": "b0383d521a87988d783576beb66a3526e43c57ffc24b8271f69d86eff2237584",
     },
     "guidelines-flat": {
-        "guidelines.txt": "eb7b5679d22a97696838319d95ba3920091fa4ccbcf270b46235c2e6669cff1c",
+        "guidelines.txt": "81b6db748c1f68f4f16d963a15aee67485be719d06dcc797c3a7a586bf5d3e99",
         "manifest.txt": "76a1c309dd95eff7e1e556d832f483170426943c31fb09d927d3ca15b52d273b",
     },
     "layers": {
@@ -141,7 +148,7 @@ PINS = {
         "manifest.txt": "ad80294f129bec58d962111bb3ce8ba0f6bcba4d767c4a2420690dbab934777f",
     },
     "spectrum": {
-        "bounds.txt": "4f2d99478692c98edcf487a18e875ae3a618b085d6699eb80ac29bddf88fbc51",
+        "bounds.txt": "e232f3e4bbe887fc8e375a8aa0c97fc0b938264bd13ccfe2187c22decfbf70be",
         "manifest.txt": "137a5bdd55319a7870e4f59d36f920307c824860dabf0058c1f163580892b12b",
         "spectrum.f64": "c821f9e536658253ee326e0617dd62dec3b9809b28c4ac071e1a938bcd0b783c",
         "spectrum.hdr": "47a4aaa37f617d1162873651f11eaa1c982c3e37aa7ac6c12c889b3ccdbe959b",
@@ -195,7 +202,7 @@ def test_artifacts_match_pins(tmp_path, threads):
 
 CAPTURE_PINS = {
     "guidelines": {
-        "guidelines.txt": "1fb471300aeacd9967b7d88a4310c59b41d7ffef9ed273b104f1b2aae8ab9a94",
+        "guidelines.txt": "ac46d9e1cf1288a4b815f2f09fac2e494afe14342273081e535baa32834c075b",
         "manifest.txt": "f3f2be4e6eedca9c9718ce2f0d13b55a317f7b5afefe79cc98b01de4c26593cd",
     },
     "layers": {
@@ -231,8 +238,8 @@ def test_non_default_capture_matches_pins(tmp_path, threads):
     assert found == CAPTURE_PINS
 
 
-# an untilted ramp: the plane 1.5 / 17 deg is the surface's own depth line,
-# so spectrum takes the tilted fan instead of writing the mismatch note
+# an untilted ramp: the plane 1.5 / 17 deg is the surface itself, so its fan
+# collapses onto the omega_s = 0 line
 FITTED = TINY.replace("quad = -0.15", "quad = 0.0")
 
 FITTED_PINS = {

@@ -1,5 +1,6 @@
 import math
 
+import _intersect_oracle as oracle
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -204,10 +205,10 @@ def test_partition_tiles_extent_with_equal_depth_slabs(scene_c):
 
 
 def test_exact_plane_layer_has_zero_residuals(scene_a):
+    # the fit of a plane is the surface itself, tilt included
     for layer in partition_depth_layers(scene_a.surface, 4):
-        assert math.isclose(layer.fitted_tilt_deg, 17.0, rel_tol=0, abs_tol=1e-9)
-        assert abs(layer.residual_range[0]) < 1e-12
-        assert abs(layer.residual_range[1]) < 1e-12
+        assert layer.fitted_tilt_deg == 17.0
+        assert oracle.residual_range(scene_a.surface, layer) == (0.0, 0.0)
     (single,) = partition_depth_layers(scene_a.surface, 1)
     assert math.isclose(single.fitted_z0, 1.5, rel_tol=0, abs_tol=1e-12)
 
@@ -217,14 +218,15 @@ def test_scene_c_single_layer_fit(scene_c):
     (layer,) = partition_depth_layers(scene_c.surface, 1)
     assert math.isclose(layer.fitted_z0, 1.4160130718954247, rel_tol=0, abs_tol=1e-9)
     assert math.isclose(layer.fitted_tilt_deg, 50.0, rel_tol=0, abs_tol=1e-9)
-    assert math.isclose(layer.residual_range[0], -0.1660130718954247, rel_tol=0, abs_tol=1e-9)
-    assert math.isclose(layer.residual_range[1], 0.08398692810457531, rel_tol=0, abs_tol=1e-9)
+    r_lo, r_hi = oracle.residual_range(scene_c.surface, layer)
+    assert math.isclose(r_lo, -0.1660130718954247, rel_tol=0, abs_tol=1e-9)
+    assert math.isclose(r_hi, 0.08398692810457531, rel_tol=0, abs_tol=1e-9)
 
 
 @given(quadratic_surfaces(monotonic=True), st.integers(1, 6))
 def test_layer_fit_residuals_straddle_zero(surf, n_layers):
     for layer in partition_depth_layers(surf, n_layers):
-        r_lo, r_hi = layer.residual_range
+        r_lo, r_hi = oracle.residual_range(surf, layer)
         assert r_lo <= 1e-12
         assert r_hi >= -1e-12
         assert r_lo <= r_hi

@@ -8,14 +8,12 @@ from hypothesis import given, strategies as st
 
 from epifield.mapping import DEFAULT_U_MAX, PlaneParam
 from epifield.render import Epi, render_epi
-from epifield.scene import DepthLayer, DepthRange, partition_depth_layers
+from epifield.scene import DepthRange, SurfaceSpec, partition_depth_layers
 from epifield.spectral import (
     FanBounds,
     SpectrumGrid,
     camera_axis_chirp,
     dft2_magnitude,
-    fan_bounds_parallel,
-    fan_bounds_tilted,
     family_fans,
     min_image_count,
     nyquist_omega,
@@ -25,9 +23,6 @@ from epifield.spectral import (
     sparsity_rmse,
 )
 
-# scene C single-layer fit, frozen in test_scene.py
-C_FIT = dict(z0=1.4160130718954247, tilt=50.0)
-C_RESID = (-0.1660130718954247, 0.08398692810457531)
 C_RANGE = (0.654123203702895, 1.8458767962971052)
 A_RANGE = (1.2554154548330716, 1.7445845451669284)
 
@@ -120,86 +115,164 @@ def test_sparsity_rmse_zero_when_budget_covers_support():
     assert sparsity_rmse(spec, 0.01) == 0.0
 
 
-def test_fan_bounds_parallel(scene_a, directional):
-    dr = scene_a.surface.depth_range()
-    fan = fan_bounds_parallel(directional, dr)
+def test_untilted_plane_fan_is_the_depth_range_fan(scene_a, directional):
+    surface = scene_a.surface
+    fan = plane_fan(directional, surface)
     assert fan.slope_lo == pytest.approx(A_RANGE[0], abs=1e-12)
     assert fan.slope_hi == pytest.approx(A_RANGE[1], abs=1e-12)
 
-    finite = fan_bounds_parallel(PlaneParam(1.0, 2.0), dr)
+    finite = plane_fan(PlaneParam(1.0, 2.0), surface)
     assert finite.slope_lo == pytest.approx(3.3721233216078104, abs=1e-12)
     assert finite.slope_hi == pytest.approx(13.660759458014104, abs=1e-12)
 
-    at_plane = fan_bounds_parallel(PlaneParam(1.0, A_RANGE[0]), dr)
+    at_plane = plane_fan(PlaneParam(1.0, A_RANGE[0]), surface)
     assert math.isinf(at_plane.slope_lo) and math.isfinite(at_plane.slope_hi)
 
-    with pytest.raises(ValueError):
-        fan_bounds_parallel(PlaneParam(1.0, 2.0, 10.0), dr)
+
+def _preset_layers(scenes, counts):
+    """(slab, layer) for every layer of each count (scene B, not monotonic, gives one)."""
+    for scene in scenes:
+        for count in counts if scene.name != "B" else (1,):
+            for layer in partition_depth_layers(scene.surface, count):
+                yield replace(scene.surface, x_range=layer.x_interval), layer
 
 
-def _exact_plane_layer():
-    # zero-residual layer written out by hand; the polyfit path leaves
-    # rounding residue around 1e-16 even on an exact plane
-    return DepthLayer(
-        x_interval=(-0.8, 0.8),
-        depth_range=DepthRange(*A_RANGE),
-        fitted_z0=1.5,
-        fitted_tilt_deg=17.0,
-        residual_range=(0.0, 0.0),
-    )
+def test_untilted_plane_fan_equals_the_old_parallel_fan_bit_for_bit(scene_a, scene_b, scene_c):
+    cases = 0
+    for slab, layer in _preset_layers((scene_a, scene_b, scene_c), range(1, 17)):
+        harmonic = optimal_depths(layer.depth_range).plane_depth
+        for depth in (harmonic, 0.7, 1.0, 1.37, 2.5, math.inf):
+            for plane in (PlaneParam(1.0, depth), PlaneParam(1.3, depth, s_max=0.6)):
+                want = oracle.fan_bounds_parallel(plane, layer.depth_range, 0.5)
+                assert plane_fan(plane, slab, 0.5) == want
+                cases += 1
+    assert cases == 2 * 6 * (1 + 2 * 136)
 
 
-def test_fan_bounds_tilted(scene_c):
-    exact = _exact_plane_layer()
-    fan = fan_bounds_tilted(PlaneParam(1.0, 1.5, 17.0), exact)
+def test_tilted_plane_fan(scene_c):
+    # a planar surface under its own plane collapses onto omega_s = 0
+    exact = SurfaceSpec(1.5, 17.0, 0.0, (-0.8, 0.8))
+    fan = plane_fan(PlaneParam(1.0, 1.5, 17.0), exact)
     assert math.isinf(fan.slope_lo) and math.isinf(fan.slope_hi)
 
     (layer,) = partition_depth_layers(scene_c.surface, 1)
     plane_c = PlaneParam(1.0, layer.fitted_z0, layer.fitted_tilt_deg)
-    fan_c = fan_bounds_tilted(plane_c, layer, margin=0.5)
-    assert fan_c.slope_lo == pytest.approx(-5.5793618930012725, abs=1e-9)
-    assert fan_c.slope_hi == pytest.approx(31.121339137569425, abs=1e-9)
-    # residuals straddle zero, so the bounding lines open to opposite sides
-    assert fan_c.slope_lo < 0.0 < fan_c.slope_hi
+    fan_c = plane_fan(plane_c, scene_c.surface, margin=0.5)
+    assert fan_c.slope_lo == pytest.approx(5.5793618930012725, abs=1e-9)
+    assert fan_c.slope_hi == pytest.approx(-24.92937009542107, abs=1e-9)
+    # the fitted line crosses the surface, so the bounding lines open to
+    # opposite sides, in the parallel fan's convention (nearer content first)
+    assert fan_c.slope_hi < 0.0 < fan_c.slope_lo
     assert fan_c.margin == 0.5
+    # the residual extremes paired with z_min and z_max give a narrower fan
+    paired = oracle.fan_bounds_tilted(plane_c, scene_c.surface, layer)
+    assert fan_c.max_spacing(6.0) < paired.max_spacing(6.0)
 
-    with pytest.raises(ValueError):
-        fan_bounds_tilted(PlaneParam(1.0, layer.fitted_z0 + 0.1, layer.fitted_tilt_deg), layer)
+
+def _assert_fan_spans_the_grid(plane, surface):
+    # 1/slope = f * (g - 1/D) with g = (1 + a*x) / z(x), on a 200,001-point grid
+    fan = plane_fan(plane, surface)
+    x = np.linspace(*surface.x_range, 200_001)
+    g = (1.0 + plane.tilt_slope * plane.inv_depth * x) / surface.depth(x)
+    m = plane.focal * (g - plane.inv_depth)
+    m_lo = 0.0 if math.isinf(fan.slope_lo) else 1.0 / fan.slope_lo
+    m_hi = 0.0 if math.isinf(fan.slope_hi) else 1.0 / fan.slope_hi
+    scale = plane.focal * float(np.max(np.abs(g)))
+    assert m_hi <= m_lo
+    assert float(m.max()) <= m_lo + 1e-12 * scale and float(m.min()) >= m_hi - 1e-12 * scale
+    # the grid reaches the closed-form extremes up to its spacing
+    assert float(m.max()) >= m_lo - 1e-8 * scale and float(m.min()) <= m_hi + 1e-8 * scale
 
 
 def test_plane_fan_takes_the_fan_of_the_plane(scene_a, scene_b, scene_c):
     for scene in (scene_a, scene_b, scene_c):
         (layer,) = partition_depth_layers(scene.surface, 1)
-        for untilted in (PlaneParam(1.0, math.inf), PlaneParam(1.3, 2.0, s_max=0.6)):
-            want = fan_bounds_parallel(untilted, layer.depth_range, 0.5)
-            assert plane_fan(untilted, layer, 0.5) == want
-        fitted = PlaneParam(1.0, layer.fitted_z0, layer.fitted_tilt_deg)
-        assert plane_fan(fitted, layer, 0.5) == fan_bounds_tilted(fitted, layer, 0.5)
-        for off in (replace(fitted, depth=1.3), replace(fitted, tilt_deg=10.0)):
-            with pytest.raises(ValueError, match="do not match the layer fit"):
-                plane_fan(off, layer, 0.5)
+        fitted = PlaneParam(1.0, layer.fitted_z0, layer.fitted_tilt_deg, check=False)
+        planes = (fitted, replace(fitted, depth=1.3), replace(fitted, tilt_deg=10.0))
+        for plane in (PlaneParam(1.0, math.inf), PlaneParam(1.3, 2.0, s_max=0.6), *planes):
+            _assert_fan_spans_the_grid(plane, scene.surface)
+            assert plane_fan(plane, scene.surface, 0.5).margin == 0.5
+
+
+def test_plane_fan_matches_a_dense_grid_on_random_slabs():
+    rng = np.random.default_rng(18)
+    cases = directional = unchecked = 0
+    while cases < 300:
+        lo = rng.uniform(-1.0, 0.5)
+        try:
+            surface = SurfaceSpec(
+                rng.uniform(0.5, 3.0),
+                rng.uniform(-70.0, 70.0),
+                rng.uniform(-1.5, 1.5),
+                (lo, lo + rng.uniform(0.05, 1.5)),
+            )
+        except ValueError:
+            continue  # the draw reaches the camera line
+        if rng.random() < 0.2:
+            plane = PlaneParam(rng.uniform(0.5, 2.0), math.inf)
+            directional += 1
+        else:
+            tilt = rng.uniform(-80.0, 80.0)
+            plane = PlaneParam(rng.uniform(0.5, 2.0), rng.uniform(0.3, 4.0), tilt, check=False)
+            try:
+                plane.validate()
+            except ValueError:
+                unchecked += 1
+        _assert_fan_spans_the_grid(plane, surface)
+        cases += 1
+    assert directional > 30 and unchecked > 30
 
 
 def test_family_fans_spacing_and_count(scene_b, scene_c):
     capture = PlaneParam(1.3, math.inf, s_max=0.6, u_max=0.2)
     wu_max = nyquist_omega(2.0 * capture.u_max / 63)
     layers = [
-        *partition_depth_layers(scene_b.surface, 1),
-        *partition_depth_layers(scene_c.surface, 1),
-        *partition_depth_layers(scene_c.surface, 4),
+        (scene_b.surface, *partition_depth_layers(scene_b.surface, 1)),
+        (scene_c.surface, *partition_depth_layers(scene_c.surface, 1)),
+        *((scene_c.surface, lay) for lay in partition_depth_layers(scene_c.surface, 4)),
     ]
-    for layer in layers:
+    for surface, layer in layers:
+        slab = replace(surface, x_range=layer.x_interval)
         parallel = PlaneParam(1.3, optimal_depths(layer.depth_range).plane_depth, 0.0, 0.6, 0.2)
         fitted = PlaneParam(1.3, layer.fitted_z0, layer.fitted_tilt_deg, 0.6, 0.2, check=False)
         fans = {
-            "parallel": (parallel, fan_bounds_parallel(parallel, layer.depth_range, 0.5)),
-            "tilted": (fitted, fan_bounds_tilted(fitted, layer, 0.5)),
+            "parallel": (parallel, oracle.fan_bounds_parallel(parallel, layer.depth_range, 0.5)),
+            "tilted": (fitted, plane_fan(fitted, slab, 0.5)),
         }
-        got = family_fans(layer, capture, wu_max, 0.5)
+        got = family_fans(surface, layer, capture, wu_max, 0.5)
         assert list(got) == ["parallel", "tilted"]
         for fam, (plane, fan) in fans.items():
             spacing = fan.max_spacing(wu_max)
             assert got[fam] == (plane, spacing, min_image_count(spacing, capture.s_max))
+
+
+def test_an_exact_plane_layer_keeps_an_unbounded_baseline():
+    # degrees(atan(tan(radians(tilt)))) misses this tilt by an ulp, which
+    # would leave the fitted plane a gap of about 1e-16 off the surface
+    tilt = -79.91
+    rounded = math.degrees(math.atan(math.tan(math.radians(tilt))))
+    assert rounded != tilt
+    surface = SurfaceSpec(1.7, tilt, 0.0, (-0.8, 0.3))
+    (layer,) = partition_depth_layers(surface, 1)
+    assert (layer.fitted_z0, layer.fitted_tilt_deg) == (1.7, tilt)
+    capture = PlaneParam(1.0, math.inf)
+    wu_max = nyquist_omega(2.0 * capture.u_max / 511)
+    _, spacing, images = family_fans(surface, layer, capture, wu_max)["tilted"]
+    assert (spacing, images) == (math.inf, 2)
+    off = PlaneParam(1.0, 1.7, rounded, check=False)
+    assert math.isfinite(plane_fan(off, surface).max_spacing(wu_max))
+
+
+@pytest.mark.parametrize("depth, tilt", [(1.3, 17.0), (1.8, 17.0), (1.2, 5.0)])
+def test_one_sided_tilted_planes_keep_the_spectrum_in_their_fan(scene_a, depth, tilt):
+    # the whole surface lies on one side of each plane: the same fan on the
+    # other side of omega_s = 0 leaves 13-15 % of the energy out
+    plane = PlaneParam(1.0, depth, tilt)
+    epi = render_epi(scene_a, plane, 512, 512, seed=0)
+    spectrum = dft2_magnitude(epi)
+    bin_width = 2.0 * math.pi / (512 * epi.ds)
+    fan = plane_fan(plane, scene_a.surface, margin=bin_width)
+    assert out_of_bound_energy(spectrum, fan) <= 0.05
 
 
 def test_out_of_bound_energy_hand_case():
@@ -216,29 +289,32 @@ def test_out_of_bound_energy_hand_case():
 
 def test_optimal_depths_frozen_and_ordering():
     depths = optimal_depths(DepthRange(*A_RANGE))
-    assert depths.focus_depth == pytest.approx(1.4601189335103246, abs=1e-12)
+    assert depths.plane_depth == pytest.approx(1.4601189335103246, abs=1e-12)
     assert depths.midpoint_depth == pytest.approx(1.5, abs=1e-12)
-    assert depths.plane_depth == depths.focus_depth
 
 
 @given(z_min=st.floats(0.5, 3.0), width=st.floats(0.0, 2.0))
-def test_focus_depth_never_exceeds_midpoint(z_min, width):
+def test_plane_depth_never_exceeds_midpoint(z_min, width):
     depths = optimal_depths(DepthRange(z_min, z_min + width))
-    assert depths.focus_depth <= depths.midpoint_depth + 1e-12
+    assert depths.plane_depth <= depths.midpoint_depth + 1e-12
     if width == 0.0:
-        assert depths.focus_depth == pytest.approx(z_min, abs=1e-12)
+        assert depths.plane_depth == pytest.approx(z_min, abs=1e-12)
 
 
 def _parallel_spacing(depth_range, focal, wu_max, view_bandwidth=0.0):
-    # the depth-range fan under the directional plane
-    fan = fan_bounds_parallel(PlaneParam(focal, math.inf), depth_range, view_bandwidth)
+    # the depth-range fan under the directional plane, of a surface with
+    # z_min at x = 0 and z_max (up to the rounding of their sum) at x = 1
+    z_min, z_max = depth_range.z_min, depth_range.z_max
+    surface = SurfaceSpec(z_min, 0.0, z_max - z_min, (0.0, 1.0))
+    fan = plane_fan(PlaneParam(focal, math.inf), surface, view_bandwidth)
     return fan.max_spacing(wu_max)
 
 
-def _tilted_spacing(layer, focal, wu_max, view_bandwidth=0.0):
-    # the residual fan under the layer's own fitted plane
+def _tilted_spacing(surface, layer, focal, wu_max, view_bandwidth=0.0):
+    # the fan of the layer's slab under the layer's own fitted plane
     plane = PlaneParam(focal, layer.fitted_z0, layer.fitted_tilt_deg, check=False)
-    return fan_bounds_tilted(plane, layer, view_bandwidth).max_spacing(wu_max)
+    slab = replace(surface, x_range=layer.x_interval)
+    return plane_fan(plane, slab, view_bandwidth).max_spacing(wu_max)
 
 
 def test_max_camera_spacing_hand_case():
@@ -264,39 +340,32 @@ def test_wider_depth_ranges_need_tighter_spacing(z0, pad_lo, inner, pad_hi, wu):
 
 
 def test_max_camera_spacing_tilted(scene_a, scene_c):
-    exact = _exact_plane_layer()
-    assert _tilted_spacing(exact, 1.0, 6.0) == math.inf
+    exact = SurfaceSpec(1.5, 17.0, 0.0, (-0.8, 0.8))
+    (exact_layer,) = partition_depth_layers(exact, 1)
+    assert _tilted_spacing(exact, exact_layer, 1.0, 6.0) == math.inf
     # an exact plane leaves only the view-dependence term
-    assert _tilted_spacing(exact, 1.0, 6.0, view_bandwidth=0.5) == pytest.approx(1.0)
-    # the fitted version of the same plane is merely astronomically wide
+    assert _tilted_spacing(exact, exact_layer, 1.0, 6.0, view_bandwidth=0.5) == pytest.approx(1.0)
+    # scene A's fit is its own plane too
     (fitted,) = partition_depth_layers(scene_a.surface, 1)
-    assert _tilted_spacing(fitted, 1.0, 6.0) > 1e6
+    assert _tilted_spacing(scene_a.surface, fitted, 1.0, 6.0) > 1e6
 
     (layer,) = partition_depth_layers(scene_c.surface, 1)
-    tilted = _tilted_spacing(layer, 1.0, 6.0)
+    tilted = _tilted_spacing(scene_c.surface, layer, 1.0, 6.0)
     parallel = _parallel_spacing(scene_c.surface.depth_range(), 1.0, 6.0)
-    assert tilted == pytest.approx(0.7885281423674932, abs=1e-12)
+    assert tilted == pytest.approx(0.7598369847016291, abs=1e-12)
     assert parallel == pytest.approx(0.16885912926099123, abs=1e-12)
     # aligning the plane with the scene always buys baseline for scene C
     assert tilted > parallel
 
 
-def _spacing_grid(scenes):
-    """Every layer of every monotonic partition up to 32 layers (scene B,
-    which is not monotonic, gives its one layer)."""
-    for scene in scenes:
-        counts = range(1, 33) if scene.name != "B" else (1,)
-        for count in counts:
-            yield from partition_depth_layers(scene.surface, count)
-
-
 def test_max_spacing_matches_the_old_spacing_formulas(scene_a, scene_b, scene_c):
     # the fan's spacing against the two functions it replaced, under the
     # recommended and the directional parallel plane and the fitted plane
+    # (whose old paired-extremes fan is the oracle's)
     n_us = (33, 64, 128, 256, 512, 1024)
     wus = [nyquist_omega(2.0 * DEFAULT_U_MAX / (n_u - 1)) for n_u in n_us]
     cases = worst = exact_cases = 0
-    for layer in _spacing_grid((scene_a, scene_b, scene_c)):
+    for slab, layer in _preset_layers((scene_a, scene_b, scene_c), range(1, 33)):
         dr = layer.depth_range
         for focal in (0.5, 1.0, 1.3, 2.0):
             parallel = [
@@ -306,19 +375,20 @@ def test_max_spacing_matches_the_old_spacing_formulas(scene_a, scene_b, scene_c)
             fitted = PlaneParam(focal, layer.fitted_z0, layer.fitted_tilt_deg, check=False)
             for bandwidth in (0.0, 1.0, 5.0):
                 pairs = [
-                    (fan_bounds_parallel(p, dr, bandwidth), oracle.max_camera_spacing, dr)
+                    (plane_fan(p, slab, bandwidth), oracle.max_camera_spacing, (dr,))
                     for p in parallel
                 ]
-                tilted = fan_bounds_tilted(fitted, layer, bandwidth)
-                pairs.append((tilted, oracle.max_camera_spacing_tilted, layer))
-                if layer.residual_range == (0.0, 0.0):
+                paired = oracle.fan_bounds_tilted(fitted, slab, layer, bandwidth)
+                pairs.append((paired, oracle.max_camera_spacing_tilted, (layer, slab)))
+                if oracle.residual_range(slab, layer) == (0.0, 0.0):
                     # an exact plane layer leaves exactly the bandwidth term
                     exact_cases += 1
                     want = math.inf if bandwidth == 0.0 else 0.5 / bandwidth
+                    tilted = plane_fan(fitted, slab, bandwidth)
                     assert all(tilted.max_spacing(wu) == want for wu in wus)
-                for fan, old, arg in pairs:
+                for fan, old, args in pairs:
                     for wu in wus:
-                        got, want = fan.max_spacing(wu), old(arg, focal, wu, bandwidth)
+                        got, want = fan.max_spacing(wu), old(*args, focal, wu, bandwidth)
                         cases += 1
                         assert min_image_count(got, 1.0) == min_image_count(want, 1.0)
                         if math.isinf(want):
@@ -385,10 +455,6 @@ def test_rendered_scene_energy_sits_inside_predicted_fan(scene_a, directional):
     # end to end: spectrum of a real capture against its depth-range fan
     epi = render_epi(scene_a, directional, 128, 128)
     spec = dft2_magnitude(epi)
-    fan = fan_bounds_parallel(
-        directional,
-        scene_a.surface.depth_range(),
-        margin=float(spec.ws_axis[1] - spec.ws_axis[0]),
-    )
+    fan = plane_fan(directional, scene_a.surface, margin=float(spec.ws_axis[1] - spec.ws_axis[0]))
     # measured 4.95% at this grid; windowing skirts land just under 6%
     assert out_of_bound_energy(spec, fan) < 0.06
