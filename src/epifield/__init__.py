@@ -8,12 +8,12 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # an exported value wins
 
 from .scene import (
     DEFAULT_OMEGAS,
-    DepthLayer,
     DepthRange,
     SceneDef,
     SceneGeometryError,
     SurfaceSpec,
     TextureSpec,
+    fitted_line,
     partition_depth_layers,
 )
 from .mapping import (

@@ -315,9 +315,11 @@ def layers_experiment(
     equal-width slabs; every captured pixel belongs to the slab its ray
     hits. Reconstruction from the factor-subsampled rows then runs per
     layer, interpolating along the iso-u trajectories of each family's
-    plane from family_fans (the fitted plane's trajectories remain
-    straight lines through its camera-line crossing, which the window
-    keeps out of frame for any tilt below 75 degrees). A
+    plane from family_fans. The fitted plane's trajectories are straight
+    lines through its camera-line crossing, and nothing keeps that crossing
+    out of the camera range: on scene C at 2 / 4 / 8 / 16 layers, 1 / 2 /
+    4 / 8 fitted planes (tilts 58-65 degrees) cross at s = -0.80 to -0.96,
+    inside s_max = 1 (ROADMAP item 8; a FOUND line in CHANGES.md). A
     matched plane makes trajectories follow the content, so dropped rows
     interpolate cleanly; mismatch shows up as RMSE against the dense
     capture, pooled over each family's composite of the layers. Image
@@ -336,7 +338,6 @@ def layers_experiment(
     }
     images = {"parallel": [], "tilted": []}
     wu_max = u_nyquist(plane, n_u)
-    surface = scene.surface
     view_bandwidth = scene.texture.angular_bandwidth
     canon = replace(plane, depth=math.inf, tilt_deg=0.0)
     dense, x, hit = _dense_capture(scene, canon, n_s, n_u, seed)
@@ -344,13 +345,13 @@ def layers_experiment(
     if n_hit == 0:
         raise ValueError("the capture never sees the surface")
     for li, count in enumerate(layer_counts):
-        layers = partition_depth_layers(surface, count)
-        edges = np.array([lay.x_interval[0] for lay in layers] + [layers[-1].x_interval[1]])
+        slabs = partition_depth_layers(scene.surface, count)
+        edges = np.array([slab.x_range[0] for slab in slabs] + [slabs[-1].x_range[1]])
         owner = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, count - 1)
         sum_sq = {k: np.zeros(len(factors)) for k in rmse}
         worst = {k: 2 for k in rmse}
-        for key, layer in enumerate(layers):
-            families = family_fans(surface, layer, plane, wu_max, view_bandwidth)
+        for key, slab in enumerate(slabs):
+            families = family_fans(slab, plane, wu_max, view_bandwidth)
             for fam, (_, _, n_images) in families.items():
                 worst[fam] = max(worst[fam], n_images)
             mask = hit & (owner == key)

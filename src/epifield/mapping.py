@@ -69,7 +69,7 @@ class PlaneParam:
             raise ValueError("plane depth must be positive (math.inf allowed)")
         if not (self.s_max > 0.0 and self.u_max > 0.0):
             raise ValueError("s_max and u_max must be positive")
-        if abs(self.tilt_deg) >= 90.0:
+        if not abs(self.tilt_deg) < 90.0:  # NaN fails this too
             raise ValueError("plane tilt must satisfy |tilt| < 90 deg")
         if self.tilt_deg != 0.0:
             if self.is_directional:

@@ -17,7 +17,7 @@ frequencies in rad/m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,8 +29,8 @@ __all__ = [
     "SurfaceSpec",
     "TextureSpec",
     "SceneDef",
-    "DepthLayer",
     "partition_depth_layers",
+    "fitted_line",
     "unnormalized_sinc",
     "DEFAULT_OMEGAS",
 ]
@@ -112,14 +112,13 @@ class SurfaceSpec:
         """Derivative dz/dx, affine in x."""
         return self.tilt_slope + 2.0 * self.quad * x
 
-    def depth_extremes(self, x_lo=None, x_hi=None) -> tuple[float, float]:
-        """Exact min and max depth over [x_lo, x_hi] (default: full extent).
+    def depth_extremes(self) -> tuple[float, float]:
+        """Exact min and max depth over the extent.
 
-        The profile is quadratic, so the extremes sit at the interval
+        The profile is quadratic, so the extremes sit at the extent's
         endpoints or at the interior vertex.
         """
-        lo = self.x_range[0] if x_lo is None else x_lo
-        hi = self.x_range[1] if x_hi is None else x_hi
+        lo, hi = self.x_range
         cand = [lo, hi]
         if self.quad != 0.0:
             x_vertex = -self.tilt_slope / (2.0 * self.quad)
@@ -202,51 +201,27 @@ class SceneDef:
     name: str = ""
 
 
-@dataclass(frozen=True)
-class DepthLayer:
-    """One slab of a layered decomposition, with its own plane fit.
-
-    The slab's own surface is replace(surface, x_range=x_interval).
-    """
-
-    x_interval: tuple[float, float]
-    depth_range: DepthRange
-    fitted_z0: float  # intercept of the least-squares depth line [m]
-    fitted_tilt_deg: float
-
-
-def partition_depth_layers(surface: SurfaceSpec, n_layers: int) -> list[DepthLayer]:
+def partition_depth_layers(surface: SurfaceSpec, n_layers: int) -> list[SurfaceSpec]:
     """Split the extent into n_layers slabs of equal depth width.
 
-    Slab boundaries are uniform in depth between z(x_lo) and z(x_hi) and
-    mapped back to x through the profile, so for n_layers > 1 the profile
-    must be strictly monotonic over the extent. Each slab carries a
-    least-squares line fit of z(x), sampled at 256 uniform points
-    including both endpoints; a planar profile takes its own z0 and
-    tilt_deg, so the plane they define is the surface bit for bit.
+    Each slab is the same profile on its own x_range. Slab boundaries are
+    uniform in depth between z(x_lo) and z(x_hi) and mapped back to x
+    through the profile, so for n_layers > 1 the profile must be strictly
+    monotonic over the extent. One layer is the surface itself.
     """
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
-    x_lo, x_hi = surface.x_range
     if n_layers == 1:
-        edges = [x_lo, x_hi]
-    else:
-        d_lo = surface.depth_slope(x_lo)
-        d_hi = surface.depth_slope(x_hi)
-        # slope is affine, so same strict sign at both ends <=> monotonic
-        if d_lo == 0.0 or d_hi == 0.0 or (d_lo > 0.0) != (d_hi > 0.0):
-            raise SceneGeometryError(
-                "depth must be strictly monotonic over the extent to partition it"
-            )
-        z_edges = np.linspace(surface.depth(x_lo), surface.depth(x_hi), n_layers + 1)
-        edges = [x_lo]
-        edges += [_invert_depth(surface, z) for z in z_edges[1:-1]]
-        edges += [x_hi]
-    layers = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x_a, x_b = (a, b) if a < b else (b, a)
-        layers.append(_fit_layer(surface, x_a, x_b))
-    return layers
+        return [surface]
+    x_lo, x_hi = surface.x_range
+    d_lo = surface.depth_slope(x_lo)
+    d_hi = surface.depth_slope(x_hi)
+    # slope is affine, so same strict sign at both ends <=> monotonic
+    if d_lo == 0.0 or d_hi == 0.0 or (d_lo > 0.0) != (d_hi > 0.0):
+        raise SceneGeometryError("depth must be strictly monotonic over the extent to partition it")
+    z_edges = np.linspace(surface.depth(x_lo), surface.depth(x_hi), n_layers + 1)
+    edges = [x_lo] + [_invert_depth(surface, z) for z in z_edges[1:-1]] + [x_hi]
+    return [replace(surface, x_range=(min(a, b), max(a, b))) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def _invert_depth(surface: SurfaceSpec, z_target: float) -> float:
@@ -271,18 +246,15 @@ def _real_roots(a: float, b: float, c: float) -> list[float]:
     return [qq / a] + ([c / qq] if qq != 0.0 else [])
 
 
-def _fit_layer(surface: SurfaceSpec, x_a: float, x_b: float) -> DepthLayer:
+def fitted_line(surface: SurfaceSpec) -> tuple[float, float]:
+    """(z0, tilt_deg) of the least-squares depth line of surface over its extent.
+
+    z(x) is sampled at 256 uniform points, both ends included. A planar
+    profile returns its own z0 and tilt_deg: a sampled fit, or a tilt back
+    from atan, would leave rounding between that plane and the surface.
+    """
     if surface.quad == 0.0:
-        # a plane is its own depth line; a sampled fit, or a tilt back from
-        # atan, would leave rounding between the plane and the surface
-        intercept, tilt_deg = surface.z0, surface.tilt_deg
-    else:
-        xs = np.linspace(x_a, x_b, _FIT_SAMPLES)
-        slope, intercept = np.polyfit(xs, surface.depth(xs), 1)
-        intercept, tilt_deg = float(intercept), math.degrees(math.atan(float(slope)))
-    return DepthLayer(
-        x_interval=(x_a, x_b),
-        depth_range=DepthRange(*surface.depth_extremes(x_a, x_b)),
-        fitted_z0=intercept,
-        fitted_tilt_deg=tilt_deg,
-    )
+        return surface.z0, surface.tilt_deg
+    xs = np.linspace(*surface.x_range, _FIT_SAMPLES)
+    slope, intercept = np.polyfit(xs, surface.depth(xs), 1)
+    return float(intercept), math.degrees(math.atan(float(slope)))

@@ -20,14 +20,7 @@ import numpy as np
 
 from .mapping import PlaneParam
 from .render import Epi
-from .scene import (
-    DepthLayer,
-    DepthRange,
-    SceneDef,
-    SurfaceSpec,
-    _real_roots,
-    partition_depth_layers,
-)
+from .scene import DepthRange, SceneDef, SurfaceSpec, _real_roots, fitted_line
 from .workspace import Workspace, scratch
 
 __all__ = [
@@ -178,8 +171,8 @@ def plane_fan(plane: PlaneParam, surface: SurfaceSpec, margin: float = 0.0) -> F
     where it is smallest. g' vanishes at the roots of a quadratic, so that
     range is exact without sampling. At a = 0 the fan is the depth-range
     fan of Chai et al. (slope_lo from z_min); a point on the plane gives
-    inf, and a directional plane z / f. For a layer, pass its slab,
-    replace(surface, x_range=layer.x_interval).
+    inf, and a directional plane z / f. For a layer, pass its slab from
+    partition_depth_layers.
     """
     t = plane.tilt_slope
     a = t * plane.inv_depth
@@ -252,18 +245,18 @@ def optimal_depths(depth_range: DepthRange) -> OptimalDepths:
 
 
 def family_fans(
-    surface: SurfaceSpec, layer: DepthLayer, plane: PlaneParam, wu_max: float, margin: float = 0.0
+    slab: SurfaceSpec, plane: PlaneParam, wu_max: float, margin: float = 0.0
 ) -> dict[str, tuple[PlaneParam, float, int]]:
-    """Each family's plane for a layer of surface, its max spacing at wu_max and image count.
+    """Each family's plane for slab, its max spacing at wu_max and image count.
 
     Both planes keep plane's focal, s_max and u_max: the parallel one is
-    untilted at the layer's optimal plane_depth, the tilted one is the fitted
-    line, unchecked (a steep fit may cross the camera line). Each spacing
-    comes from the plane's fan over the layer's slab.
+    untilted at the slab's optimal plane_depth, the tilted one is the slab's
+    fitted_line, unchecked (a steep fit may cross the camera line). Each
+    spacing comes from the plane's fan over the slab.
     """
-    slab = replace(surface, x_range=layer.x_interval)
-    parallel = replace(plane, depth=optimal_depths(layer.depth_range).plane_depth, tilt_deg=0.0)
-    tilted = replace(plane, depth=layer.fitted_z0, tilt_deg=layer.fitted_tilt_deg, check=False)
+    z0, tilt_deg = fitted_line(slab)
+    parallel = replace(plane, depth=optimal_depths(slab.depth_range()).plane_depth, tilt_deg=0.0)
+    tilted = replace(plane, depth=z0, tilt_deg=tilt_deg, check=False)
 
     def family(param: PlaneParam) -> tuple[PlaneParam, float, int]:
         spacing = plane_fan(param, slab, margin).max_spacing(wu_max)
@@ -323,26 +316,27 @@ def camera_axis_chirp(param: PlaneParam, x: float, z: float, wu: float) -> Chirp
 def sampling_guidelines(scene: SceneDef, plane: PlaneParam, n_u: int) -> list[tuple[str, object]]:
     """The sampling guideline of a scene under plane on n_u pixels, as (name, value) pairs.
 
-    Everything comes from the surface's single layer at the u Nyquist
-    frequency of plane's window; a tilted plane adds the chirp at mid-surface.
+    Everything comes from the whole surface at the u Nyquist frequency of
+    plane's window; a tilted plane adds the chirp at mid-surface.
     """
     surface = scene.surface
-    layer = partition_depth_layers(surface, 1)[0]
-    depths = optimal_depths(layer.depth_range)
+    depth_range = surface.depth_range()
+    depths = optimal_depths(depth_range)
     wu_max = u_nyquist(plane, n_u)
-    fams = family_fans(surface, layer, plane, wu_max, scene.texture.angular_bandwidth)
+    fams = family_fans(surface, plane, wu_max, scene.texture.angular_bandwidth)
+    fitted = fams["tilted"][0]
     pairs = [
         ("scene", scene.name),
-        ("z_min", layer.depth_range.z_min),
-        ("z_max", layer.depth_range.z_max),
+        ("z_min", depth_range.z_min),
+        ("z_max", depth_range.z_max),
         ("midpoint_depth", depths.midpoint_depth),
         ("plane_depth", depths.plane_depth),
         ("wu_max", wu_max),
         ("view_bandwidth", scene.texture.angular_bandwidth),
         ("max_spacing_parallel", fams["parallel"][1]),
         ("images_parallel", fams["parallel"][2]),
-        ("fitted_z0", layer.fitted_z0),
-        ("fitted_tilt_deg", layer.fitted_tilt_deg),
+        ("fitted_z0", fitted.depth),
+        ("fitted_tilt_deg", fitted.tilt_deg),
         ("max_spacing_tilted", fams["tilted"][1]),
         ("images_tilted", fams["tilted"][2]),
     ]

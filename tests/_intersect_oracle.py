@@ -19,7 +19,9 @@ from raw depths and from fit residuals, that FanBounds.max_spacing replaced.
 fan_bounds_parallel is the depth-range fan, and fan_bounds_tilted the fan
 of a layer's own fitted plane that pairs the residual extremes with z_min
 and z_max (narrower than the exact fan). residual_range recomputes the
-fit residual extremes a DepthLayer used to carry, from its fitted line.
+fit residual extremes of a slab about its fitted_line; a layer used to
+carry them. Every function that takes a layer takes its slab, the
+SurfaceSpec that partition_depth_layers returns.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ import numpy as np
 from epifield.experiments import LayersResult, SamplingCurve, _dense_capture
 from epifield.mapping import DEFAULT_U_MAX, PlaneParam, rewarp_coords
 from epifield.scene import (
-    DepthLayer,
     DepthRange,
     SceneDef,
     SurfaceSpec,
+    fitted_line,
     partition_depth_layers,
     unnormalized_sinc,
 )
@@ -214,18 +216,18 @@ def max_camera_spacing(
     return math.inf if denom == 0.0 else 1.0 / denom
 
 
-def residual_range(surface: SurfaceSpec, layer: DepthLayer) -> tuple[float, float]:
-    """Exact extremes of z(x) minus the layer's fitted line over its slab."""
-    slope = math.tan(math.radians(layer.fitted_tilt_deg))
-    intercept = layer.fitted_z0
-    x_a, x_b = layer.x_interval
+def residual_range(slab: SurfaceSpec) -> tuple[float, float]:
+    """Exact extremes of z(x) minus the slab's fitted line over the slab."""
+    intercept, tilt_deg = fitted_line(slab)
+    slope = math.tan(math.radians(tilt_deg))
+    x_a, x_b = slab.x_range
 
     def residual(x):
-        return float(surface.depth(x)) - (intercept + slope * x)
+        return float(slab.depth(x)) - (intercept + slope * x)
 
     cand = [x_a, x_b]
-    if surface.quad != 0.0:
-        x_vertex = -(surface.tilt_slope - slope) / (2.0 * surface.quad)
+    if slab.quad != 0.0:
+        x_vertex = -(slab.tilt_slope - slope) / (2.0 * slab.quad)
         if x_a < x_vertex < x_b:
             cand.append(x_vertex)
     res = [residual(x) for x in cand]
@@ -257,35 +259,33 @@ def fan_bounds_parallel(
     )
 
 
-def fan_bounds_tilted(
-    param: PlaneParam, surface: SurfaceSpec, layer: DepthLayer, margin: float = 0.0
-) -> FanBounds:
-    """Fan bounds for a plane aligned with a layer's depth-line fit.
+def fan_bounds_tilted(param: PlaneParam, slab: SurfaceSpec, margin: float = 0.0) -> FanBounds:
+    """Fan bounds for a plane aligned with a slab's depth-line fit.
 
     The bounding slopes pair the fit residual extremes with z_min and
     z_max; their sign is the opposite of the parallel fan's. The plane
-    must match the layer fit.
+    must match the slab's fit.
     """
+    fitted_z0, fitted_tilt_deg = fitted_line(slab)
     if not (
-        math.isclose(param.depth, layer.fitted_z0, rel_tol=1e-9, abs_tol=1e-12)
-        and math.isclose(param.tilt_deg, layer.fitted_tilt_deg, rel_tol=1e-9, abs_tol=1e-12)
+        math.isclose(param.depth, fitted_z0, rel_tol=1e-9, abs_tol=1e-12)
+        and math.isclose(param.tilt_deg, fitted_tilt_deg, rel_tol=1e-9, abs_tol=1e-12)
     ):
         raise ValueError("plane parameters do not match the layer fit")
-    r_lo, r_hi = residual_range(surface, layer)
-    dr = layer.depth_range
+    r_lo, r_hi = residual_range(slab)
+    dr = slab.depth_range()
     return FanBounds(
         _line_slope(dr.z_min, r_lo, param), _line_slope(dr.z_max, r_hi, param), margin
     )
 
 
 def max_camera_spacing_tilted(
-    layer: DepthLayer,
-    surface: SurfaceSpec,
+    slab: SurfaceSpec,
     focal: float,
     wu_max: float,
     view_bandwidth: float = 0.0,
 ) -> float:
-    """Widest alias-free spacing for a plane aligned with a layer fit.
+    """Widest alias-free spacing for a plane aligned with a slab's fit.
 
     Replaces the raw depth spread by the fit residual extremes scaled by
     the fitted plane depth: 1 / ((focal / fitted_z0) * |r_min/z_min -
@@ -294,9 +294,9 @@ def max_camera_spacing_tilted(
     """
     if wu_max < 0.0 or view_bandwidth < 0.0:
         raise ValueError("wu_max and view_bandwidth must be >= 0")
-    r_lo, r_hi = residual_range(surface, layer)
-    dr = layer.depth_range
-    denom = (focal / layer.fitted_z0) * abs(
+    r_lo, r_hi = residual_range(slab)
+    dr = slab.depth_range()
+    denom = (focal / fitted_line(slab)[0]) * abs(
         r_lo / dr.z_min - r_hi / dr.z_max
     ) * wu_max + 2.0 * view_bandwidth
     return math.inf if denom == 0.0 else 1.0 / denom
@@ -335,23 +335,20 @@ def layers_experiment(
     if n_hit == 0:
         raise RuntimeError("the capture never sees the surface")
     for li, count in enumerate(layer_counts):
-        layers = partition_depth_layers(surface, count)
-        edges = np.array([lay.x_interval[0] for lay in layers] + [layers[-1].x_interval[1]])
+        slabs = partition_depth_layers(surface, count)
+        edges = np.array([slab.x_range[0] for slab in slabs] + [slabs[-1].x_range[1]])
         owner = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, count - 1)
         sum_sq = {k: np.zeros(len(factors)) for k in rmse}
         worst = {k: 2 for k in rmse}
-        for key, layer in enumerate(layers):
+        for key, slab in enumerate(slabs):
             params = {
                 "parallel": PlaneParam(
-                    focal, optimal_depths(layer.depth_range).plane_depth, 0.0, s_max, u_max
+                    focal, optimal_depths(slab.depth_range()).plane_depth, 0.0, s_max, u_max
                 ),
-                "tilted": PlaneParam(
-                    focal, layer.fitted_z0, layer.fitted_tilt_deg, s_max, u_max, check=False
-                ),
+                "tilted": PlaneParam(focal, *fitted_line(slab), s_max, u_max, check=False),
             }
-            sp_par = max_camera_spacing(layer.depth_range, focal, wu_max, view_bandwidth)
+            sp_par = max_camera_spacing(slab.depth_range(), focal, wu_max, view_bandwidth)
             # the exact tilted fan, over the layer's slab
-            slab = SurfaceSpec(surface.z0, surface.tilt_deg, surface.quad, layer.x_interval)
             sp_til = plane_fan(params["tilted"], slab, view_bandwidth).max_spacing(wu_max)
             worst["parallel"] = max(worst["parallel"], min_image_count(sp_par, s_max))
             worst["tilted"] = max(worst["tilted"], min_image_count(sp_til, s_max))

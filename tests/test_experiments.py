@@ -91,6 +91,16 @@ def test_sweep_sparsity_records_invalid_cells(scene_a):
     assert math.isfinite(res.metric[1, 0])
 
 
+def test_sweep_sparsity_records_a_nan_tilt_as_missing(scene_a):
+    # a NaN tilt that passed validation would render an all-zero EPI, the
+    # best possible sparsity score
+    res = sweep_sparsity(scene_a, [1.5], [math.nan, 10.0], n_s=16, n_u=16)
+    assert [cell[:2] for cell in res.missing] == [(0, 0)]
+    assert "plane tilt must satisfy" in res.missing[0][2]
+    assert math.isnan(res.metric[0, 0])
+    assert res.argopt == (0, 1)
+
+
 def test_sweep_sparsity_prefers_the_matched_depth(flat_scene):
     res = sweep_sparsity(flat_scene, [1.0, 1.5, 2.5], [0.0], n_s=32, n_u=32)
     assert res.argopt == (1, 0)

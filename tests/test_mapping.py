@@ -28,6 +28,7 @@ from epifield.workspace import Workspace
         dict(focal=1.0, depth=-2.0),
         dict(focal=1.0, depth=2.0, tilt_deg=90.0),
         dict(focal=1.0, depth=2.0, tilt_deg=-95.0),
+        dict(focal=1.0, depth=2.0, tilt_deg=math.nan),
         dict(focal=1.0, depth=math.inf, tilt_deg=10.0),
         # plane meets the camera line at s = -0.5, inside the +-1 range
         dict(focal=1.0, depth=0.5, tilt_deg=45.0),

@@ -16,7 +16,7 @@ import _intersect_oracle as oracle
 from epifield.experiments import _dense_capture, _trajectory_rebuild, layers_experiment
 from epifield.mapping import PlaneParam, intersect_rays, rewarp_coords
 from epifield.render import interp_u, ray_grid
-from epifield.scene import SceneDef, SurfaceSpec, TextureSpec, partition_depth_layers
+from epifield.scene import SceneDef, SurfaceSpec, TextureSpec, fitted_line, partition_depth_layers
 
 
 def _per_row_interp(data, u_axis, rows, u):
@@ -97,7 +97,7 @@ def _has_empty_layer(scene, count, n_s, n_u):
     canon = PlaneParam(1.0, math.inf)
     s_axis, u_axis = ray_grid(canon, n_s, n_u)
     x, hit = intersect_rays(canon, scene.surface, s_axis[:, None], u_axis[None, :])
-    slabs = [lay.x_interval for lay in partition_depth_layers(scene.surface, count)]
+    slabs = [slab.x_range for slab in partition_depth_layers(scene.surface, count)]
     return any(not np.any(hit & (x >= lo) & (x <= hi)) for lo, hi in slabs)
 
 
@@ -125,8 +125,8 @@ def test_rebuilt_pixels_match_the_per_row_reconstruction(scene_c, factor):
     n_s, n_u = 48, 40
     canon = PlaneParam(1.0, math.inf)
     dense, _, hit = _dense_capture(scene_c, canon, n_s, n_u, 0)
-    layer = partition_depth_layers(scene_c.surface, 1)[0]
-    prm = PlaneParam(1.0, layer.fitted_z0, layer.fitted_tilt_deg, check=False)
+    slab = partition_depth_layers(scene_c.surface, 1)[0]
+    prm = PlaneParam(1.0, *fitted_line(slab), check=False)
     src = np.where(hit, dense.data, 0.0)
     xi = rewarp_coords(canon, prm, dense.s_axis[:, None], dense.u_axis[None, :])
 

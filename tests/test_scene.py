@@ -10,6 +10,7 @@ from epifield.scene import (
     SceneGeometryError,
     SurfaceSpec,
     TextureSpec,
+    fitted_line,
     partition_depth_layers,
     unnormalized_sinc,
 )
@@ -177,12 +178,20 @@ def test_partition_validation(scene_a):
         partition_depth_layers(scene_a.surface, 0)
 
 
-def test_partition_single_layer_spans_extent(scene_b):
-    (layer,) = partition_depth_layers(scene_b.surface, 1)
-    assert layer.x_interval == scene_b.surface.x_range
+def test_partition_single_layer_spans_extent(scene_a, scene_b, scene_c):
+    (slab,) = partition_depth_layers(scene_b.surface, 1)
+    assert slab.x_range == scene_b.surface.x_range
     dr = scene_b.surface.depth_range()
-    assert layer.depth_range.z_min == dr.z_min
-    assert layer.depth_range.z_max == dr.z_max
+    assert slab.depth_range().z_min == dr.z_min
+    assert slab.depth_range().z_max == dr.z_max
+    # one layer is the surface itself
+    for scene in (scene_a, scene_b, scene_c):
+        assert partition_depth_layers(scene.surface, 1) == [scene.surface]
+
+
+@given(quadratic_surfaces())
+def test_a_single_layer_is_any_surface(surf):
+    assert partition_depth_layers(surf, 1) == [surf]
 
 
 def test_partition_needs_monotonic_depth(scene_b):
@@ -193,12 +202,12 @@ def test_partition_needs_monotonic_depth(scene_b):
 
 def test_partition_tiles_extent_with_equal_depth_slabs(scene_c):
     surf = scene_c.surface
-    layers = partition_depth_layers(surf, 4)
-    assert layers[0].x_interval[0] == surf.x_range[0]
-    assert layers[-1].x_interval[1] == surf.x_range[1]
-    for left, right in zip(layers, layers[1:]):
-        assert left.x_interval[1] == right.x_interval[0]
-    edges = [lay.x_interval[0] for lay in layers] + [surf.x_range[1]]
+    slabs = partition_depth_layers(surf, 4)
+    assert slabs[0].x_range[0] == surf.x_range[0]
+    assert slabs[-1].x_range[1] == surf.x_range[1]
+    for left, right in zip(slabs, slabs[1:]):
+        assert left.x_range[1] == right.x_range[0]
+    edges = [slab.x_range[0] for slab in slabs] + [surf.x_range[1]]
     z_edges = surf.depth(np.array(edges))
     target = np.linspace(float(surf.depth(surf.x_range[0])), float(surf.depth(surf.x_range[1])), 5)
     assert np.allclose(z_edges, target, rtol=0, atol=1e-9)
@@ -206,27 +215,44 @@ def test_partition_tiles_extent_with_equal_depth_slabs(scene_c):
 
 def test_exact_plane_layer_has_zero_residuals(scene_a):
     # the fit of a plane is the surface itself, tilt included
-    for layer in partition_depth_layers(scene_a.surface, 4):
-        assert layer.fitted_tilt_deg == 17.0
-        assert oracle.residual_range(scene_a.surface, layer) == (0.0, 0.0)
+    for slab in partition_depth_layers(scene_a.surface, 4):
+        assert fitted_line(slab)[1] == 17.0
+        assert oracle.residual_range(slab) == (0.0, 0.0)
     (single,) = partition_depth_layers(scene_a.surface, 1)
-    assert math.isclose(single.fitted_z0, 1.5, rel_tol=0, abs_tol=1e-12)
+    assert math.isclose(fitted_line(single)[0], 1.5, rel_tol=0, abs_tol=1e-12)
 
 
 def test_scene_c_single_layer_fit(scene_c):
     # frozen least-squares values for the 256-sample fit of the C profile
-    (layer,) = partition_depth_layers(scene_c.surface, 1)
-    assert math.isclose(layer.fitted_z0, 1.4160130718954247, rel_tol=0, abs_tol=1e-9)
-    assert math.isclose(layer.fitted_tilt_deg, 50.0, rel_tol=0, abs_tol=1e-9)
-    r_lo, r_hi = oracle.residual_range(scene_c.surface, layer)
+    (slab,) = partition_depth_layers(scene_c.surface, 1)
+    fitted_z0, fitted_tilt_deg = fitted_line(slab)
+    assert math.isclose(fitted_z0, 1.4160130718954247, rel_tol=0, abs_tol=1e-9)
+    assert math.isclose(fitted_tilt_deg, 50.0, rel_tol=0, abs_tol=1e-9)
+    r_lo, r_hi = oracle.residual_range(slab)
     assert math.isclose(r_lo, -0.1660130718954247, rel_tol=0, abs_tol=1e-9)
     assert math.isclose(r_hi, 0.08398692810457531, rel_tol=0, abs_tol=1e-9)
 
 
 @given(quadratic_surfaces(monotonic=True), st.integers(1, 6))
+def test_fitted_line_is_the_closed_form_least_squares_line(surf, n_layers):
+    # the 256-point fit of z0 + t*x + q*x**2 on [x_a, x_b]: with m the
+    # midpoint and s2 the points' variance, slope t + q*(x_a + x_b) and
+    # intercept z0 + q*(s2 - m**2)
+    for slab in partition_depth_layers(surf, n_layers):
+        x_a, x_b = slab.x_range
+        m = 0.5 * (x_a + x_b)
+        s2 = (x_b - x_a) ** 2 * 257.0 / (12.0 * 255.0)
+        slope = slab.tilt_slope + slab.quad * (x_a + x_b)
+        intercept = slab.z0 + slab.quad * (s2 - m * m)
+        z0, tilt_deg = fitted_line(slab)
+        assert math.isclose(z0, intercept, rel_tol=0, abs_tol=1e-9)
+        assert math.isclose(tilt_deg, math.degrees(math.atan(slope)), rel_tol=0, abs_tol=1e-9)
+
+
+@given(quadratic_surfaces(monotonic=True), st.integers(1, 6))
 def test_layer_fit_residuals_straddle_zero(surf, n_layers):
-    for layer in partition_depth_layers(surf, n_layers):
-        r_lo, r_hi = oracle.residual_range(surf, layer)
+    for slab in partition_depth_layers(surf, n_layers):
+        r_lo, r_hi = oracle.residual_range(slab)
         assert r_lo <= 1e-12
         assert r_hi >= -1e-12
         assert r_lo <= r_hi
@@ -235,6 +261,6 @@ def test_layer_fit_residuals_straddle_zero(surf, n_layers):
 @given(quadratic_surfaces(monotonic=True), st.integers(2, 6))
 def test_layer_depth_ranges_nest_in_scene_range(surf, n_layers):
     dr = surf.depth_range()
-    for layer in partition_depth_layers(surf, n_layers):
-        assert layer.depth_range.z_min >= dr.z_min - 1e-12
-        assert layer.depth_range.z_max <= dr.z_max + 1e-12
+    for slab in partition_depth_layers(surf, n_layers):
+        assert slab.depth_range().z_min >= dr.z_min - 1e-12
+        assert slab.depth_range().z_max <= dr.z_max + 1e-12

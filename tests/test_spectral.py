@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from epifield.mapping import DEFAULT_U_MAX, PlaneParam
 from epifield.render import Epi, render_epi
-from epifield.scene import DepthRange, SurfaceSpec, partition_depth_layers
+from epifield.scene import DepthRange, SurfaceSpec, fitted_line, partition_depth_layers
 from epifield.spectral import (
     FanBounds,
     SpectrumGrid,
@@ -130,20 +130,19 @@ def test_untilted_plane_fan_is_the_depth_range_fan(scene_a, directional):
 
 
 def _preset_layers(scenes, counts):
-    """(slab, layer) for every layer of each count (scene B, not monotonic, gives one)."""
+    """Every slab of each count (scene B, not monotonic, gives one)."""
     for scene in scenes:
         for count in counts if scene.name != "B" else (1,):
-            for layer in partition_depth_layers(scene.surface, count):
-                yield replace(scene.surface, x_range=layer.x_interval), layer
+            yield from partition_depth_layers(scene.surface, count)
 
 
 def test_untilted_plane_fan_equals_the_old_parallel_fan_bit_for_bit(scene_a, scene_b, scene_c):
     cases = 0
-    for slab, layer in _preset_layers((scene_a, scene_b, scene_c), range(1, 17)):
-        harmonic = optimal_depths(layer.depth_range).plane_depth
+    for slab in _preset_layers((scene_a, scene_b, scene_c), range(1, 17)):
+        harmonic = optimal_depths(slab.depth_range()).plane_depth
         for depth in (harmonic, 0.7, 1.0, 1.37, 2.5, math.inf):
             for plane in (PlaneParam(1.0, depth), PlaneParam(1.3, depth, s_max=0.6)):
-                want = oracle.fan_bounds_parallel(plane, layer.depth_range, 0.5)
+                want = oracle.fan_bounds_parallel(plane, slab.depth_range(), 0.5)
                 assert plane_fan(plane, slab, 0.5) == want
                 cases += 1
     assert cases == 2 * 6 * (1 + 2 * 136)
@@ -155,8 +154,8 @@ def test_tilted_plane_fan(scene_c):
     fan = plane_fan(PlaneParam(1.0, 1.5, 17.0), exact)
     assert math.isinf(fan.slope_lo) and math.isinf(fan.slope_hi)
 
-    (layer,) = partition_depth_layers(scene_c.surface, 1)
-    plane_c = PlaneParam(1.0, layer.fitted_z0, layer.fitted_tilt_deg)
+    (slab,) = partition_depth_layers(scene_c.surface, 1)
+    plane_c = PlaneParam(1.0, *fitted_line(slab))
     fan_c = plane_fan(plane_c, scene_c.surface, margin=0.5)
     assert fan_c.slope_lo == pytest.approx(5.5793618930012725, abs=1e-9)
     assert fan_c.slope_hi == pytest.approx(-24.92937009542107, abs=1e-9)
@@ -165,7 +164,7 @@ def test_tilted_plane_fan(scene_c):
     assert fan_c.slope_hi < 0.0 < fan_c.slope_lo
     assert fan_c.margin == 0.5
     # the residual extremes paired with z_min and z_max give a narrower fan
-    paired = oracle.fan_bounds_tilted(plane_c, scene_c.surface, layer)
+    paired = oracle.fan_bounds_tilted(plane_c, slab)
     assert fan_c.max_spacing(6.0) < paired.max_spacing(6.0)
 
 
@@ -186,8 +185,8 @@ def _assert_fan_spans_the_grid(plane, surface):
 
 def test_plane_fan_takes_the_fan_of_the_plane(scene_a, scene_b, scene_c):
     for scene in (scene_a, scene_b, scene_c):
-        (layer,) = partition_depth_layers(scene.surface, 1)
-        fitted = PlaneParam(1.0, layer.fitted_z0, layer.fitted_tilt_deg, check=False)
+        (slab,) = partition_depth_layers(scene.surface, 1)
+        fitted = PlaneParam(1.0, *fitted_line(slab), check=False)
         planes = (fitted, replace(fitted, depth=1.3), replace(fitted, tilt_deg=10.0))
         for plane in (PlaneParam(1.0, math.inf), PlaneParam(1.3, 2.0, s_max=0.6), *planes):
             _assert_fan_spans_the_grid(plane, scene.surface)
@@ -226,20 +225,19 @@ def test_plane_fan_matches_a_dense_grid_on_random_slabs():
 def test_family_fans_spacing_and_count(scene_b, scene_c):
     capture = PlaneParam(1.3, math.inf, s_max=0.6, u_max=0.2)
     wu_max = nyquist_omega(2.0 * capture.u_max / 63)
-    layers = [
-        (scene_b.surface, *partition_depth_layers(scene_b.surface, 1)),
-        (scene_c.surface, *partition_depth_layers(scene_c.surface, 1)),
-        *((scene_c.surface, lay) for lay in partition_depth_layers(scene_c.surface, 4)),
+    slabs = [
+        *partition_depth_layers(scene_b.surface, 1),
+        *partition_depth_layers(scene_c.surface, 1),
+        *partition_depth_layers(scene_c.surface, 4),
     ]
-    for surface, layer in layers:
-        slab = replace(surface, x_range=layer.x_interval)
-        parallel = PlaneParam(1.3, optimal_depths(layer.depth_range).plane_depth, 0.0, 0.6, 0.2)
-        fitted = PlaneParam(1.3, layer.fitted_z0, layer.fitted_tilt_deg, 0.6, 0.2, check=False)
+    for slab in slabs:
+        parallel = PlaneParam(1.3, optimal_depths(slab.depth_range()).plane_depth, 0.0, 0.6, 0.2)
+        fitted = PlaneParam(1.3, *fitted_line(slab), 0.6, 0.2, check=False)
         fans = {
-            "parallel": (parallel, oracle.fan_bounds_parallel(parallel, layer.depth_range, 0.5)),
+            "parallel": (parallel, oracle.fan_bounds_parallel(parallel, slab.depth_range(), 0.5)),
             "tilted": (fitted, plane_fan(fitted, slab, 0.5)),
         }
-        got = family_fans(surface, layer, capture, wu_max, 0.5)
+        got = family_fans(slab, capture, wu_max, 0.5)
         assert list(got) == ["parallel", "tilted"]
         for fam, (plane, fan) in fans.items():
             spacing = fan.max_spacing(wu_max)
@@ -253,11 +251,11 @@ def test_an_exact_plane_layer_keeps_an_unbounded_baseline():
     rounded = math.degrees(math.atan(math.tan(math.radians(tilt))))
     assert rounded != tilt
     surface = SurfaceSpec(1.7, tilt, 0.0, (-0.8, 0.3))
-    (layer,) = partition_depth_layers(surface, 1)
-    assert (layer.fitted_z0, layer.fitted_tilt_deg) == (1.7, tilt)
+    (slab,) = partition_depth_layers(surface, 1)
+    assert fitted_line(slab) == (1.7, tilt)
     capture = PlaneParam(1.0, math.inf)
     wu_max = nyquist_omega(2.0 * capture.u_max / 511)
-    _, spacing, images = family_fans(surface, layer, capture, wu_max)["tilted"]
+    _, spacing, images = family_fans(slab, capture, wu_max)["tilted"]
     assert (spacing, images) == (math.inf, 2)
     off = PlaneParam(1.0, 1.7, rounded, check=False)
     assert math.isfinite(plane_fan(off, surface).max_spacing(wu_max))
@@ -310,10 +308,9 @@ def _parallel_spacing(depth_range, focal, wu_max, view_bandwidth=0.0):
     return fan.max_spacing(wu_max)
 
 
-def _tilted_spacing(surface, layer, focal, wu_max, view_bandwidth=0.0):
-    # the fan of the layer's slab under the layer's own fitted plane
-    plane = PlaneParam(focal, layer.fitted_z0, layer.fitted_tilt_deg, check=False)
-    slab = replace(surface, x_range=layer.x_interval)
+def _tilted_spacing(slab, focal, wu_max, view_bandwidth=0.0):
+    # the fan of a layer's slab under the slab's own fitted plane
+    plane = PlaneParam(focal, *fitted_line(slab), check=False)
     return plane_fan(plane, slab, view_bandwidth).max_spacing(wu_max)
 
 
@@ -341,16 +338,16 @@ def test_wider_depth_ranges_need_tighter_spacing(z0, pad_lo, inner, pad_hi, wu):
 
 def test_max_camera_spacing_tilted(scene_a, scene_c):
     exact = SurfaceSpec(1.5, 17.0, 0.0, (-0.8, 0.8))
-    (exact_layer,) = partition_depth_layers(exact, 1)
-    assert _tilted_spacing(exact, exact_layer, 1.0, 6.0) == math.inf
+    (exact_slab,) = partition_depth_layers(exact, 1)
+    assert _tilted_spacing(exact_slab, 1.0, 6.0) == math.inf
     # an exact plane leaves only the view-dependence term
-    assert _tilted_spacing(exact, exact_layer, 1.0, 6.0, view_bandwidth=0.5) == pytest.approx(1.0)
+    assert _tilted_spacing(exact_slab, 1.0, 6.0, view_bandwidth=0.5) == pytest.approx(1.0)
     # scene A's fit is its own plane too
     (fitted,) = partition_depth_layers(scene_a.surface, 1)
-    assert _tilted_spacing(scene_a.surface, fitted, 1.0, 6.0) > 1e6
+    assert _tilted_spacing(fitted, 1.0, 6.0) > 1e6
 
-    (layer,) = partition_depth_layers(scene_c.surface, 1)
-    tilted = _tilted_spacing(scene_c.surface, layer, 1.0, 6.0)
+    (slab,) = partition_depth_layers(scene_c.surface, 1)
+    tilted = _tilted_spacing(slab, 1.0, 6.0)
     parallel = _parallel_spacing(scene_c.surface.depth_range(), 1.0, 6.0)
     assert tilted == pytest.approx(0.7598369847016291, abs=1e-12)
     assert parallel == pytest.approx(0.16885912926099123, abs=1e-12)
@@ -365,22 +362,22 @@ def test_max_spacing_matches_the_old_spacing_formulas(scene_a, scene_b, scene_c)
     n_us = (33, 64, 128, 256, 512, 1024)
     wus = [nyquist_omega(2.0 * DEFAULT_U_MAX / (n_u - 1)) for n_u in n_us]
     cases = worst = exact_cases = 0
-    for slab, layer in _preset_layers((scene_a, scene_b, scene_c), range(1, 33)):
-        dr = layer.depth_range
+    for slab in _preset_layers((scene_a, scene_b, scene_c), range(1, 33)):
+        dr = slab.depth_range()
         for focal in (0.5, 1.0, 1.3, 2.0):
             parallel = [
                 PlaneParam(focal, optimal_depths(dr).plane_depth, 0.0),
                 PlaneParam(focal, math.inf),
             ]
-            fitted = PlaneParam(focal, layer.fitted_z0, layer.fitted_tilt_deg, check=False)
+            fitted = PlaneParam(focal, *fitted_line(slab), check=False)
             for bandwidth in (0.0, 1.0, 5.0):
                 pairs = [
                     (plane_fan(p, slab, bandwidth), oracle.max_camera_spacing, (dr,))
                     for p in parallel
                 ]
-                paired = oracle.fan_bounds_tilted(fitted, slab, layer, bandwidth)
-                pairs.append((paired, oracle.max_camera_spacing_tilted, (layer, slab)))
-                if oracle.residual_range(slab, layer) == (0.0, 0.0):
+                paired = oracle.fan_bounds_tilted(fitted, slab, bandwidth)
+                pairs.append((paired, oracle.max_camera_spacing_tilted, (slab,)))
+                if oracle.residual_range(slab) == (0.0, 0.0):
                     # an exact plane layer leaves exactly the bandwidth term
                     exact_cases += 1
                     want = math.inf if bandwidth == 0.0 else 0.5 / bandwidth
