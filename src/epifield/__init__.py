@@ -55,7 +55,6 @@ from .spectral import (
 )
 from .experiments import (
     LayersResult,
-    SamplingCurve,
     SweepResult,
     layers_experiment,
     plane_mae,

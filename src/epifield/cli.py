@@ -237,16 +237,12 @@ def _cmd_layers(args, cfg: RunConfig) -> int:
         seed=cfg.seed,
     )
     out = _out_dir(cfg)
-    paths = [
-        write_layers_rmse_csv(result, "parallel", out / "layers_rmse_parallel.csv"),
-        write_layers_rmse_csv(result, "tilted", out / "layers_rmse_tilted.csv"),
-        write_curve_csv(result.curve, out / "sampling_curve.csv"),
-    ]
+    paths = [write_layers_rmse_csv(result, f, out / f"layers_rmse_{f}.csv") for f in result.rmse]
+    paths.append(write_curve_csv(result, out / "sampling_curve.csv"))
     _write_manifest(out, "layers", cfg, paths)
-    for count, img_p, img_t in zip(
-        result.curve.layer_counts, result.curve.images_parallel, result.curve.images_tilted
-    ):
-        print(f"L={count}: images parallel={img_p} tilted={img_t}")
+    for li, count in enumerate(result.layer_counts):
+        images = " ".join(f"{fam}={counts[li]}" for fam, counts in result.images.items())
+        print(f"L={count}: images {images}")
     return _EXIT_OK
 
 

@@ -27,7 +27,6 @@ from .workspace import Workspace
 
 __all__ = [
     "SweepResult",
-    "SamplingCurve",
     "LayersResult",
     "sweep_sparsity",
     "sweep_plane_mae",
@@ -219,7 +218,7 @@ def sweep_reconstruction(
 ) -> SweepResult:
     """PSNR of subsample-then-interpolate against the dense render, per cell."""
     if factor < 1 or n_s % factor != 0:
-        raise ValueError("factor must divide n_s")
+        raise ValueError(f"factor {factor} must divide {n_s=}")
 
     def cell_metric(param, workspace):
         dense = render_epi(
@@ -240,27 +239,19 @@ def sweep_reconstruction(
 
 
 @dataclass
-class SamplingCurve:
-    """Images required to cover the camera range, per layer count.
+class LayersResult:
+    """Reconstruction error and image counts of the layered pipelines.
 
-    One capture serves every layer (re-warping maps shared images to each
-    layer's plane), so a scene's requirement is the maximum over layers.
+    rmse and images are keyed by family_fans' family names, in its order;
+    rmse[family] has shape (len(layer_counts), len(factors)). One capture
+    serves every layer (re-warping maps shared images to each layer's
+    plane), so images[family] holds each layer count's maximum over layers.
     """
 
     layer_counts: tuple[int, ...]
-    images_parallel: tuple[int, ...]
-    images_tilted: tuple[int, ...]
-
-
-@dataclass
-class LayersResult:
-    """Reconstruction error and image counts of the layered pipelines."""
-
-    layer_counts: tuple[int, ...]
     factors: tuple[int, ...]
-    rmse_parallel: np.ndarray  # (len(layer_counts), len(factors))
-    rmse_tilted: np.ndarray
-    curve: SamplingCurve
+    rmse: dict[str, np.ndarray]
+    images: dict[str, tuple[int, ...]]
 
 
 def _trajectory_rebuild(src, dense, canon, prm, rows, xi, factor):
@@ -332,11 +323,7 @@ def layers_experiment(
     for f in factors:
         if f < 1:
             raise ValueError(f"factor {f} must be >= 1")
-    rmse = {
-        "parallel": np.zeros((len(layer_counts), len(factors))),
-        "tilted": np.zeros((len(layer_counts), len(factors))),
-    }
-    images = {"parallel": [], "tilted": []}
+    rmse, images = {}, {}
     wu_max = u_nyquist(plane, n_u)
     view_bandwidth = scene.texture.angular_bandwidth
     canon = replace(plane, depth=math.inf, tilt_deg=0.0)
@@ -348,12 +335,11 @@ def layers_experiment(
         slabs = partition_depth_layers(scene.surface, count)
         edges = np.array([slab.x_range[0] for slab in slabs] + [slabs[-1].x_range[1]])
         owner = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, count - 1)
-        sum_sq = {k: np.zeros(len(factors)) for k in rmse}
-        worst = {k: 2 for k in rmse}
-        for key, slab in enumerate(slabs):
-            families = family_fans(slab, plane, wu_max, view_bandwidth)
-            for fam, (_, _, n_images) in families.items():
-                worst[fam] = max(worst[fam], n_images)
+        fans = [family_fans(slab, plane, wu_max, view_bandwidth) for slab in slabs]
+        for fam in fans[0]:
+            rmse.setdefault(fam, np.zeros((len(layer_counts), len(factors))))
+            images[fam] = images.get(fam, ()) + (max(f[fam][2] for f in fans),)
+        for key, families in enumerate(fans):
             mask = hit & (owner == key)
             pi, pj = np.nonzero(mask)
             if pi.size == 0:
@@ -371,9 +357,7 @@ def layers_experiment(
                         _trajectory_rebuild(src, dense, canon, prm, pi[drop], xi[drop], factor)
                         - d_px[drop]
                     )
-                    sum_sq[fam][fi] += float(np.sum(np.square(diff)))
-        for fam in rmse:
-            rmse[fam][li] = np.sqrt(sum_sq[fam] / n_hit)
-            images[fam].append(worst[fam])
-    curve = SamplingCurve(layer_counts, tuple(images["parallel"]), tuple(images["tilted"]))
-    return LayersResult(layer_counts, factors, rmse["parallel"], rmse["tilted"], curve)
+                    rmse[fam][li, fi] += float(np.sum(np.square(diff)))
+        for table in rmse.values():
+            table[li] = np.sqrt(table[li] / n_hit)
+    return LayersResult(layer_counts, factors, rmse, images)

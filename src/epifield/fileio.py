@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import LayersResult, SamplingCurve, SweepResult
+from .experiments import LayersResult, SweepResult
 from .mapping import PlaneParam
 from .render import Epi
 from .spectral import SpectrumGrid
@@ -139,13 +139,14 @@ def write_missing_csv(result: SweepResult, path) -> Path:
     return _write_csv(path, ["depth", "tilt_deg", "reason"], rows)
 
 
-def write_curve_csv(curve: SamplingCurve, path) -> Path:
-    rows = zip(curve.layer_counts, curve.images_parallel, curve.images_tilted)
-    return _write_csv(path, ["layers", "images_parallel", "images_tilted"], rows)
+def write_curve_csv(result: LayersResult, path) -> Path:
+    """One row per layer count: layers, then images_<family> for each family."""
+    header = ["layers"] + [f"images_{family}" for family in result.images]
+    return _write_csv(path, header, zip(result.layer_counts, *result.images.values()))
 
 
 def write_layers_rmse_csv(result: LayersResult, family: str, path) -> Path:
-    table = {"parallel": result.rmse_parallel, "tilted": result.rmse_tilted}[family]
+    table = result.rmse[family]
     rows = (
         [count, factor, _format_float(table[li, fi])]
         for li, count in enumerate(result.layer_counts)

@@ -149,11 +149,11 @@ class TextureSpec:
 
     def __post_init__(self):
         omegas = tuple(float(w) for w in self.omegas)
-        if not omegas:
-            raise ValueError("texture needs at least one cosine frequency")
+        if not omegas or not all(map(math.isfinite, omegas)):
+            raise ValueError(f"texture needs at least one cosine frequency, all finite: {omegas}")
         object.__setattr__(self, "omegas", omegas)
-        if self.angular_bandwidth < 0.0 or self.noise_sigma < 0.0:
-            raise ValueError("angular_bandwidth and noise_sigma must be >= 0")
+        if not (0.0 <= self.angular_bandwidth < math.inf and 0.0 <= self.noise_sigma < math.inf):
+            raise ValueError("angular_bandwidth and noise_sigma must be finite and >= 0")
 
     @property
     def is_lambertian(self) -> bool:

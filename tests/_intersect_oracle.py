@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from epifield.experiments import LayersResult, SamplingCurve, _dense_capture
+from epifield.experiments import LayersResult, _dense_capture
 from epifield.mapping import DEFAULT_U_MAX, PlaneParam, rewarp_coords
 from epifield.scene import (
     DepthRange,
@@ -372,5 +372,5 @@ def layers_experiment(
         for fam in rmse:
             rmse[fam][li] = np.sqrt(sum_sq[fam] / n_hit)
             images[fam].append(worst[fam])
-    curve = SamplingCurve(layer_counts, tuple(images["parallel"]), tuple(images["tilted"]))
-    return LayersResult(layer_counts, factors, rmse["parallel"], rmse["tilted"], curve)
+    images = {fam: tuple(counts) for fam, counts in images.items()}
+    return LayersResult(layer_counts, factors, rmse, images)

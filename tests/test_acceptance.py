@@ -315,18 +315,18 @@ def test_criterion_09_layered_capture(criterion_report, scene_c):
         n_u=512,
         seed=0,
     )
-    rmse_ok = bool(np.all(result.rmse_tilted <= result.rmse_parallel))
-    curve = result.curve
+    rmse, images = result.rmse, result.images
+    rmse_ok = bool(np.all(rmse["tilted"] <= rmse["parallel"]))
     counts_ok = bool(
-        np.all(np.asarray(curve.images_tilted) <= np.asarray(curve.images_parallel))
-    ) and curve.images_tilted[0] < curve.images_parallel[0]
-    worst_gap = float(np.max(result.rmse_tilted - result.rmse_parallel))
+        np.all(np.asarray(images["tilted"]) <= np.asarray(images["parallel"]))
+    ) and images["tilted"][0] < images["parallel"][0]
+    worst_gap = float(np.max(rmse["tilted"] - rmse["parallel"]))
     elapsed = time.perf_counter() - t0
     ok = rmse_ok and counts_ok
     criterion_report.append(
         f"CRITERION 09 {'PASS' if ok else 'FAIL'}  rmse_tilted <= rmse_parallel at all "
-        f"{result.rmse_tilted.size} grid points (max gap {worst_gap:.2e}); images "
-        f"{list(curve.images_tilted)} vs {list(curve.images_parallel)} ({elapsed:.0f} s)"
+        f"{rmse['tilted'].size} grid points (max gap {worst_gap:.2e}); images "
+        f"{list(images['tilted'])} vs {list(images['parallel'])} ({elapsed:.0f} s)"
     )
     assert rmse_ok
     assert counts_ok

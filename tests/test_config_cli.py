@@ -593,6 +593,15 @@ def _set(text, section, key, value):
     return head + sep + body
 
 
+def test_reconstruct_factor_not_dividing_n_s_names_both(tmp_path, capsys):
+    text = _set(_set(FULL_CONFIG, "sweep", "factor", "3"), "grid", "n_s", "256")
+    path = _write(tmp_path, text, name="factor3.cfg")
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", str(path), "--out", str(out)]) == 2
+    assert "precondition failed: factor 3 must divide n_s=256" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [

@@ -23,7 +23,7 @@ from epifield.experiments import (
 from epifield.mapping import PlaneParam
 from epifield.render import render_epi
 from epifield.scene import SceneDef, TextureSpec
-from epifield.spectral import dft2_magnitude, sparsity_rmse
+from epifield.spectral import dft2_magnitude, family_fans, sparsity_rmse, u_nyquist
 from epifield.workspace import Workspace
 
 
@@ -141,24 +141,36 @@ def test_sweep_reconstruction(flat_scene):
 def test_layers_flat_scene_families_coincide(flat_scene):
     res = layers_experiment(flat_scene, (1,), (1, 2, 4), n_s=64, n_u=64)
     assert isinstance(res, LayersResult)
-    assert res.rmse_parallel.shape == (1, 3)
+    parallel, tilted = res.rmse["parallel"], res.rmse["tilted"]
+    assert parallel.shape == (1, 3)
     # the dense capture reconstructs itself
-    assert res.rmse_parallel[0, 0] == 0.0 and res.rmse_tilted[0, 0] == 0.0
+    assert parallel[0, 0] == 0.0 and tilted[0, 0] == 0.0
     # a flat scene gives both families the same plane (up to fit rounding);
     # subsampled errors stay nonzero because edge trajectories leave the window
-    assert (res.rmse_parallel[0, 1:] > 0.0).all()
-    assert np.allclose(res.rmse_parallel, res.rmse_tilted, rtol=0.0, atol=1e-12)
-    assert res.curve.images_parallel == (2,) and res.curve.images_tilted == (2,)
+    assert (parallel[0, 1:] > 0.0).all()
+    assert np.allclose(parallel, tilted, rtol=0.0, atol=1e-12)
+    assert res.images["parallel"] == (2,) and res.images["tilted"] == (2,)
 
 
 def test_layers_curved_scene_prefers_tilted_planes(scene_c):
     res = layers_experiment(scene_c, (1, 2, 4), (2, 4), n_s=128, n_u=128)
-    assert res.rmse_parallel.shape == (3, 2)
-    assert (res.rmse_tilted <= res.rmse_parallel).all()
-    par, til = res.curve.images_parallel, res.curve.images_tilted
+    assert res.rmse["parallel"].shape == (3, 2)
+    assert (res.rmse["tilted"] <= res.rmse["parallel"]).all()
+    par, til = res.images["parallel"], res.images["tilted"]
     assert til[0] < par[0]
     assert all(a >= b for a, b in zip(par, par[1:]))
     assert all(a >= b for a, b in zip(til, til[1:]))
+
+
+def test_layers_results_are_keyed_by_family_fans(scene_c):
+    res = layers_experiment(scene_c, (1, 2), (2, 4), n_s=32, n_u=16)
+    plane = PlaneParam(1.0, math.inf)
+    margin = scene_c.texture.angular_bandwidth
+    families = family_fans(scene_c.surface, plane, u_nyquist(plane, 16), margin)
+    assert list(res.rmse) == list(res.images) == list(families)
+    for fam, (_, _, n_images) in families.items():
+        assert res.rmse[fam].shape == (2, 2)
+        assert res.images[fam][0] == n_images  # one layer is the whole surface
 
 
 def test_layers_traces_the_dense_capture_once(scene_c, monkeypatch):
@@ -174,7 +186,7 @@ def test_layers_traces_the_dense_capture_once(scene_c, monkeypatch):
             monkeypatch.setattr(module, "intersect_rays", counting)
     res = layers_experiment(scene_c, (1, 2), (2, 4), n_s=32, n_u=16)
     assert len(calls) == 1
-    assert res.rmse_tilted.shape == (2, 2)
+    assert res.rmse["tilted"].shape == (2, 2)
 
 
 def test_layers_rejects_bad_factor(flat_scene):

@@ -20,7 +20,7 @@ from epifield.fileio import (
     write_spectrum,
     write_sweep_csv,
 )
-from epifield.experiments import LayersResult, SamplingCurve, SweepResult
+from epifield.experiments import LayersResult, SweepResult
 from epifield.mapping import PlaneParam
 from epifield.render import Epi
 from epifield.spectral import SpectrumGrid
@@ -138,21 +138,28 @@ def test_sweep_csv_roundtrip(tmp_path):
 
 
 def test_curve_csv_contents(tmp_path):
-    curve = SamplingCurve((1, 2), (5916, 4369), (1268, 336))
-    path = write_curve_csv(curve, tmp_path / "curve.csv")
+    rmse = {"parallel": np.zeros((2, 1)), "tilted": np.zeros((2, 1))}
+    res = LayersResult((1, 2), (2,), rmse, {"parallel": (5916, 4369), "tilted": (1268, 336)})
+    path = write_curve_csv(res, tmp_path / "curve.csv")
     lines = path.read_text().splitlines()
     assert lines[0] == "layers,images_parallel,images_tilted"
     assert lines[1] == "1,5916,1268"
     assert lines[2] == "2,4369,336"
+    # the columns follow the result's families, in their order
+    res.images = {"tilted": (1268, 336), "parallel": (5916, 4369)}
+    lines = write_curve_csv(res, tmp_path / "swapped.csv").read_text().splitlines()
+    assert lines == ["layers,images_tilted,images_parallel", "1,1268,5916", "2,336,4369"]
 
 
 def test_layers_rmse_csv(tmp_path):
     res = LayersResult(
         (1, 2),
         (2, 4),
-        np.array([[0.1, 0.2], [0.3, 0.4]]),
-        np.array([[0.01, 0.02], [0.03, 0.04]]),
-        SamplingCurve((1, 2), (4, 3), (2, 2)),
+        {
+            "parallel": np.array([[0.1, 0.2], [0.3, 0.4]]),
+            "tilted": np.array([[0.01, 0.02], [0.03, 0.04]]),
+        },
+        {"parallel": (4, 3), "tilted": (2, 2)},
     )
     path = write_layers_rmse_csv(res, "tilted", tmp_path / "rmse.csv")
     lines = path.read_text().splitlines()

@@ -8,7 +8,9 @@ byte fails this test. The CAPTURE pins (a non-default focal length, camera
 range and image window) were taken while the sweeps and the layers
 experiment still took that capture as three loose keywords. The
 layers-70x33 pins come from the row-by-row layered reconstruction that
-preceded the pixel-wise one. The guidelines.txt pins of guidelines-A and
+preceded the pixel-wise one. The layers stdout pins (one line of image
+counts per layer count) were taken before the layered experiment keyed its
+results by family. The guidelines.txt pins of guidelines-A and
 guidelines-flat were retaken when planar surfaces began to take their own
 depth line instead of a sampled fit (scene A's tilted spacing became inf,
 the flat scene's fitted tilt exactly 0). The FITTED pins were taken while
@@ -164,27 +166,40 @@ PINS = {
 }
 
 
+# what layers prints: each layer count's image counts, one family after another
+STDOUT_PINS = {
+    "layers": "L=1: images parallel=52 tilted=11\nL=2: images parallel=31 tilted=6\n",
+    "layers-70x33": "L=1: images parallel=70 tilted=14\nL=3: images parallel=30 tilted=6\n",
+}
+
+
 def _digests(out):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
-def run_all(tmp_path, threads):
+def run_all(tmp_path, threads, capsys):
+    """Every run's artifact digests, and the stdout of the layers runs."""
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY)
     flat = tmp_path / "flat.cfg"
     flat.write_text(FLAT)
-    found = {}
+    found, printed = {}, {}
     for name, argv in RUNS.items():
         out = tmp_path / f"{name}-t{threads}"
+        capsys.readouterr()
         code = main([*argv, "--config", str(cfg), "--out", str(out), "--threads", str(threads)])
         assert code == 0, name
         found[name] = _digests(out)
+        if name == "layers":
+            printed[name] = capsys.readouterr().out
     layers = tmp_path / "layers-70x33.cfg"
     layers.write_text(LAYERS_70)
     out = tmp_path / f"layers-70x33-t{threads}"
     argv = ["layers", "--config", str(layers), "--out", str(out), "--threads", str(threads)]
+    capsys.readouterr()
     assert main(argv) == 0
     found["layers-70x33"] = _digests(out)
+    printed["layers-70x33"] = capsys.readouterr().out
     for preset in "ABC":
         out = tmp_path / f"guidelines-{preset}-t{threads}"
         assert main(["guidelines", "--scene", preset, "--out", str(out)]) == 0
@@ -192,12 +207,14 @@ def run_all(tmp_path, threads):
     out = tmp_path / f"guidelines-flat-t{threads}"
     assert main(["guidelines", "--config", str(flat), "--out", str(out)]) == 0
     found["guidelines-flat"] = _digests(out)
-    return found
+    return found, printed
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_artifacts_match_pins(tmp_path, threads):
-    assert run_all(tmp_path, threads) == PINS
+def test_artifacts_match_pins(tmp_path, capsys, threads):
+    found, printed = run_all(tmp_path, threads, capsys)
+    assert found == PINS
+    assert printed == STDOUT_PINS
 
 
 CAPTURE_PINS = {
@@ -225,17 +242,22 @@ CAPTURE_PINS = {
 }
 
 
+CAPTURE_STDOUT = "L=1: images parallel=53 tilted=10\nL=2: images parallel=31 tilted=5\n"
+
+
 @pytest.mark.parametrize("threads", [1, 2])
-def test_non_default_capture_matches_pins(tmp_path, threads):
+def test_non_default_capture_matches_pins(tmp_path, capsys, threads):
     cfg = tmp_path / "capture.cfg"
     cfg.write_text(CAPTURE)
     found = {}
     for name in ("guidelines", "sweep-sparsity", "reconstruct", "layers"):
         out = tmp_path / name
         argv = [*RUNS[name], "--config", str(cfg), "--out", str(out), "--threads", str(threads)]
+        capsys.readouterr()
         assert main(argv) == 0, name
         found[name] = _digests(out)
     assert found == CAPTURE_PINS
+    assert capsys.readouterr().out == CAPTURE_STDOUT
 
 
 # an untilted ramp: the plane 1.5 / 17 deg is the surface itself, so its fan

@@ -114,10 +114,11 @@ def test_layers_match_the_per_row_reconstruction(scene_c, scene_name, layer_coun
         assert _has_empty_layer(scene, 4, n_s, n_u)
     got = layers_experiment(scene, layer_counts, factors, n_s=n_s, n_u=n_u, seed=3)
     want = oracle.layers_experiment(scene, layer_counts, factors, n_s=n_s, n_u=n_u, seed=3)
-    assert np.array_equal(_bits(got.rmse_parallel), _bits(want.rmse_parallel))
-    assert np.array_equal(_bits(got.rmse_tilted), _bits(want.rmse_tilted))
-    assert got.curve == want.curve
-    assert np.all(got.rmse_parallel[:, 0] == 0.0) and np.all(got.rmse_tilted[:, 0] == 0.0)
+    assert list(got.rmse) == list(want.rmse) == ["parallel", "tilted"]
+    for fam in want.rmse:
+        assert np.array_equal(_bits(got.rmse[fam]), _bits(want.rmse[fam]))
+        assert np.all(got.rmse[fam][:, 0] == 0.0)
+    assert (got.layer_counts, got.images) == (want.layer_counts, want.images)
 
 
 @pytest.mark.parametrize("factor", [2, 5, 7, 48, 64])

@@ -129,6 +129,25 @@ def test_texture_validation():
     assert not TextureSpec(angular_bandwidth=2.0).is_lambertian
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"noise_sigma": math.nan},
+        {"noise_sigma": math.inf},
+        {"angular_bandwidth": math.nan},
+        {"angular_bandwidth": math.inf},
+        {"omegas": (20.0, math.inf)},
+        {"omegas": (math.nan,)},
+        {"omegas": (-math.inf, 40.0)},
+    ],
+)
+def test_texture_rejects_non_finite_values(kwargs):
+    # a NaN sigma would render noise-free; a NaN or inf bandwidth or omega
+    # would make every sweep cell NaN without a missing cell
+    with pytest.raises(ValueError, match="finite"):
+        TextureSpec(**kwargs)
+
+
 @given(
     st.lists(st.floats(0.1, 100.0), min_size=1, max_size=6),
     st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=30),
