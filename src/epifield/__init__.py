@@ -8,7 +8,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # an exported value wins
 
 from .scene import (
     DEFAULT_OMEGAS,
-    DepthRange,
     SceneDef,
     SceneGeometryError,
     SurfaceSpec,
@@ -18,8 +17,8 @@ from .scene import (
 )
 from .mapping import (
     DEFAULT_U_MAX,
-    OcclusionCheck,
     PlaneParam,
+    SelfOcclusionError,
     check_no_self_occlusion,
     intersect_rays,
     map_surface_to_image,
@@ -29,7 +28,6 @@ from .mapping import (
 from .render import (
     Epi,
     NonDivisibleFactor,
-    SelfOcclusionError,
     interp_u,
     psnr,
     reconstruct_epi,

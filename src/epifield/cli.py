@@ -34,7 +34,8 @@ from .fileio import (
     write_spectrum,
     write_sweep_csv,
 )
-from .render import SelfOcclusionError, render_epi
+from .mapping import SelfOcclusionError
+from .render import render_epi
 from .spectral import dft2_magnitude, plane_fan, sampling_guidelines
 
 _EXIT_OK = 0
@@ -204,7 +205,7 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
             window=cfg.window or "rect",
             **common,
         )
-        geometry = sweep_plane_mae(cfg.scene.surface, d_values, t_values)
+        geometry = sweep_plane_mae(cfg.scene.surface, d_values, t_values, plane=cfg.plane)
         tables = [
             ("sparsity", result, "sparsity argmin"),
             ("plane_mae", geometry, "plane_mae argmin"),

@@ -190,18 +190,15 @@ def plane_mae(surface: SurfaceSpec, depth: float, tilt_deg: float) -> float:
     return float(np.mean(np.abs(surface.depth(xs) - plane)))
 
 
-def sweep_plane_mae(surface: SurfaceSpec, d_values, tilt_values) -> SweepResult:
-    """Geometric plane-fit error over the same grid the render sweeps use."""
-    metric = np.empty((len(d_values), len(tilt_values)))
-    for i, d in enumerate(d_values):
-        for j, t in enumerate(tilt_values):
-            metric[i, j] = plane_mae(surface, float(d), float(t))
-    return SweepResult(
-        np.asarray(d_values, dtype=float),
-        np.asarray(tilt_values, dtype=float),
-        metric,
-        "plane_mae",
-    )
+def sweep_plane_mae(
+    surface: SurfaceSpec, d_values, tilt_values, *, plane: PlaneParam = _CAPTURE
+) -> SweepResult:
+    """Geometric plane-fit error over the render sweeps' grid, with their missing cells."""
+
+    def cell_metric(param, workspace):
+        return plane_mae(surface, param.depth, param.tilt_deg)
+
+    return _sweep(d_values, tilt_values, "plane_mae", cell_metric, plane=plane, threads=1)
 
 
 def sweep_reconstruction(

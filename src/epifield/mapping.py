@@ -30,7 +30,7 @@ from .workspace import Workspace, scratch
 __all__ = [
     "DEFAULT_U_MAX",
     "PlaneParam",
-    "OcclusionCheck",
+    "SelfOcclusionError",
     "map_surface_to_image",
     "u_infinity",
     "intersect_rays",
@@ -104,13 +104,8 @@ class PlaneParam:
         return 1.0 + np.multiply(s, self.tilt_slope * self.inv_depth)
 
 
-@dataclass(frozen=True)
-class OcclusionCheck:
-    """Result of the self-occlusion test: worst surface slope vs. the limit."""
-
-    ok: bool
-    worst_slope: float
-    slope_limit: float
+class SelfOcclusionError(RuntimeError):
+    """The scene violates the no-self-occlusion condition for this capture."""
 
 
 def map_surface_to_image(param: PlaneParam, surface: SurfaceSpec, x, s):
@@ -259,8 +254,8 @@ def rewarp_coords(src: PlaneParam, dst: PlaneParam, s, u_src):
     return (ui + np.multiply(s, dst.focal * dst.inv_depth)) / dst.tilt_scale(s)
 
 
-def check_no_self_occlusion(surface: SurfaceSpec, param: PlaneParam) -> OcclusionCheck:
-    """Sufficient condition for the surface to be fully visible.
+def check_no_self_occlusion(surface: SurfaceSpec, param: PlaneParam) -> None:
+    """Raise SelfOcclusionError unless the surface is surely fully visible.
 
     Every ray in the capture stays within |slope| < focal / (u_max +
     s_max * focal / depth) of vertical, so a surface whose |dz/dx| stays
@@ -270,4 +265,8 @@ def check_no_self_occlusion(surface: SurfaceSpec, param: PlaneParam) -> Occlusio
     limit = param.focal / (param.u_max + param.s_max * param.focal * param.inv_depth)
     lo, hi = surface.x_range
     worst = max(abs(surface.depth_slope(lo)), abs(surface.depth_slope(hi)))
-    return OcclusionCheck(ok=worst < limit, worst_slope=worst, slope_limit=limit)
+    if not worst < limit:
+        raise SelfOcclusionError(
+            f"surface slope {worst:.4g} exceeds the visibility "
+            f"limit {limit:.4g} for this capture"
+        )

@@ -21,7 +21,6 @@ from .workspace import Workspace, scratch
 
 __all__ = [
     "Epi",
-    "SelfOcclusionError",
     "NonDivisibleFactor",
     "render_epi",
     "subsample_epi",
@@ -29,10 +28,6 @@ __all__ = [
     "interp_u",
     "psnr",
 ]
-
-
-class SelfOcclusionError(RuntimeError):
-    """The scene violates the no-self-occlusion condition for this capture."""
 
 
 class NonDivisibleFactor(ValueError):
@@ -128,12 +123,7 @@ def render_epi(
     stays in its "x" and "hit" buffers (see epifield.workspace).
     """
     if check_occlusion:
-        chk = check_no_self_occlusion(scene.surface, param)
-        if not chk.ok:
-            raise SelfOcclusionError(
-                f"surface slope {chk.worst_slope:.4g} exceeds the visibility "
-                f"limit {chk.slope_limit:.4g} for this capture"
-            )
+        check_no_self_occlusion(scene.surface, param)
     s_axis, u_axis = ray_grid(param, n_s, n_u)
     if row_step < 1 or n_s % row_step != 0:
         raise NonDivisibleFactor(f"row step {row_step} does not divide {n_s} rows")
@@ -243,14 +233,8 @@ def interp_u(data: np.ndarray, u_axis: np.ndarray, rows, u) -> np.ndarray:
     return out
 
 
-def psnr(
-    reference: np.ndarray,
-    test: np.ndarray,
-    peak: float = 1.0,
-    *,
-    workspace: Workspace | None = None,
-) -> float:
-    """Peak signal-to-noise ratio in dB; math.inf for an exact match."""
+def psnr(reference: np.ndarray, test: np.ndarray, *, workspace: Workspace | None = None) -> float:
+    """Peak signal-to-noise ratio in dB for data in [0, 1]; math.inf for an exact match."""
     reference, test = np.asarray(reference), np.asarray(test)
     shape = np.broadcast_shapes(reference.shape, test.shape)
     diff = scratch(workspace, "t1", shape, np.result_type(reference, test))
@@ -258,4 +242,4 @@ def psnr(
     err = np.mean(np.square(diff, out=diff))
     if err == 0.0:
         return math.inf
-    return float(10.0 * math.log10(peak * peak / err))
+    return float(10.0 * math.log10(1.0 / err))

@@ -25,7 +25,6 @@ from .workspace import Workspace, scratch
 
 __all__ = [
     "SceneGeometryError",
-    "DepthRange",
     "SurfaceSpec",
     "TextureSpec",
     "SceneDef",
@@ -46,20 +45,6 @@ class SceneGeometryError(ValueError):
 def unnormalized_sinc(y):
     """sin(y) / y with the removable singularity filled in."""
     return np.sinc(np.asarray(y, dtype=float) / np.pi)
-
-
-@dataclass(frozen=True)
-class DepthRange:
-    """Closed interval of depths, strictly in front of the camera line."""
-
-    z_min: float
-    z_max: float
-
-    def __post_init__(self):
-        if not (0.0 < self.z_min <= self.z_max):
-            raise SceneGeometryError(
-                f"invalid depth range [{self.z_min}, {self.z_max}]"
-            )
 
 
 @dataclass(frozen=True)
@@ -126,9 +111,6 @@ class SurfaceSpec:
                 cand.append(x_vertex)
         depths = [float(self.depth(x)) for x in cand]
         return min(depths), max(depths)
-
-    def depth_range(self) -> DepthRange:
-        return DepthRange(*self.depth_extremes())
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .mapping import PlaneParam
 from .render import Epi
-from .scene import DepthRange, SceneDef, SurfaceSpec, _real_roots, fitted_line
+from .scene import SceneDef, SurfaceSpec, _real_roots, fitted_line
 from .workspace import Workspace, scratch
 
 __all__ = [
@@ -237,10 +237,10 @@ class OptimalDepths:
     plane_depth: float
 
 
-def optimal_depths(depth_range: DepthRange) -> OptimalDepths:
+def optimal_depths(z_min: float, z_max: float) -> OptimalDepths:
     return OptimalDepths(
-        midpoint_depth=0.5 * (depth_range.z_min + depth_range.z_max),
-        plane_depth=2.0 / (1.0 / depth_range.z_min + 1.0 / depth_range.z_max),
+        midpoint_depth=0.5 * (z_min + z_max),
+        plane_depth=2.0 / (1.0 / z_min + 1.0 / z_max),
     )
 
 
@@ -255,7 +255,8 @@ def family_fans(
     spacing comes from the plane's fan over the slab.
     """
     z0, tilt_deg = fitted_line(slab)
-    parallel = replace(plane, depth=optimal_depths(slab.depth_range()).plane_depth, tilt_deg=0.0)
+    plane_depth = optimal_depths(*slab.depth_extremes()).plane_depth
+    parallel = replace(plane, depth=plane_depth, tilt_deg=0.0)
     tilted = replace(plane, depth=z0, tilt_deg=tilt_deg, check=False)
 
     def family(param: PlaneParam) -> tuple[PlaneParam, float, int]:
@@ -320,15 +321,15 @@ def sampling_guidelines(scene: SceneDef, plane: PlaneParam, n_u: int) -> list[tu
     plane's window; a tilted plane adds the chirp at mid-surface.
     """
     surface = scene.surface
-    depth_range = surface.depth_range()
-    depths = optimal_depths(depth_range)
+    z_min, z_max = surface.depth_extremes()
+    depths = optimal_depths(z_min, z_max)
     wu_max = u_nyquist(plane, n_u)
     fams = family_fans(surface, plane, wu_max, scene.texture.angular_bandwidth)
     fitted = fams["tilted"][0]
     pairs = [
         ("scene", scene.name),
-        ("z_min", depth_range.z_min),
-        ("z_max", depth_range.z_max),
+        ("z_min", z_min),
+        ("z_max", z_max),
         ("midpoint_depth", depths.midpoint_depth),
         ("plane_depth", depths.plane_depth),
         ("wu_max", wu_max),

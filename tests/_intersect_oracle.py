@@ -33,7 +33,6 @@ import numpy as np
 from epifield.experiments import LayersResult, _dense_capture
 from epifield.mapping import DEFAULT_U_MAX, PlaneParam, rewarp_coords
 from epifield.scene import (
-    DepthRange,
     SceneDef,
     SurfaceSpec,
     fitted_line,
@@ -196,7 +195,8 @@ def _trajectory_reconstruct(src, s_axis, u_axis, factor, traj, rows):
 
 
 def max_camera_spacing(
-    depth_range: DepthRange,
+    z_min: float,
+    z_max: float,
     focal: float,
     wu_max: float,
     view_bandwidth: float = 0.0,
@@ -210,7 +210,7 @@ def max_camera_spacing(
     if wu_max < 0.0 or view_bandwidth < 0.0:
         raise ValueError("wu_max and view_bandwidth must be >= 0")
     denom = (
-        focal * (1.0 / depth_range.z_min - 1.0 / depth_range.z_max) * wu_max
+        focal * (1.0 / z_min - 1.0 / z_max) * wu_max
         + 2.0 * view_bandwidth
     )
     return math.inf if denom == 0.0 else 1.0 / denom
@@ -247,14 +247,14 @@ def _bound_slope(z: float, param: PlaneParam) -> float:
 
 
 def fan_bounds_parallel(
-    param: PlaneParam, depth_range: DepthRange, margin: float = 0.0
+    param: PlaneParam, z_min: float, z_max: float, margin: float = 0.0
 ) -> FanBounds:
     """Fan bounds for a parallel (untilted) plane from a depth range."""
     if param.tilt_deg != 0.0:
         raise ValueError("fan_bounds_parallel requires an untilted plane")
     return FanBounds(
-        slope_lo=_bound_slope(depth_range.z_min, param),
-        slope_hi=_bound_slope(depth_range.z_max, param),
+        slope_lo=_bound_slope(z_min, param),
+        slope_hi=_bound_slope(z_max, param),
         margin=margin,
     )
 
@@ -273,10 +273,8 @@ def fan_bounds_tilted(param: PlaneParam, slab: SurfaceSpec, margin: float = 0.0)
     ):
         raise ValueError("plane parameters do not match the layer fit")
     r_lo, r_hi = residual_range(slab)
-    dr = slab.depth_range()
-    return FanBounds(
-        _line_slope(dr.z_min, r_lo, param), _line_slope(dr.z_max, r_hi, param), margin
-    )
+    z_min, z_max = slab.depth_extremes()
+    return FanBounds(_line_slope(z_min, r_lo, param), _line_slope(z_max, r_hi, param), margin)
 
 
 def max_camera_spacing_tilted(
@@ -295,9 +293,9 @@ def max_camera_spacing_tilted(
     if wu_max < 0.0 or view_bandwidth < 0.0:
         raise ValueError("wu_max and view_bandwidth must be >= 0")
     r_lo, r_hi = residual_range(slab)
-    dr = slab.depth_range()
+    z_min, z_max = slab.depth_extremes()
     denom = (focal / fitted_line(slab)[0]) * abs(
-        r_lo / dr.z_min - r_hi / dr.z_max
+        r_lo / z_min - r_hi / z_max
     ) * wu_max + 2.0 * view_bandwidth
     return math.inf if denom == 0.0 else 1.0 / denom
 
@@ -341,13 +339,14 @@ def layers_experiment(
         sum_sq = {k: np.zeros(len(factors)) for k in rmse}
         worst = {k: 2 for k in rmse}
         for key, slab in enumerate(slabs):
+            z_min, z_max = slab.depth_extremes()
             params = {
                 "parallel": PlaneParam(
-                    focal, optimal_depths(slab.depth_range()).plane_depth, 0.0, s_max, u_max
+                    focal, optimal_depths(z_min, z_max).plane_depth, 0.0, s_max, u_max
                 ),
                 "tilted": PlaneParam(focal, *fitted_line(slab), s_max, u_max, check=False),
             }
-            sp_par = max_camera_spacing(slab.depth_range(), focal, wu_max, view_bandwidth)
+            sp_par = max_camera_spacing(z_min, z_max, focal, wu_max, view_bandwidth)
             # the exact tilted fan, over the layer's slab
             sp_til = plane_fan(params["tilted"], slab, view_bandwidth).max_spacing(wu_max)
             worst["parallel"] = max(worst["parallel"], min_image_count(sp_par, s_max))

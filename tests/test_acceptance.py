@@ -21,6 +21,7 @@ from epifield.experiments import (
 )
 from epifield.mapping import (
     PlaneParam,
+    SelfOcclusionError,
     check_no_self_occlusion,
     intersect_rays,
     map_surface_to_image,
@@ -77,8 +78,7 @@ def test_criterion_01_preset_depth_ranges(criterion_report, scene_a, scene_b, sc
 
 
 def test_criterion_02_optimal_placements(criterion_report, scene_a):
-    depth_range = scene_a.surface.depth_range()
-    opt = optimal_depths(depth_range)
+    opt = optimal_depths(*scene_a.surface.depth_extremes())
     zg_err = abs(opt.midpoint_depth - 1.5)
     dopt_err = abs(opt.plane_depth - 1.4601)
     fan = plane_fan(PlaneParam(1.0, opt.plane_depth, 0.0), scene_a.surface)
@@ -174,8 +174,11 @@ def test_criterion_04_ray_mapping_round_trip(criterion_report, scene_a, scene_b)
             depth = math.inf if rng.random() < 0.25 else rng.uniform(1.2, 4.0)
             tilt = 0.0 if math.isinf(depth) else rng.uniform(-20.0, 20.0)
             param = PlaneParam(rng.uniform(0.8, 1.25), depth, tilt)
-            if check_no_self_occlusion(scene.surface, param).ok:
-                params.append(param)
+            try:
+                check_no_self_occlusion(scene.surface, param)
+            except SelfOcclusionError:
+                continue
+            params.append(param)
         assert len(params) == 5, "could not draw five valid parameterizations"
         lo, hi = scene.surface.x_range
         pad = 0.01 * (hi - lo)

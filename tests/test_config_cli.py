@@ -501,6 +501,45 @@ def test_cli_sweep_writes_missing_cells(tmp_path, capsys):
     assert "1 of 3 cells missing" in capsys.readouterr().out
 
 
+def test_cli_sweep_plane_mae_is_nan_at_the_missing_cells(tmp_path):
+    out = tmp_path / "plane_mae_out"
+    cfg = _write(
+        tmp_path,
+        dedent(
+            f"""
+            [scene]
+            preset = C
+
+            [plane]
+            depth = infinity
+
+            [grid]
+            n_s = 16
+            n_u = 16
+
+            [run]
+            out_dir = {out}
+
+            [sweep]
+            depth_min = 1.0
+            depth_max = 1.5
+            depth_count = 2
+            tilt_min = 0.0
+            tilt_max = 50.0
+            tilt_count = 2
+            """
+        ),
+        name="plane_mae.cfg",
+    )
+    assert main(["sweep-sparsity", "--config", str(cfg), "--heatmap"]) == 0
+    missing = [row.split(",")[:2] for row in (out / "missing.csv").read_text().splitlines()[1:]]
+    assert missing == [["1.0", "50.0"]]
+    rows = [row.split(",") for row in (out / "plane_mae.csv").read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows if row[2] == "nan"] == missing
+    samples = (out / "plane_mae_heatmap.pgm").read_bytes()[len(b"P5\n2 2\n65535\n") :]
+    assert samples[2:4] == b"\x00\x00"  # the missing cell is black
+
+
 def test_cli_sweep_with_every_cell_missing_exits_2(tmp_path, capsys):
     out = tmp_path / "all_missing_out"
     cfg = _tiny_cfg(tmp_path, out, extra=_depth_sweep(-2.0, -1.0))

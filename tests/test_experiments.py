@@ -69,6 +69,20 @@ def test_sweep_plane_mae_finds_the_matched_plane(scene_a):
     assert not res.missing
 
 
+def test_sweep_plane_mae_misses_the_render_sweeps_cells(scene_c):
+    # at depth 1.0 a 50 degree plane meets the camera line inside s_max = 1
+    grid = ([1.0, 1.5], [0.0, 50.0])
+    geometry = sweep_plane_mae(scene_c.surface, *grid)
+    assert geometry.missing == sweep_sparsity(scene_c, *grid, n_s=16, n_u=16).missing
+    assert [cell[:2] for cell in geometry.missing] == [(0, 1)]
+    assert "crossing at s = -0.8391" in geometry.missing[0][2]
+    assert np.isnan(geometry.metric[0, 1])
+    assert np.isfinite(geometry.metric).sum() == 3
+    # the plane's camera range decides, as in the render sweeps
+    short = PlaneParam(1.0, math.inf, s_max=0.5)
+    assert not sweep_plane_mae(scene_c.surface, *grid, plane=short).missing
+
+
 def test_sweep_sparsity_matches_direct_pipeline(scene_a):
     res = sweep_sparsity(scene_a, [1.4], [10.0], n_s=32, n_u=32, seed=3)
     epi = render_epi(scene_a, PlaneParam(1.0, 1.4, 10.0), 32, 32, seed=3)

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, strategies as st
 from epifield.mapping import (
     DEFAULT_U_MAX,
     PlaneParam,
+    SelfOcclusionError,
     check_no_self_occlusion,
     intersect_rays,
     map_surface_to_image,
@@ -236,15 +237,33 @@ def test_rewarp_preserves_cross_ratio():
     assert cross(warped) == pytest.approx(cross(us), abs=1e-9)
 
 
+def _planar(slope):
+    return SurfaceSpec(3.0, math.degrees(math.atan(slope)), 0.0, (-0.3, 0.3))
+
+
 def test_occlusion_check(flat_scene, directional):
-    clear = check_no_self_occlusion(flat_scene.surface, directional)
-    assert clear.ok and clear.worst_slope == 0.0
-    assert clear.slope_limit == pytest.approx(1.0 / DEFAULT_U_MAX)
+    check_no_self_occlusion(flat_scene.surface, directional)
 
     steep = SurfaceSpec(3.0, 80.0, 0.0, (-0.3, 0.3))
-    bad = check_no_self_occlusion(steep, directional)
-    assert not bad.ok
-    assert bad.worst_slope == pytest.approx(math.tan(math.radians(80.0)))
+    worst, limit = math.tan(math.radians(80.0)), 1.0 / DEFAULT_U_MAX
+    with pytest.raises(SelfOcclusionError) as err:
+        check_no_self_occlusion(steep, directional)
+    assert str(err.value) == (
+        f"surface slope {worst:.4g} exceeds the visibility limit {limit:.4g} for this capture"
+    )
     # a finite plane depth widens the ray fan and tightens the limit
-    near = PlaneParam(1.0, 1.0)
-    assert check_no_self_occlusion(steep, near).slope_limit < bad.slope_limit
+    check_no_self_occlusion(_planar(2.0), directional)
+    with pytest.raises(SelfOcclusionError):
+        check_no_self_occlusion(_planar(2.0), PlaneParam(1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "plane",
+    [PlaneParam(1.0, math.inf), PlaneParam(1.0, 1.0), PlaneParam(1.3, 1.7, s_max=0.6, u_max=0.2)],
+)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_occlusion_check_sits_at_the_slope_limit(plane, sign):
+    limit = plane.focal / (plane.u_max + plane.s_max * plane.focal * plane.inv_depth)
+    check_no_self_occlusion(_planar(sign * limit * (1.0 - 1e-9)), plane)
+    with pytest.raises(SelfOcclusionError):
+        check_no_self_occlusion(_planar(sign * limit * (1.0 + 1e-9)), plane)

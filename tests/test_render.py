@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from epifield.mapping import PlaneParam, rewarp_coords
+from epifield.mapping import PlaneParam, SelfOcclusionError, rewarp_coords
 from epifield.render import (
     Epi,
     NonDivisibleFactor,
-    SelfOcclusionError,
     interp_u,
     psnr,
     ray_grid,
@@ -102,7 +101,8 @@ def test_psnr():
     ref = np.linspace(0.0, 1.0, 32).reshape(4, 8)
     assert psnr(ref, ref) == math.inf
     assert psnr(ref, ref + 0.1) == pytest.approx(20.0, abs=1e-12)
-    assert psnr(ref, ref + 0.1, peak=2.0) == pytest.approx(26.020599913279625, abs=1e-12)
+    # the peak is 1: data in [0, 1]
+    assert psnr(ref, ref + 0.2) == pytest.approx(13.979400086720377, abs=1e-12)
 
 
 def test_subsample_keeps_every_factorth_row(flat_scene, directional):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from epifield.scene import (
-    DepthRange,
     SceneGeometryError,
     SurfaceSpec,
     TextureSpec,
@@ -42,15 +41,6 @@ def quadratic_surfaces(monotonic=False):
     )
 
 
-def test_depth_range_rejects_bad_intervals():
-    with pytest.raises(SceneGeometryError):
-        DepthRange(0.0, 1.0)
-    with pytest.raises(SceneGeometryError):
-        DepthRange(2.0, 1.0)
-    depth_range = DepthRange(1.0, 2.5)
-    assert depth_range.z_max - depth_range.z_min == 1.5
-
-
 def test_surface_validation():
     with pytest.raises(SceneGeometryError):
         SurfaceSpec(1.5, 90.0, 0.0, (-1.0, 1.0))
@@ -73,7 +63,7 @@ def test_surface_depth_bound_stays_below_1e300():
     ):
         with pytest.raises(SceneGeometryError, match="1e300"):
             SurfaceSpec(z0, tilt, quad, x_range)
-    assert SurfaceSpec(1e299, 0.0, 0.0, (-1.0, 1.0)).depth_range().z_min == 1e299
+    assert SurfaceSpec(1e299, 0.0, 0.0, (-1.0, 1.0)).depth_extremes()[0] == 1e299
 
 
 def test_depth_profile_basics():
@@ -88,10 +78,10 @@ def test_depth_profile_basics():
 
 def test_preset_depth_ranges(scene_a, scene_b, scene_c):
     for scene, key in ((scene_a, "A"), (scene_b, "B"), (scene_c, "C")):
-        dr = scene.surface.depth_range()
+        got_min, got_max = scene.surface.depth_extremes()
         z_min, z_max = PRESET_RANGES[key]
-        assert math.isclose(dr.z_min, z_min, rel_tol=0, abs_tol=1e-12)
-        assert math.isclose(dr.z_max, z_max, rel_tol=0, abs_tol=1e-12)
+        assert math.isclose(got_min, z_min, rel_tol=0, abs_tol=1e-12)
+        assert math.isclose(got_max, z_max, rel_tol=0, abs_tol=1e-12)
 
 
 def test_interior_vertex_caught_by_extremes(scene_b):
@@ -200,9 +190,9 @@ def test_partition_validation(scene_a):
 def test_partition_single_layer_spans_extent(scene_a, scene_b, scene_c):
     (slab,) = partition_depth_layers(scene_b.surface, 1)
     assert slab.x_range == scene_b.surface.x_range
-    dr = scene_b.surface.depth_range()
-    assert slab.depth_range().z_min == dr.z_min
-    assert slab.depth_range().z_max == dr.z_max
+    z_min, z_max = scene_b.surface.depth_extremes()
+    assert slab.depth_extremes()[0] == z_min
+    assert slab.depth_extremes()[1] == z_max
     # one layer is the surface itself
     for scene in (scene_a, scene_b, scene_c):
         assert partition_depth_layers(scene.surface, 1) == [scene.surface]
@@ -279,7 +269,8 @@ def test_layer_fit_residuals_straddle_zero(surf, n_layers):
 
 @given(quadratic_surfaces(monotonic=True), st.integers(2, 6))
 def test_layer_depth_ranges_nest_in_scene_range(surf, n_layers):
-    dr = surf.depth_range()
+    z_min, z_max = surf.depth_extremes()
     for slab in partition_depth_layers(surf, n_layers):
-        assert slab.depth_range().z_min >= dr.z_min - 1e-12
-        assert slab.depth_range().z_max <= dr.z_max + 1e-12
+        slab_min, slab_max = slab.depth_extremes()
+        assert slab_min >= z_min - 1e-12
+        assert slab_max <= z_max + 1e-12

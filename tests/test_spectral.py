@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from epifield.mapping import DEFAULT_U_MAX, PlaneParam
+from epifield.mapping import DEFAULT_U_MAX, PlaneParam, map_surface_to_image
 from epifield.render import Epi, render_epi
-from epifield.scene import DepthRange, SurfaceSpec, fitted_line, partition_depth_layers
+from epifield.scene import SurfaceSpec, fitted_line, partition_depth_layers
 from epifield.spectral import (
     FanBounds,
     SpectrumGrid,
@@ -139,10 +139,10 @@ def _preset_layers(scenes, counts):
 def test_untilted_plane_fan_equals_the_old_parallel_fan_bit_for_bit(scene_a, scene_b, scene_c):
     cases = 0
     for slab in _preset_layers((scene_a, scene_b, scene_c), range(1, 17)):
-        harmonic = optimal_depths(slab.depth_range()).plane_depth
+        harmonic = optimal_depths(*slab.depth_extremes()).plane_depth
         for depth in (harmonic, 0.7, 1.0, 1.37, 2.5, math.inf):
             for plane in (PlaneParam(1.0, depth), PlaneParam(1.3, depth, s_max=0.6)):
-                want = oracle.fan_bounds_parallel(plane, slab.depth_range(), 0.5)
+                want = oracle.fan_bounds_parallel(plane, *slab.depth_extremes(), 0.5)
                 assert plane_fan(plane, slab, 0.5) == want
                 cases += 1
     assert cases == 2 * 6 * (1 + 2 * 136)
@@ -231,10 +231,11 @@ def test_family_fans_spacing_and_count(scene_b, scene_c):
         *partition_depth_layers(scene_c.surface, 4),
     ]
     for slab in slabs:
-        parallel = PlaneParam(1.3, optimal_depths(slab.depth_range()).plane_depth, 0.0, 0.6, 0.2)
+        z_min, z_max = slab.depth_extremes()
+        parallel = PlaneParam(1.3, optimal_depths(z_min, z_max).plane_depth, 0.0, 0.6, 0.2)
         fitted = PlaneParam(1.3, *fitted_line(slab), 0.6, 0.2, check=False)
         fans = {
-            "parallel": (parallel, oracle.fan_bounds_parallel(parallel, slab.depth_range(), 0.5)),
+            "parallel": (parallel, oracle.fan_bounds_parallel(parallel, z_min, z_max, 0.5)),
             "tilted": (fitted, plane_fan(fitted, slab, 0.5)),
         }
         got = family_fans(slab, capture, wu_max, 0.5)
@@ -286,23 +287,22 @@ def test_out_of_bound_energy_hand_case():
 
 
 def test_optimal_depths_frozen_and_ordering():
-    depths = optimal_depths(DepthRange(*A_RANGE))
+    depths = optimal_depths(*A_RANGE)
     assert depths.plane_depth == pytest.approx(1.4601189335103246, abs=1e-12)
     assert depths.midpoint_depth == pytest.approx(1.5, abs=1e-12)
 
 
 @given(z_min=st.floats(0.5, 3.0), width=st.floats(0.0, 2.0))
 def test_plane_depth_never_exceeds_midpoint(z_min, width):
-    depths = optimal_depths(DepthRange(z_min, z_min + width))
+    depths = optimal_depths(z_min, z_min + width)
     assert depths.plane_depth <= depths.midpoint_depth + 1e-12
     if width == 0.0:
         assert depths.plane_depth == pytest.approx(z_min, abs=1e-12)
 
 
-def _parallel_spacing(depth_range, focal, wu_max, view_bandwidth=0.0):
+def _parallel_spacing(z_min, z_max, focal, wu_max, view_bandwidth=0.0):
     # the depth-range fan under the directional plane, of a surface with
     # z_min at x = 0 and z_max (up to the rounding of their sum) at x = 1
-    z_min, z_max = depth_range.z_min, depth_range.z_max
     surface = SurfaceSpec(z_min, 0.0, z_max - z_min, (0.0, 1.0))
     fan = plane_fan(PlaneParam(focal, math.inf), surface, view_bandwidth)
     return fan.max_spacing(wu_max)
@@ -315,10 +315,10 @@ def _tilted_spacing(slab, focal, wu_max, view_bandwidth=0.0):
 
 
 def test_max_camera_spacing_hand_case():
-    assert _parallel_spacing(DepthRange(1.0, 2.0), 2.0, 3.0, 0.5) == pytest.approx(0.25)
-    assert _parallel_spacing(DepthRange(2.0, 2.0), 1.0, 3.0, 0.0) == math.inf
+    assert _parallel_spacing(1.0, 2.0, 2.0, 3.0, 0.5) == pytest.approx(0.25)
+    assert _parallel_spacing(2.0, 2.0, 1.0, 3.0, 0.0) == math.inf
     with pytest.raises(ValueError):
-        _parallel_spacing(DepthRange(1.0, 2.0), 1.0, -1.0)
+        _parallel_spacing(1.0, 2.0, 1.0, -1.0)
     with pytest.raises(ValueError):
         FanBounds(1.0, 2.0, margin=-0.5).max_spacing(3.0)
 
@@ -331,9 +331,9 @@ def test_max_camera_spacing_hand_case():
     wu=st.floats(0.5, 50.0),
 )
 def test_wider_depth_ranges_need_tighter_spacing(z0, pad_lo, inner, pad_hi, wu):
-    narrow = DepthRange(z0 + pad_lo, z0 + pad_lo + inner)
-    wide = DepthRange(z0, z0 + pad_lo + inner + pad_hi)
-    assert _parallel_spacing(wide, 1.0, wu) <= _parallel_spacing(narrow, 1.0, wu) + 1e-12
+    narrow = (z0 + pad_lo, z0 + pad_lo + inner)
+    wide = (z0, z0 + pad_lo + inner + pad_hi)
+    assert _parallel_spacing(*wide, 1.0, wu) <= _parallel_spacing(*narrow, 1.0, wu) + 1e-12
 
 
 def test_max_camera_spacing_tilted(scene_a, scene_c):
@@ -348,7 +348,7 @@ def test_max_camera_spacing_tilted(scene_a, scene_c):
 
     (slab,) = partition_depth_layers(scene_c.surface, 1)
     tilted = _tilted_spacing(slab, 1.0, 6.0)
-    parallel = _parallel_spacing(scene_c.surface.depth_range(), 1.0, 6.0)
+    parallel = _parallel_spacing(*scene_c.surface.depth_extremes(), 1.0, 6.0)
     assert tilted == pytest.approx(0.7598369847016291, abs=1e-12)
     assert parallel == pytest.approx(0.16885912926099123, abs=1e-12)
     # aligning the plane with the scene always buys baseline for scene C
@@ -363,16 +363,16 @@ def test_max_spacing_matches_the_old_spacing_formulas(scene_a, scene_b, scene_c)
     wus = [nyquist_omega(2.0 * DEFAULT_U_MAX / (n_u - 1)) for n_u in n_us]
     cases = worst = exact_cases = 0
     for slab in _preset_layers((scene_a, scene_b, scene_c), range(1, 33)):
-        dr = slab.depth_range()
+        dr = slab.depth_extremes()
         for focal in (0.5, 1.0, 1.3, 2.0):
             parallel = [
-                PlaneParam(focal, optimal_depths(dr).plane_depth, 0.0),
+                PlaneParam(focal, optimal_depths(*dr).plane_depth, 0.0),
                 PlaneParam(focal, math.inf),
             ]
             fitted = PlaneParam(focal, *fitted_line(slab), check=False)
             for bandwidth in (0.0, 1.0, 5.0):
                 pairs = [
-                    (plane_fan(p, slab, bandwidth), oracle.max_camera_spacing, (dr,))
+                    (plane_fan(p, slab, bandwidth), oracle.max_camera_spacing, dr)
                     for p in parallel
                 ]
                 paired = oracle.fan_bounds_tilted(fitted, slab, bandwidth)
@@ -415,6 +415,26 @@ def test_chirp_frozen_example():
     assert chirp.rate == pytest.approx(6.555465868572501, abs=1e-12)
     assert chirp.crossing_frequency == pytest.approx(-20.366559042287005, abs=1e-12)
     assert chirp.frequency_at(0.0) == chirp.base_frequency
+
+
+def test_chirp_crossing_frequency_is_the_projection_slope():
+    # criterion 11's cases, each on a flat surface through (x, z):
+    # crossing_frequency is wu * du/ds at s = 0 under the map the render
+    # inverts, to the central difference's error (worst 5.0e-9). No assert
+    # on base_frequency: its t * x term has the opposite sign (ROADMAP item 10)
+    rng = np.random.default_rng(11)
+    h = 1e-6
+    for _ in range(2000):
+        depth = rng.uniform(0.5, 3.0)
+        tilt = rng.uniform(2.0, 60.0) * (1.0 if rng.random() < 0.5 else -1.0)
+        s_cross = depth / abs(math.tan(math.radians(tilt)))
+        param = PlaneParam(rng.uniform(0.5, 2.0), depth, tilt, s_max=min(1.0, 0.5 * s_cross))
+        x, z, wu = rng.uniform(-1.0, 1.0), rng.uniform(0.3, 3.0), rng.uniform(1.0, 100.0)
+        chirp = camera_axis_chirp(param, x, z, wu)
+        flat = SurfaceSpec(z, 0.0, 0.0, (x - 1.0, x + 1.0))
+        u_plus, u_minus = (map_surface_to_image(param, flat, x, s) for s in (h, -h))
+        want = wu * (u_plus - u_minus) / (2.0 * h)
+        assert abs(chirp.crossing_frequency - want) <= 1e-7 * max(1.0, abs(want))
 
 
 def test_chirp_vanishes_on_the_plane_axis_point():
