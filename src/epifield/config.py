@@ -131,11 +131,9 @@ class RunConfig:
 
 
 def _parse_ini(text: str, origin: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read_string(text, source=origin)
-        for section in parser.values():
-            dict(section)  # resolve every %-interpolation here, inside the try
     except configparser.Error as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
     return parser

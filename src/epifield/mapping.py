@@ -46,9 +46,9 @@ DEFAULT_U_MAX = 0.2679
 class PlaneParam:
     """Capture geometry: camera-line extent plus the global image plane.
 
-    depth may be math.inf, selecting the directional limit; a directional
-    plane cannot be tilted. All validation lives in validate() so callers
-    with a legitimate reason (see module docstring) can skip it.
+    depth may be math.inf, the directional limit, which cannot be tilted;
+    focal, s_max and u_max must be finite. validate() holds all checks so
+    callers with a legitimate reason (see module docstring) can skip them.
     """
 
     focal: float
@@ -69,6 +69,8 @@ class PlaneParam:
             raise ValueError("plane depth must be positive (math.inf allowed)")
         if not (self.s_max > 0.0 and self.u_max > 0.0):
             raise ValueError("s_max and u_max must be positive")
+        if not all(map(math.isfinite, (self.focal, self.s_max, self.u_max))):
+            raise ValueError("focal, s_max and u_max must be finite")
         if not abs(self.tilt_deg) < 90.0:  # NaN fails this too
             raise ValueError("plane tilt must satisfy |tilt| < 90 deg")
         if self.tilt_deg != 0.0:
@@ -90,7 +92,7 @@ class PlaneParam:
 
     @property
     def inv_depth(self) -> float:
-        return 0.0 if self.is_directional else 1.0 / self.depth
+        return 1.0 / self.depth
 
     @property
     def s_crossing(self) -> float:
@@ -154,10 +156,6 @@ def intersect_rays(
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)
     shape = np.broadcast_shapes(s.shape, u.shape)
-    if shape == ():
-        # the kernels below work in place, which needs arrays, not scalars
-        x, hit = intersect_rays(param, surface, s.reshape(1), u.reshape(1), workspace=workspace)
-        return x.reshape(()), hit.reshape(())
 
     def grid(name, dtype=float):
         return scratch(workspace, name, shape, dtype)

@@ -127,8 +127,7 @@ def render_epi(
     s_axis, u_axis = ray_grid(param, n_s, n_u)
     if row_step < 1 or n_s % row_step != 0:
         raise NonDivisibleFactor(f"row step {row_step} does not divide {n_s} rows")
-    if row_step > 1:
-        s_axis = s_axis[::row_step].copy()
+    s_axis = s_axis[::row_step]
     x, hit = intersect_rays(
         param, scene.surface, s_axis[:, None], u_axis[None, :], workspace=workspace
     )

@@ -115,20 +115,15 @@ def sparsity_rmse(
     resolved by the partition, deterministically for a fixed input) and
     zeroes the rest; the error is then just the dropped energy:
     sqrt(sum of dropped magnitudes squared / size). The partition runs on
-    a copy, except that the workspace's own "mag" result is partitioned
-    and squared in place.
+    a copy, in the workspace's "t1" with one, and leaves the spectrum as
+    it was.
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")
     flat = spectrum.mag.ravel()
     keep = math.ceil(keep_fraction * flat.size)
-    if keep >= flat.size:
-        return 0.0
-    if workspace is not None and workspace.holds("mag", flat):
-        part = flat
-    else:
-        part = scratch(workspace, "t1", flat.shape)
-        np.copyto(part, flat)
+    part = scratch(workspace, "t1", flat.shape)
+    np.copyto(part, flat)
     part.partition(flat.size - keep)
     dropped = part[: flat.size - keep]
     return float(math.sqrt(np.sum(np.square(dropped, out=dropped)) / flat.size))
@@ -204,8 +199,8 @@ def out_of_bound_energy(spectrum: SpectrumGrid, bounds: FanBounds) -> float:
     the line omega_s = 0, so the DC bin is always inside. Returns 0 for
     an all-zero spectrum.
     """
-    m_lo = 0.0 if math.isinf(bounds.slope_lo) else 1.0 / bounds.slope_lo
-    m_hi = 0.0 if math.isinf(bounds.slope_hi) else 1.0 / bounds.slope_hi
+    m_lo = 1.0 / bounds.slope_lo
+    m_hi = 1.0 / bounds.slope_hi
     wu = spectrum.wu_axis
     ws = spectrum.ws_axis
     half_u = 0.5 * float(wu[1] - wu[0]) if wu.size > 1 else 0.0
@@ -274,8 +269,6 @@ def min_image_count(spacing: float, s_max: float) -> int:
     """
     if not spacing > 0.0:
         raise ValueError("spacing must be positive")
-    if math.isinf(spacing):
-        return 2
     return max(2, math.ceil(2.0 * s_max / spacing) + 1)
 
 

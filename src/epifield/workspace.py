@@ -14,7 +14,7 @@ after it:
 
     x, hit      intersect_rays (render_epi leaves its intersection there)
     radiance    TextureSpec.albedo and .radiance, so render_epi's data
-    mag         dft2_magnitude (sparsity_rmse then partitions it in place)
+    mag         dft2_magnitude
     rebuilt     reconstruct_epi
 
 Intermediates live in scratch roles (t1 .. t4, m1, m2) that never carry
@@ -89,17 +89,6 @@ class Workspace:
         if buf is None or buf.size < max(size, end):
             buf = self._buffers[buffer] = np.empty(max(size, end), np.uint8)
         return buf[start:end].view(dtype).reshape(shape)
-
-    def holds(self, name: str, arr: np.ndarray) -> bool:
-        """Whether arr is a C-contiguous view starting at role `name`."""
-        buffer, start, _ = _place(name, arr.size)
-        buf = self._buffers.get(buffer)
-        return (
-            buf is not None
-            and arr.base is buf
-            and arr.flags.c_contiguous
-            and arr.ctypes.data == buf.ctypes.data + start
-        )
 
 
 def scratch(workspace: Workspace | None, name: str, shape, dtype=float) -> np.ndarray:

@@ -106,6 +106,12 @@ def test_load_config_full(tmp_path):
     assert cfg.layers == LayersSpec((1, 2), (2, 4))
 
 
+def test_ini_values_are_read_as_written(tmp_path):
+    # no %-interpolation: a percent sign is a character like any other
+    text = FULL_CONFIG.replace("name = ramp", "name = ramp 50%")
+    assert load_config(_write(tmp_path, text)).scene.name == "ramp 50%"
+
+
 def test_load_config_preset_with_texture_override(tmp_path):
     path = _write(
         tmp_path,

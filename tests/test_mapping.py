@@ -35,6 +35,9 @@ from epifield.workspace import Workspace
         dict(focal=1.0, depth=0.5, tilt_deg=45.0),
         dict(focal=1.0, depth=2.0, s_max=0.0),
         dict(focal=1.0, depth=2.0, u_max=-0.1),
+        dict(focal=math.inf, depth=1.5),
+        dict(focal=1.0, depth=1.5, s_max=math.inf),
+        dict(focal=1.0, depth=1.5, u_max=math.inf),
     ],
 )
 def test_param_validation(kwargs):
@@ -154,6 +157,29 @@ def test_vectorized_intersection_matches_scalar(scene_c):
             assert float(one) == pytest.approx(float(xs[i]), abs=1e-12)
         else:
             assert math.isnan(one)
+
+
+@given(
+    key=st.sampled_from("ABC"),
+    depth=st.one_of(st.just(math.inf), st.floats(1.0, 3.0)),
+    tilt=st.floats(-60.0, 60.0),  # unchecked: steep planes cross the camera line
+    s=st.floats(-1.0, 1.0),
+    u=st.floats(-DEFAULT_U_MAX, DEFAULT_U_MAX),
+    reuse=st.booleans(),
+)
+def test_scalar_intersection_is_the_one_ray_call(
+    scene_a, scene_b, scene_c, key, depth, tilt, s, u, reuse
+):
+    surface = {"A": scene_a, "B": scene_b, "C": scene_c}[key].surface
+    param = PlaneParam(1.0, depth, 0.0 if math.isinf(depth) else tilt, check=False)
+    workspace = Workspace() if reuse else None
+    x, hit = intersect_rays(param, surface, s, u, workspace=workspace)
+    for got, dtype in ((x, float), (hit, bool)):
+        assert type(got) is np.ndarray and got.shape == () and got.dtype == dtype
+    x, hit = x.tobytes(), hit.tobytes()  # the next call may overwrite the workspace
+    x1, hit1 = intersect_rays(param, surface, [s], [u], workspace=workspace)
+    assert x1.shape == hit1.shape == (1,)
+    assert x == x1.tobytes() and hit == hit1.tobytes()
 
 
 def test_vanishing_leading_coefficient_takes_the_linear_root():

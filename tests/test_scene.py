@@ -179,7 +179,9 @@ def test_radiance_of_a_full_grid_is_the_albedo_buffer():
     for tex in (TextureSpec(), TextureSpec(angular_bandwidth=1.0)):
         grid = Workspace()
         out = tex.radiance(x, np.zeros((2, 1)), workspace=grid)
-        assert grid.holds("radiance", out)
+        role = grid.array("radiance", out.shape)
+        assert out.base is role.base and out.flags.c_contiguous
+        assert out.ctypes.data == role.ctypes.data
 
 
 def test_partition_validation(scene_a):

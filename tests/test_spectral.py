@@ -22,6 +22,7 @@ from epifield.spectral import (
     plane_fan,
     sparsity_rmse,
 )
+from epifield.workspace import Workspace
 
 C_RANGE = (0.654123203702895, 1.8458767962971052)
 A_RANGE = (1.2554154548330716, 1.7445845451669284)
@@ -95,9 +96,22 @@ def test_sparsity_rmse_hand_case():
     spec = SpectrumGrid(np.array([[2.0, 1.0], [1.0, 0.0]]), np.zeros(2), np.zeros(2))
     assert sparsity_rmse(spec, 0.25) == pytest.approx(math.sqrt(0.5), abs=1e-15)
     assert sparsity_rmse(spec, 1.0) == 0.0
+    assert sparsity_rmse(spec, 1.0, workspace=Workspace()) == 0.0
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             sparsity_rmse(spec, bad)
+
+
+def test_sparsity_rmse_leaves_the_workspace_spectrum_as_it_was(scene_b):
+    # the partition runs on a copy in t1, even for the workspace's own mag
+    workspace = Workspace()
+    epi = render_epi(scene_b, PlaneParam(1.0, 1.5, 17.0), 64, 64, workspace=workspace)
+    spectrum = dft2_magnitude(epi, workspace=workspace)
+    kept = spectrum.mag.copy()
+    got = sparsity_rmse(spectrum, 0.01, workspace=workspace)
+    assert np.array_equal(spectrum.mag.view(np.uint8), kept.view(np.uint8))
+    assert got == 0.02311389010900925
+    assert got == sparsity_rmse(replace(spectrum, mag=kept), 0.01)
 
 
 def test_sparsity_rmse_monotone_in_budget():
