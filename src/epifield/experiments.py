@@ -11,11 +11,11 @@ the worker count.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from threading import Thread
 
 import numpy as np
 
@@ -79,35 +79,48 @@ def _sweep(d_values, tilt_values, metric_kind, cell_metric, *, plane, threads) -
 
     Each cell's param is plane under the cell's depth and tilt. A cell
     whose param fails validation is recorded as missing with the
-    constructor's reason. The pool never has more workers than cells or
-    cores, and each worker thread reuses one Workspace for all its cells.
+    constructor's reason. There are never more workers than cells or
+    cores; each claims the next unclaimed cell until none is left, and
+    reuses one Workspace for all its cells. One worker runs on the
+    caller's thread, since a thread costs about 0.6 MB resident; more run
+    on threads that the caller joins. A failing cell stops the claims,
+    and once every worker has ended, the exception of the lowest failing
+    cell is raised.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     metric = np.full((len(d_values), len(tilt_values)), np.nan)
     missing = []
-    params = {}
+    cells = []
     for i, d in enumerate(d_values):
         for j, t in enumerate(tilt_values):
             try:
-                params[i, j] = replace(plane, depth=float(d), tilt_deg=float(t))
+                cells.append(((i, j), replace(plane, depth=float(d), tilt_deg=float(t))))
             except ValueError as exc:
                 missing.append((i, j, str(exc)))
-    local = threading.local()
+    claims = itertools.count()  # next() on it is atomic under the GIL
+    failures = []
 
-    def run(param):
-        if not hasattr(local, "workspace"):
-            local.workspace = Workspace()
-        return cell_metric(param, local.workspace)
+    def work():
+        workspace = Workspace()
+        while not failures and (k := next(claims)) < len(cells):
+            cell, param = cells[k]
+            try:
+                metric[cell] = cell_metric(param, workspace)
+            except BaseException as exc:  # raised by the caller, lowest cell first
+                failures.append((k, exc))
 
-    workers = min(threads, len(params), os.cpu_count() or 1)
+    workers = min(threads, len(cells), os.cpu_count() or 1)
     if workers <= 1:
-        values = [run(p) for p in params.values()]
+        work()
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(run, params.values()))
-    for cell, value in zip(params, values):
-        metric[cell] = value
+        pool = [Thread(target=work) for _ in range(workers)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     return SweepResult(
         np.asarray(d_values, dtype=float),
         np.asarray(tilt_values, dtype=float),
@@ -274,15 +287,15 @@ def _trajectory_rebuild(src, dense, canon, prm, rows, xi, factor):
 def _dense_capture(scene, param, n_s, n_u, seed):
     """render_epi plus the (x, hit) it traced, read back from its workspace.
 
-    The workspace's scratch buffers go with it when this returns; x and
-    hit keep only their own, and the data is copied out of the two-grid
-    buffer it shares with a scratch role.
+    The workspace's scratch buffers go with it when this returns. The data
+    and hit keep only their own buffers, and x is copied out of the
+    two-grid buffer it shares with t1.
     """
     workspace = Workspace()
     dense = render_epi(scene, param, n_s, n_u, seed=seed, workspace=workspace)
     shape = dense.data.shape
-    x, hit = workspace.array("x", shape), workspace.array("hit", shape, bool)
-    return replace(dense, data=dense.data.copy()), x, hit
+    x, hit = workspace.array("x", shape).copy(), workspace.array("hit", shape, bool)
+    return dense, x, hit
 
 
 def layers_experiment(

@@ -71,17 +71,17 @@ def dft2_magnitude(
     are compared against support predictions. window="rect" skips the
     taper; the transform is orthonormal, so in that case the squared
     magnitudes sum exactly to the EPI energy. With a workspace, mag is its
-    "mag" buffer.
+    "mag" buffer, which overwrites its "radiance": an EPI rendered in the
+    same workspace is spent once it is transformed.
     """
     data = epi.data
-    # fft2 would cast the real data into a fresh complex grid; one copy into t1 instead
-    spec = scratch(workspace, "t1", data.shape, complex)
+    # fft2 would cast the real data into a fresh complex grid; one copy instead
+    spec = scratch(workspace, "spectrum", data.shape, complex)
     if window == "hann":
-        # not in t2: that is the second half of the spectrum's bytes
         taper = np.multiply(
             np.hanning(epi.n_s)[:, None],
             np.hanning(epi.n_u)[None, :],
-            out=scratch(workspace, "t4", data.shape),
+            out=scratch(workspace, "taper", data.shape),
         )
         np.multiply(data, taper, out=spec)
     elif window == "rect":

@@ -17,30 +17,37 @@ after it:
     mag         dft2_magnitude
     rebuilt     reconstruct_epi
 
-Intermediates live in scratch roles (t1 .. t4, m1, m2) that never carry
-a result out of a call. So the stages of one cell pass results straight
-on (render -> spectrum -> sparsity, render -> subsample -> reconstruct ->
-psnr) without copies.
+Intermediates live in scratch roles (t1, spectrum, taper, m1, m2) that
+never carry a result out of a call. So the stages of one cell pass
+results straight on (render -> spectrum -> sparsity, render -> subsample
+-> reconstruct -> psnr) without copies.
 
 Roles whose lifetimes within a cell never overlap share bytes, so a cell
-holds at most 5 float grids and 3 bool grids (a grid is one element per
-pixel). A float grid counts one float64:
+holds 3 float grids and 3 bool grids (a grid is one element per pixel),
+and a Hann-windowed transform one float grid more. A float grid counts
+one float64:
 
-    buffer  grids  roles
-    x       1      x, mag, rebuilt (x is spent once the radiance is computed)
-    t1      2      t1 in grid 0, t2 in grid 1 (only the curved intersection's
-                   c); dft2_magnitude's complex spectrum is the whole buffer
-    t3      2      t3 and radiance in grid 0, t4 in grid 1
+    buffer    grids  roles
+    x         2      x and rebuilt in grid 0, t1 in grid 1 (x is spent once
+                     the radiance is computed); dft2_magnitude's complex
+                     spectrum is the whole buffer
+    radiance  1      radiance, then mag (the radiance is spent once the
+                     spectrum is computed)
+    taper     1      the Hann window, in Hann cells only
 
-Every other role (hit, m1, m2) has a buffer of its own. A shared buffer
-is allocated at its full size on first use, so growing it for one role
-never drops another role's live grid of the same shape. A planar
-reconstruct cell touches 3 float grids (x, t1, radiance) and 2 bool grids.
+Every other role (hit, m1, m2) has a buffer of its own. A role's offset
+counts grids of the request's own size, and a shared buffer is allocated
+at its full size on first use, so growing it for one role never drops
+another role's live grid of the same shape. The curved intersection asks
+for t1 and radiance as two stacked blocks of rows, which hold its four
+temporaries (see intersect_rays). A block of more than half the rows
+grows those buffers, which drops their contents, so it asks for them
+before x.
 
 A result stays valid until the next call that writes any role sharing
-its bytes: mag and rebuilt overwrite x, and the next intersect_rays
-overwrites radiance. Keep a copy of anything needed past that. A
-workspace is not thread safe: give each worker thread its own.
+its bytes: rebuilt overwrites x, mag overwrites radiance, and the next
+intersect_rays overwrites both. Keep a copy of anything needed past that.
+A workspace is not thread safe: give each worker thread its own.
 """
 
 from __future__ import annotations
@@ -53,13 +60,12 @@ __all__ = ["Workspace", "scratch"]
 
 # role -> (buffer, offset in float grids), for the roles that share bytes
 _SHARED = {
-    "mag": ("x", 0),
     "rebuilt": ("x", 0),
-    "t2": ("t1", 1),
-    "radiance": ("t3", 0),
-    "t4": ("t3", 1),
+    "spectrum": ("x", 0),
+    "t1": ("x", 1),
+    "mag": ("radiance", 0),
 }
-_GRIDS = {"t1": 2, "t3": 2}  # float grids a shared buffer is allocated with
+_GRIDS = {"x": 2}  # float grids a shared buffer is allocated with
 _GRID_ITEMSIZE = np.dtype(float).itemsize
 
 

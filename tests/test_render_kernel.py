@@ -8,12 +8,15 @@ without one, and the oracle, bit for bit.
 """
 
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import _intersect_oracle as oracle
+from epifield import mapping
 from epifield.experiments import sweep_reconstruction, sweep_sparsity
 from epifield.mapping import PlaneParam, intersect_rays, map_surface_to_image
 from epifield.render import (
@@ -130,6 +133,66 @@ def test_kernel_matches_oracle_on_scalars(param, surface, s, u):
     assert np.ndim(new[0]) == 0 and np.ndim(new[1]) == 0
 
 
+class _BlockRecorder(Workspace):
+    """A workspace that remembers the row blocks the curved intersection asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.blocks = []
+
+    def array(self, name, shape, dtype=float):
+        if name == "t1" and len(shape) > 2:
+            self.blocks.append(shape[1])
+        return super().array(name, shape, dtype)
+
+
+# reused across examples, like a sweep worker's workspace across cells
+BLOCKS = _BlockRecorder()
+# (rows, n_u) around HALVING's threshold: one row below and above it, odd
+# row counts, and a grid whose block holds more rows than its columns
+GRIDS_AROUND_THE_THRESHOLD = [
+    (127, 256),
+    (128, 256),
+    (129, 256),
+    (127, 257),
+    (128, 257),
+    (129, 255),
+    (1025, 64),
+]
+HALVING = mapping._HALVING_MIN_RAYS
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    param=planes,
+    surface=surfaces,
+    grid=st.sampled_from(GRIDS_AROUND_THE_THRESHOLD),
+    row_step=st.sampled_from([1, 2, 3]),
+)
+def test_halved_curved_intersection_matches_the_one_shot_call(param, surface, grid, row_step):
+    assume(surface.quad != 0.0)
+    rows, n_u = grid
+    s_axis, u_axis = ray_grid(param, rows * row_step, n_u)
+    s, u = s_axis[::row_step, None], u_axis[None, :]
+    with mock.patch.object(mapping, "_HALVING_MIN_RAYS", math.inf):
+        want = intersect_rays(param, surface, s, u)
+    BLOCKS.blocks.clear()
+    _same(intersect_rays(param, surface, s, u, workspace=BLOCKS), want)
+    _same(intersect_rays(param, surface, s, u), want)
+    assert BLOCKS.blocks == [-(-rows // 2) if rows * n_u >= HALVING else rows]
+
+
+@given(param=planes, surface=surfaces, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_halved_intersection_of_ray_lists_matches_the_one_shot_call(param, surface, seed):
+    # s and u both run along the rows, and an odd count leaves a shorter second block
+    rng = np.random.default_rng(seed)
+    s, u = rng.uniform(-1.5, 1.5, HALVING + 1), rng.uniform(-0.6, 0.6, HALVING + 1)
+    with mock.patch.object(mapping, "_HALVING_MIN_RAYS", math.inf):
+        want = intersect_rays(param, surface, s, u)
+    _same(intersect_rays(param, surface, s, u, workspace=BLOCKS), want)
+
+
 def test_kernel_matches_oracle_on_the_presets(scene_a, scene_b, scene_c):
     for scene in (scene_a, scene_b, scene_c):
         for param in (
@@ -184,7 +247,8 @@ def _cell(scene, param, n_s, n_u, k, workspace, seed=5):
     """Every stage of a sparsity cell and a reconstruction cell, copied out.
 
     Results computed with a workspace alias it, so each is copied before
-    the next stage may reuse the buffers.
+    the next stage may reuse the buffers. mag overwrites the EPI rendered
+    in the same workspace, so the second window transforms the copy.
     """
     s_axis, u_axis = ray_grid(param, n_s, n_u)
     s_col = s_axis[::k, None]
@@ -196,8 +260,8 @@ def _cell(scene, param, n_s, n_u, k, workspace, seed=5):
         scene, param, n_s, n_u, seed=seed, check_occlusion=False, row_step=k, workspace=workspace
     )
     out["render"] = epi.data.copy()
-    for window in ("hann", "rect"):
-        spectrum = dft2_magnitude(epi, window, workspace=workspace)
+    for window, source in (("hann", epi), ("rect", replace(epi, data=out["render"]))):
+        spectrum = dft2_magnitude(source, window, workspace=workspace)
         out[f"mag_{window}"] = spectrum.mag.copy()
         out[f"sparsity_{window}"] = sparsity_rmse(spectrum, 0.02, workspace=workspace)
     dense = render_epi(

@@ -1,4 +1,4 @@
-"""What importing and running the CLI costs: no thread, and no OpenSSL.
+"""What importing and running the CLI costs: no thread, no OpenSSL, no executor.
 
 `[run] threads` is the only thread count. numpy's bundled OpenBLAS starts a
 busy-waiting worker per extra core when numpy loads, unless
@@ -7,8 +7,9 @@ numpy import, and a value the user exported wins. hashlib loads OpenSSL
 (3.5 MB resident), and so does numpy.random, through secrets and hmac. The
 manifest's config hash uses CPython's built-in SHA-256 and the sensor noise
 comes from epifield.noise, so no command loads numpy.random or OpenSSL,
-noisy scenes included. Each check runs in a fresh interpreter, since this
-one has loaded numpy already.
+noisy scenes included. The sweeps run their workers on plain threads, so
+no command loads concurrent.futures or, through it, logging. Each check
+runs in a fresh interpreter, since this one has loaded numpy already.
 """
 
 import hashlib
@@ -57,6 +58,14 @@ def test_an_exported_openblas_thread_count_wins():
 def test_importing_the_cli_leaves_openssl_unloaded():
     code = "import sys, epifield.cli; print('_hashlib' in sys.modules)"
     assert _run(code) == "False"
+
+
+def test_importing_the_cli_leaves_concurrent_futures_and_logging_unloaded():
+    code = (
+        "import sys, epifield.cli\n"
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    )
+    assert _run(code) == "[]"
 
 
 def test_running_noise_free_commands_leaves_openssl_unloaded(tmp_path):
