@@ -43,7 +43,6 @@ from .spectral import (
     dft2_magnitude,
     family_fans,
     min_image_count,
-    nyquist_omega,
     optimal_depths,
     out_of_bound_energy,
     plane_fan,

@@ -25,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, NamedTuple
 
-from .mapping import DEFAULT_U_MAX, PlaneParam
+from .mapping import PlaneParam
 from .scene import SceneDef, SurfaceSpec, TextureSpec
 
 __all__ = [
@@ -192,11 +192,11 @@ _SECTIONS: dict[str, dict[str, _Key]] = {
         "noise_sigma": _Key(_finite, _UNSET),
     },
     "plane": {
-        "focal": _Key(_finite, 1.0),
+        "focal": _Key(_finite, _UNSET),
         "depth": _Key(_depth),
-        "tilt_deg": _Key(_finite, 0.0),
-        "s_max": _Key(_finite, 1.0),
-        "u_max": _Key(_finite, DEFAULT_U_MAX),
+        "tilt_deg": _Key(_finite, _UNSET),
+        "s_max": _Key(_finite, _UNSET),
+        "u_max": _Key(_finite, _UNSET),
     },
     "grid": {
         "n_s": _Key(int, 512, _at_least(2)),

@@ -37,7 +37,6 @@ __all__ = [
 
 _MAXIMIZED_METRICS = {"psnr"}
 _MAE_SAMPLES = 1024  # uniform points over the extent in plane_mae
-_CAPTURE = PlaneParam(1.0, math.inf)  # the default capture: focal 1, s_max 1, DEFAULT_U_MAX
 
 
 @dataclass
@@ -145,7 +144,7 @@ def sweep_sparsity(
     d_values,
     tilt_values,
     *,
-    plane: PlaneParam = _CAPTURE,
+    plane: PlaneParam = PlaneParam(),
     n_s: int = 256,
     n_u: int = 256,
     subsample_factor: int = 1,
@@ -204,7 +203,7 @@ def plane_mae(surface: SurfaceSpec, depth: float, tilt_deg: float) -> float:
 
 
 def sweep_plane_mae(
-    surface: SurfaceSpec, d_values, tilt_values, *, plane: PlaneParam = _CAPTURE
+    surface: SurfaceSpec, d_values, tilt_values, *, plane: PlaneParam = PlaneParam()
 ) -> SweepResult:
     """Geometric plane-fit error over the render sweeps' grid, with their missing cells."""
 
@@ -220,7 +219,7 @@ def sweep_reconstruction(
     tilt_values,
     *,
     factor: int,
-    plane: PlaneParam = _CAPTURE,
+    plane: PlaneParam = PlaneParam(),
     n_s: int = 256,
     n_u: int = 256,
     seed: int = 0,
@@ -305,7 +304,7 @@ def layers_experiment(
     *,
     n_s: int = 1024,
     n_u: int = 512,
-    plane: PlaneParam = _CAPTURE,
+    plane: PlaneParam = PlaneParam(),
     seed: int = 0,
 ) -> LayersResult:
     """Layered reconstruction of one capture: parallel vs. fitted planes.

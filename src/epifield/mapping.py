@@ -54,12 +54,13 @@ class PlaneParam:
     """Capture geometry: camera-line extent plus the global image plane.
 
     depth may be math.inf, the directional limit, which cannot be tilted;
-    focal, s_max and u_max must be finite. validate() holds all checks so
+    focal, s_max and u_max must be finite. PlaneParam() is the default
+    capture, directional at focal 1. validate() holds all checks so
     callers with a legitimate reason (see module docstring) can skip them.
     """
 
-    focal: float
-    depth: float
+    focal: float = 1.0
+    depth: float = math.inf
     tilt_deg: float = 0.0
     s_max: float = 1.0
     u_max: float = DEFAULT_U_MAX
@@ -293,12 +294,14 @@ def rewarp_coords(src: PlaneParam, dst: PlaneParam, s, u_src):
 
 
 def check_no_self_occlusion(surface: SurfaceSpec, param: PlaneParam) -> None:
-    """Raise SelfOcclusionError unless the surface is surely fully visible.
+    """Raise SelfOcclusionError unless the surface's |dz/dx| stays below a limit.
 
-    Every ray in the capture stays within |slope| < focal / (u_max +
-    s_max * focal / depth) of vertical, so a surface whose |dz/dx| stays
-    below that limit everywhere cannot occlude itself. The slope is affine
-    in x, so the extremes sit at the extent endpoints.
+    Under a parallel plane every ray stays within the slope focal / (u_max
+    + s_max * focal / depth) of vertical, so a surface whose |dz/dx| stays
+    below it cannot occlude itself. A tilted plane stretches u_max by up
+    to 1 + s_max * |tan(tilt)| / depth, so there the limit is not
+    sufficient: a steeper ray may cross the surface twice. The slope is
+    affine in x, so the extremes sit at the extent endpoints.
     """
     limit = param.focal / (param.u_max + param.s_max * param.focal * param.inv_depth)
     lo, hi = surface.x_range

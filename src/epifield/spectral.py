@@ -36,20 +36,14 @@ __all__ = [
     "family_fans",
     "min_image_count",
     "camera_axis_chirp",
-    "nyquist_omega",
     "u_nyquist",
     "sampling_guidelines",
 ]
 
 
-def nyquist_omega(spacing: float) -> float:
-    """Highest representable angular frequency for a given sample spacing."""
-    return math.pi / spacing
-
-
 def u_nyquist(plane: PlaneParam, n_u: int) -> float:
-    """The u Nyquist frequency of plane's image window on n_u pixels."""
-    return nyquist_omega(2.0 * plane.u_max / (n_u - 1))
+    """The u Nyquist frequency of plane's image window on n_u pixels: pi / du."""
+    return math.pi / (2.0 * plane.u_max / (n_u - 1))
 
 
 @dataclass

@@ -39,7 +39,7 @@ from epifield.scene import (
     partition_depth_layers,
     unnormalized_sinc,
 )
-from epifield.spectral import FanBounds, min_image_count, nyquist_omega, optimal_depths, plane_fan
+from epifield.spectral import FanBounds, min_image_count, optimal_depths, plane_fan
 
 
 def intersect_rays(param: PlaneParam, surface: SurfaceSpec, s, u):
@@ -325,7 +325,7 @@ def layers_experiment(
     }
     images = {"parallel": [], "tilted": []}
     du = 2.0 * u_max / (n_u - 1)
-    wu_max = nyquist_omega(du)
+    wu_max = math.pi / du
     surface = scene.surface
     canon = PlaneParam(focal, math.inf, 0.0, s_max, u_max)
     dense, x, hit = _dense_capture(scene, canon, n_s, n_u, seed)

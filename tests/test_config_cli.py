@@ -15,6 +15,7 @@ from epifield.config import (
     load_config,
     load_preset,
 )
+from epifield.mapping import DEFAULT_U_MAX, PlaneParam
 from epifield.scene import DEFAULT_OMEGAS
 from epifield.spectral import plane_fan
 
@@ -173,6 +174,16 @@ def test_config_hash_falls_back_to_hashlib(tmp_path, monkeypatch):
     monkeypatch.setitem(sys.modules, "_sha2", None)  # None makes the import fail
     monkeypatch.setitem(sys.modules, "_sha256", None)
     assert cfg.config_hash() == builtin == hashlib.sha256(cfg.canonical().encode()).hexdigest()
+
+
+def test_the_default_capture_is_plane_param(tmp_path):
+    assert PlaneParam() == PlaneParam(1.0, math.inf, 0.0, 1.0, DEFAULT_U_MAX)
+    cfg = load_config(_write(tmp_path, "[scene]\npreset = B\n\n[plane]\ndepth = infinity\n"))
+    assert cfg.plane == PlaneParam()
+    # every manifest written earlier must keep naming this config
+    assert cfg.config_hash() == (
+        "eea659b974080c8058548472e278cc4cc5e65614951ee6f317c8e4818013c83f"
+    )
 
 
 # --- command line ---------------------------------------------------------

@@ -284,7 +284,7 @@ def test_a_failing_cell_raises_the_lowest_failure_once_every_worker_ends(monkeyp
     depths = [1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8]
     with pytest.raises(RuntimeError, match="cell 2"):
         experiments._sweep(
-            depths, [0.0], "plane_mae", cell_metric, plane=experiments._CAPTURE, threads=4
+            depths, [0.0], "plane_mae", cell_metric, plane=PlaneParam(), threads=4
         )
     assert len(started) == 4
     assert not any(thread.is_alive() for thread in started)
