@@ -19,7 +19,6 @@ from .mapping import (
     DEFAULT_U_MAX,
     PlaneParam,
     SelfOcclusionError,
-    check_no_self_occlusion,
     intersect_rays,
     map_surface_to_image,
     rewarp_coords,

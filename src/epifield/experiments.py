@@ -2,11 +2,11 @@
 
 Each driver renders many EPIs over a grid of plane parameters or layer
 counts and reduces them to one scalar metric per cell. Cells that cannot
-be evaluated (invalid plane parameters) are recorded as missing rather
-than silently skipped. Every cell of a sweep renders with the same seed:
-noise models a fixed sensor, so the grid compares parameterizations, not
-noise realizations, and results do not depend on evaluation order or on
-the worker count.
+be evaluated (invalid plane parameters, a surface that occludes itself)
+are recorded as missing rather than silently skipped. Every cell of a
+sweep renders with the same seed: noise models a fixed sensor, so the
+grid compares parameterizations, not noise realizations, and results do
+not depend on evaluation order or on the worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from threading import Thread
 
 import numpy as np
 
-from .mapping import PlaneParam, rewarp_coords
+from .mapping import PlaneParam, SelfOcclusionError, rewarp_coords
 from .render import _noise_field, interp_u, psnr, reconstruct_epi, render_epi, subsample_epi
 from .scene import SceneDef, SurfaceSpec, partition_depth_layers
 from .spectral import dft2_magnitude, family_fans, sparsity_rmse, u_nyquist
@@ -77,14 +77,15 @@ def _sweep(d_values, tilt_values, metric_kind, cell_metric, *, plane, threads) -
     """Evaluate cell_metric(param, workspace) on every (depth, tilt) cell.
 
     Each cell's param is plane under the cell's depth and tilt. A cell
-    whose param fails validation is recorded as missing with the
-    constructor's reason. There are never more workers than cells or
-    cores; each claims the next unclaimed cell until none is left, and
-    reuses one Workspace for all its cells. One worker runs on the
-    caller's thread, since a thread costs about 0.6 MB resident; more run
-    on threads that the caller joins. A failing cell stops the claims,
-    and once every worker has ended, the exception of the lowest failing
-    cell is raised.
+    whose param fails validation, or whose cell_metric raises
+    SelfOcclusionError, is recorded as missing with the exception's
+    message; missing lists its cells in (i, j) order at any thread count.
+    There are never more workers than cells or cores; each claims the
+    next unclaimed cell until none is left, and reuses one Workspace for
+    all its cells. One worker runs on the caller's thread, since a thread
+    costs about 0.6 MB resident; more run on threads that the caller
+    joins. Any other failing cell stops the claims, and once every worker
+    has ended, the exception of the lowest failing cell is raised.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -106,6 +107,8 @@ def _sweep(d_values, tilt_values, metric_kind, cell_metric, *, plane, threads) -
             cell, param = cells[k]
             try:
                 metric[cell] = cell_metric(param, workspace)
+            except SelfOcclusionError as exc:
+                missing.append((*cell, str(exc)))  # list.append is atomic under the GIL
             except BaseException as exc:  # raised by the caller, lowest cell first
                 failures.append((k, exc))
 
@@ -120,6 +123,7 @@ def _sweep(d_values, tilt_values, metric_kind, cell_metric, *, plane, threads) -
             thread.join()
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
+    missing.sort()  # the workers append in claim order, not cell order
     return SweepResult(
         np.asarray(d_values, dtype=float),
         np.asarray(tilt_values, dtype=float),
@@ -161,9 +165,9 @@ def sweep_sparsity(
     rectangular, unlike dft2_magnitude: row-to-row drift under a
     mismatched plane shows up as truncation leakage, and that leakage is
     the signal this sweep ranks cells by; a taper would flatten the
-    surface into sidelobe dust. The visibility check is skipped: single
-    crossings hold for these scenes even where the conservative slope
-    condition fails, and the grid must stay comparable across cells.
+    surface into sidelobe dust. A cell where a traced ray meets the
+    surface twice is missing: its EPI is not the one the spectral
+    analysis describes.
     """
     if subsample_factor < 1:
         raise ValueError(f"subsample_factor must be >= 1, got {subsample_factor}")
@@ -177,7 +181,6 @@ def sweep_sparsity(
             n_s,
             n_u,
             seed=seed,
-            check_occlusion=False,
             row_step=subsample_factor,
             workspace=workspace,
         )
@@ -205,7 +208,8 @@ def plane_mae(surface: SurfaceSpec, depth: float, tilt_deg: float) -> float:
 def sweep_plane_mae(
     surface: SurfaceSpec, d_values, tilt_values, *, plane: PlaneParam = PlaneParam()
 ) -> SweepResult:
-    """Geometric plane-fit error over the render sweeps' grid, with their missing cells."""
+    """Geometric plane-fit error over the render sweeps' grid. It renders
+    nothing, so only invalid planes are missing, not self-occluded ones."""
 
     def cell_metric(param, workspace):
         return plane_mae(surface, param.depth, param.tilt_deg)
@@ -230,9 +234,7 @@ def sweep_reconstruction(
         raise ValueError(f"factor {factor} must divide {n_s=}")
 
     def cell_metric(param, workspace):
-        dense = render_epi(
-            scene, param, n_s, n_u, seed=seed, check_occlusion=False, workspace=workspace
-        )
+        dense = render_epi(scene, param, n_s, n_u, seed=seed, workspace=workspace)
         rebuilt = reconstruct_epi(subsample_epi(dense, factor), n_s, workspace=workspace)
         return psnr(dense.data, rebuilt.data, workspace=workspace)
 

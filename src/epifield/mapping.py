@@ -35,7 +35,6 @@ __all__ = [
     "u_infinity",
     "intersect_rays",
     "rewarp_coords",
-    "check_no_self_occlusion",
 ]
 
 # Half-width of the image window for a 30 degree field of view at focal 1.
@@ -115,7 +114,7 @@ class PlaneParam:
 
 
 class SelfOcclusionError(RuntimeError):
-    """The scene violates the no-self-occlusion condition for this capture."""
+    """A ray of the capture meets the surface twice: the surface hides part of itself."""
 
 
 def map_surface_to_image(param: PlaneParam, surface: SurfaceSpec, x, s):
@@ -144,9 +143,11 @@ def intersect_rays(
 ):
     """Vectorized ray/surface intersection.
 
-    Returns (x, hit). x holds the lateral coordinate of the crossing with
-    the smallest positive depth inside the surface extent and is NaN where
-    the ray misses; hit is the boolean mask of valid entries. Substituting
+    Returns (x, hit, twice). x holds the lateral coordinate of the
+    crossing with the smallest positive depth inside the surface extent
+    and is NaN where the ray misses; hit is the boolean mask of valid
+    entries; twice counts the rays with two distinct such crossings, which
+    see the surface occlude itself (0 on a planar surface). Substituting
     the ray into the quadratic profile gives
 
         quad * A * x**2 + (tan(tilt_s) * A - focal * depth) * x
@@ -176,7 +177,8 @@ def intersect_rays(
             bb = scratch(workspace, "t1", shape)
             _coefficients(param, surface, s, u, x, bb, x)
             hit = scratch(workspace, "hit", shape, bool)
-            return _linear_root(surface, bb, x, hit, scratch(workspace, "m1", shape, bool))
+            x, hit = _linear_root(surface, bb, x, hit, scratch(workspace, "m1", shape, bool))
+            return x, hit, 0  # a plane meets a ray at most once
         return _curved_blocks(param, surface, s, u, shape, workspace)
 
 
@@ -214,6 +216,7 @@ def _curved_blocks(param: PlaneParam, surface: SurfaceSpec, s, u, shape, workspa
         # an operand that broadcasts along the rows serves every block whole
         return a[rows] if a.ndim == len(grid) and a.shape[0] > 1 else a
 
+    twice = 0
     for start in range(0, n, block):
         rows = slice(start, min(start + block, n))
         k = rows.stop - start
@@ -221,8 +224,8 @@ def _curved_blocks(param: PlaneParam, surface: SurfaceSpec, s, u, shape, workspa
         bb, cc, qq, four_ac = b_c[0, :k], b_c[1, :k], q_4ac[0, :k], q_4ac[1, :k]
         _coefficients(param, surface, rows_of(s, rows), rows_of(u, rows), aa, bb, cc)
         aa *= surface.quad
-        _quadratic_root(surface, aa, bb, cc, qq, four_ac, ok, m1_rows, m2_rows)
-    return x, hit
+        twice += _quadratic_root(surface, aa, bb, cc, qq, four_ac, ok, m1_rows, m2_rows)
+    return x, hit, twice
 
 
 def _linear_root(surface: SurfaceSpec, bb, cc, hit, m1):
@@ -238,7 +241,8 @@ def _linear_root(surface: SurfaceSpec, bb, cc, hit, m1):
 
 
 def _quadratic_root(surface: SurfaceSpec, aa, bb, cc, qq, four_ac, hit, m1, m2):
-    """The nearer valid root into aa and its mask into hit; the other arrays are spent."""
+    """The nearer valid root into aa and its mask into hit; returns how many
+    rays have two distinct valid roots. The other arrays are spent."""
     # stable form: the larger-magnitude root first, companion via c / q;
     # a negative discriminant leaves NaN roots, which the range check drops
     np.multiply(bb, bb, out=qq)
@@ -259,9 +263,15 @@ def _quadratic_root(surface: SurfaceSpec, aa, bb, cc, qq, four_ac, hit, m1, m2):
     # SurfaceSpec bounds the depth, so every valid depth is finite
     v1, z1 = _root_depth(surface, r1, bb, four_ac, hit, m1)
     v2, z2 = _root_depth(surface, r2, qq, four_ac, m2, m1)
+    # a ray with two valid, distinct roots meets the surface twice
+    twice = np.not_equal(r1, r2, out=m1)
+    twice &= v1
+    twice &= v2
+    n_twice = int(np.count_nonzero(twice))
     np.copyto(r1, r2, where=np.less(z2, z1, out=m1))
     v1 |= v2
     np.copyto(r1, np.nan, where=np.logical_not(v1, out=m1))
+    return n_twice
 
 
 def _root_depth(surface: SurfaceSpec, r, z, sq, ok, m1):
@@ -291,23 +301,3 @@ def rewarp_coords(src: PlaneParam, dst: PlaneParam, s, u_src):
         return np.array(u_src, dtype=float, copy=True)
     ui = u_infinity(src, s, u_src)
     return (ui + np.multiply(s, dst.focal * dst.inv_depth)) / dst.tilt_scale(s)
-
-
-def check_no_self_occlusion(surface: SurfaceSpec, param: PlaneParam) -> None:
-    """Raise SelfOcclusionError unless the surface's |dz/dx| stays below a limit.
-
-    Under a parallel plane every ray stays within the slope focal / (u_max
-    + s_max * focal / depth) of vertical, so a surface whose |dz/dx| stays
-    below it cannot occlude itself. A tilted plane stretches u_max by up
-    to 1 + s_max * |tan(tilt)| / depth, so there the limit is not
-    sufficient: a steeper ray may cross the surface twice. The slope is
-    affine in x, so the extremes sit at the extent endpoints.
-    """
-    limit = param.focal / (param.u_max + param.s_max * param.focal * param.inv_depth)
-    lo, hi = surface.x_range
-    worst = max(abs(surface.depth_slope(lo)), abs(surface.depth_slope(hi)))
-    if not worst < limit:
-        raise SelfOcclusionError(
-            f"surface slope {worst:.4g} exceeds the visibility "
-            f"limit {limit:.4g} for this capture"
-        )

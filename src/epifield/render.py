@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mapping import PlaneParam, check_no_self_occlusion, intersect_rays
+from .mapping import PlaneParam, SelfOcclusionError, intersect_rays
 from .scene import SceneDef
 from .workspace import Workspace, scratch
 
@@ -96,7 +96,6 @@ def render_epi(
     n_u: int,
     *,
     seed: int = 0,
-    check_occlusion: bool = True,
     row_step: int = 1,
     workspace: Workspace | None = None,
 ) -> Epi:
@@ -111,26 +110,27 @@ def render_epi(
     n_u. The noise models the sensor, so it covers misses too.
 
     row_step = k traces only the camera rows 0, k, 2k, ... of the n_s-row
-    grid; the result equals subsample_epi(render_epi(...), k) exactly. k
-    must divide n_s (NonDivisibleFactor otherwise).
+    grid; the result equals subsample_epi(render_epi(...), k) exactly
+    where the full grid renders. k must divide n_s (NonDivisibleFactor
+    otherwise).
 
-    check_occlusion enforces the sufficient visibility condition and
-    raises SelfOcclusionError when it fails. The condition is conservative;
-    experiment code that has verified single crossings geometrically may
-    disable it.
+    A ray that meets the surface twice sees the surface hide part of
+    itself, and the EPI lines through it are not straight. If any traced
+    ray does, SelfOcclusionError names how many; under row_step only the
+    traced rows count.
 
     With a workspace, data is its "radiance" buffer and the intersection
     stays in its "x" and "hit" buffers (see epifield.workspace).
     """
-    if check_occlusion:
-        check_no_self_occlusion(scene.surface, param)
     s_axis, u_axis = ray_grid(param, n_s, n_u)
     if row_step < 1 or n_s % row_step != 0:
         raise NonDivisibleFactor(f"row step {row_step} does not divide {n_s} rows")
     s_axis = s_axis[::row_step]
-    x, hit = intersect_rays(
+    x, hit, twice = intersect_rays(
         param, scene.surface, s_axis[:, None], u_axis[None, :], workspace=workspace
     )
+    if twice:
+        raise SelfOcclusionError(f"{twice} of {hit.size} rays meet the surface twice")
     data = scene.texture.radiance(x, s_axis[:, None], workspace=workspace)
     missed = np.logical_not(hit, out=scratch(workspace, "m1", hit.shape, bool))
     np.copyto(data, 0.0, where=missed)

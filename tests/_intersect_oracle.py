@@ -8,9 +8,11 @@ reference for the differential tests in tests/test_render_kernel.py,
 tests/test_resample.py, tests/test_scene.py and tests/test_spectral.py.
 
 intersect_rays runs one general formula on every input: both quadratic
-roots through np.where chains, the linear case masked in. render_fill is
-the old render_epi fill: radiance (old albedo loop, old sinc factor)
-gathered on the hit rays and scattered into a zero image. dft2_magnitude,
+roots through np.where chains, the linear case masked in. double_crossings
+is new beside it: it recomputes those roots and counts the rays where both
+are valid and distinct, the reference for intersect_rays' count.
+render_fill is the old render_epi fill: radiance (old albedo loop, old
+sinc factor) gathered on the hit rays and scattered into a zero image. dft2_magnitude,
 sparsity_rmse, reconstruct_data and psnr allocate every temporary.
 _trajectory_reconstruct and layers_experiment rebuild every column of every
 row a layer touches, one np.interp call per row and kept row.
@@ -91,6 +93,36 @@ def intersect_rays(param: PlaneParam, surface: SurfaceSpec, s, u):
     x = np.where(linear & ~v_lin, np.nan, x)
     hit = np.isfinite(x)
     return x, hit
+
+
+def double_crossings(param: PlaneParam, surface: SurfaceSpec, s, u) -> int:
+    """Reference for intersect_rays' third value; not part of the old code.
+
+    The rays whose two quadratic roots, computed as intersect_rays above
+    computes them, are both valid and distinct: v1 & v2 & (r1 != r2).
+    """
+    s, u = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(u, dtype=float))
+    u_plane = u * param.tilt_scale(s)
+    if param.is_directional:
+        aa = surface.quad * u_plane
+        bb = surface.tilt_slope * u_plane - param.focal
+        cc = surface.z0 * u_plane + s * param.focal
+    else:
+        big_a = u_plane * param.depth - s * param.focal
+        aa = surface.quad * big_a
+        bb = surface.tilt_slope * big_a - param.focal * param.depth
+        cc = surface.z0 * big_a + s * param.focal * param.depth
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        linear = aa == 0.0
+        disc = bb * bb - 4.0 * aa * cc
+        solvable = ~linear & (disc >= 0.0)
+        sqrt_disc = np.sqrt(np.where(solvable, disc, 0.0))
+        qq = -0.5 * (bb + np.where(bb >= 0.0, 1.0, -1.0) * sqrt_disc)
+        r1 = np.where(solvable & (aa != 0.0), qq / np.where(aa != 0.0, aa, 1.0), np.nan)
+        r2 = np.where(solvable & (qq != 0.0), cc / np.where(qq != 0.0, qq, 1.0), np.nan)
+    v1, _ = _valid_root(surface, r1)
+    v2, _ = _valid_root(surface, r2)
+    return int(np.count_nonzero(v1 & v2 & (r1 != r2)))
 
 
 def _valid_root(surface: SurfaceSpec, r):

@@ -541,7 +541,7 @@ def test_cli_sweep_plane_mae_is_nan_at_the_missing_cells(tmp_path):
             depth_min = 1.0
             depth_max = 1.5
             depth_count = 2
-            tilt_min = 0.0
+            tilt_min = 10.0
             tilt_max = 50.0
             tilt_count = 2
             """
@@ -549,10 +549,18 @@ def test_cli_sweep_plane_mae_is_nan_at_the_missing_cells(tmp_path):
         name="plane_mae.cfg",
     )
     assert main(["sweep-sparsity", "--config", str(cfg), "--heatmap"]) == 0
-    missing = [row.split(",")[:2] for row in (out / "missing.csv").read_text().splitlines()[1:]]
-    assert missing == [["1.0", "50.0"]]
+    missing = [row.split(",") for row in (out / "missing.csv").read_text().splitlines()[1:]]
+    # the invalid plane, then the two cells where rays meet C twice
+    assert missing == [
+        ["1.0", "50.0", "camera range +-1.0 reaches the plane/camera-line crossing at s = -0.8391"],
+        ["1.5", "10.0", "3 of 256 rays meet the surface twice"],
+        ["1.5", "50.0", "12 of 256 rays meet the surface twice"],
+    ]
+    rows = [row.split(",") for row in (out / "sparsity.csv").read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows if row[2] == "nan"] == [cell[:2] for cell in missing]
+    # the plane fit renders nothing: it is NaN at the invalid plane only
     rows = [row.split(",") for row in (out / "plane_mae.csv").read_text().splitlines()[1:]]
-    assert [row[:2] for row in rows if row[2] == "nan"] == missing
+    assert [row[:2] for row in rows if row[2] == "nan"] == [["1.0", "50.0"]]
     samples = (out / "plane_mae_heatmap.pgm").read_bytes()[len(b"P5\n2 2\n65535\n") :]
     assert samples[2:4] == b"\x00\x00"  # the missing cell is black
 
@@ -844,32 +852,24 @@ def test_cli_layers_needs_layers_section(tmp_path):
 
 
 def test_cli_precondition_failures_exit_2(tmp_path, capsys):
-    steep = _write(
-        tmp_path,
-        dedent(
-            f"""
-            [scene]
-            z0 = 3.0
-            tilt_deg = 80.0
-            quad = 0.0
-            x_min = -0.3
-            x_max = 0.3
+    def render(name, scene, depth, tilt):
+        out = tmp_path / f"{name}_out"
+        cfg = _write(
+            tmp_path,
+            f"[scene]\npreset = {scene}\n\n[plane]\ndepth = {depth}\ntilt_deg = {tilt}\n\n"
+            f"[grid]\nn_s = 16\nn_u = 16\n\n[run]\nout_dir = {out}\n",
+            name=f"{name}.cfg",
+        )
+        return main(["render", "--config", str(cfg)])
 
-            [plane]
-            depth = infinity
-
-            [grid]
-            n_s = 8
-            n_u = 8
-
-            [run]
-            out_dir = {tmp_path / "steep_out"}
-            """
-        ),
-        name="steep.cfg",
-    )
-    assert main(["render", "--config", str(steep)]) == 2
-    assert "precondition failed" in capsys.readouterr().err
+    # the parallel plane `guidelines --scene B` recommends: no ray meets B twice
+    assert render("b_parallel", "B", 1.21783, 0.0) == 0
+    capsys.readouterr()
+    # C's recommended tilted plane: rays near s = -1 meet C twice
+    assert render("c_tilted", "C", 1.41601, 50.0) == 2
+    err = capsys.readouterr().err
+    assert "precondition failed: 19 of 256 rays meet the surface twice" in err
+    assert not (tmp_path / "c_tilted_out").exists()
 
     bad_plane = _write(
         tmp_path,

@@ -73,9 +73,17 @@ def test_sweep_plane_mae_misses_the_render_sweeps_cells(scene_c):
     # at depth 1.0 a 50 degree plane meets the camera line inside s_max = 1
     grid = ([1.0, 1.5], [0.0, 50.0])
     geometry = sweep_plane_mae(scene_c.surface, *grid)
-    assert geometry.missing == sweep_sparsity(scene_c, *grid, n_s=16, n_u=16).missing
     assert [cell[:2] for cell in geometry.missing] == [(0, 1)]
     assert "crossing at s = -0.8391" in geometry.missing[0][2]
+    # the render sweep also misses the cells where rays meet C twice; the
+    # plane fit, which renders nothing, keeps their values
+    occluded = [
+        (0, 0, "1 of 256 rays meet the surface twice"),
+        (1, 0, "4 of 256 rays meet the surface twice"),
+        (1, 1, "12 of 256 rays meet the surface twice"),
+    ]
+    rendered = sweep_sparsity(scene_c, *grid, n_s=16, n_u=16)
+    assert rendered.missing == sorted(geometry.missing + occluded)
     assert np.isnan(geometry.metric[0, 1])
     assert np.isfinite(geometry.metric).sum() == 3
     # the plane's camera range decides, as in the render sweeps
@@ -88,6 +96,25 @@ def test_sweep_sparsity_matches_direct_pipeline(scene_a):
     epi = render_epi(scene_a, PlaneParam(1.0, 1.4, 10.0), 32, 32, seed=3)
     want = sparsity_rmse(dft2_magnitude(epi, "rect"), 0.01)
     assert res.metric[0, 0] == want
+
+
+@pytest.mark.parametrize("sweep", [sweep_sparsity, sweep_reconstruction])
+def test_occluded_cells_are_missing_in_cell_order(scene_c, monkeypatch, sweep):
+    # (0, 2) is an invalid plane, listed before any cell renders; every
+    # other cell but (0, 1) has a ray that meets C twice
+    grid = ([1.0, 1.5, 2.0], [0.0, 10.0, 50.0])
+    kwargs = dict(n_s=16, n_u=16, **({"factor": 4} if sweep is sweep_reconstruction else {}))
+    sizes = _record_pool_sizes(monkeypatch, cores=2)
+    one = sweep(scene_c, *grid, threads=1, **kwargs)
+    two = sweep(scene_c, *grid, threads=2, **kwargs)
+    assert sizes == [2]
+    assert one.missing == two.missing
+    cells = [(0, 0), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+    assert [cell[:2] for cell in one.missing] == cells
+    for i, j, reason in one.missing:
+        assert (i, j) == (0, 2) or reason.endswith(" of 256 rays meet the surface twice")
+    assert np.array_equal(one.metric, two.metric, equal_nan=True)
+    assert np.isfinite(one.metric).sum() == 1
 
 
 def test_sweep_sparsity_thread_count_is_invisible(scene_b):
@@ -124,7 +151,7 @@ def test_sweep_sparsity_texture_override(scene_a):
     # a texture is swapped on the scene itself; the sweep renders the one it holds
     swapped = replace(scene_a, texture=TextureSpec(noise_sigma=0.1))
     got = sweep_sparsity(swapped, [1.5], [0.0], n_s=16, n_u=16, seed=2)
-    epi = render_epi(swapped, PlaneParam(1.0, 1.5), 16, 16, seed=2, check_occlusion=False)
+    epi = render_epi(swapped, PlaneParam(1.0, 1.5), 16, 16, seed=2)
     assert got.metric[0, 0] == sparsity_rmse(dft2_magnitude(epi, "rect"), 0.01)
     clean = sweep_sparsity(scene_a, [1.5], [0.0], n_s=16, n_u=16, seed=2)
     assert got.metric[0, 0] != clean.metric[0, 0]
@@ -345,9 +372,7 @@ def test_warm_sweep_cells_allocate_less_than_one_grid(scene_b, window):
     workspace = Workspace()
 
     def render_dense():
-        return render_epi(
-            noisy_b, param, 256, 256, seed=0, check_occlusion=False, workspace=workspace
-        )
+        return render_epi(noisy_b, param, 256, 256, seed=0, workspace=workspace)
 
     def sparsity_cell():
         spectrum = dft2_magnitude(render_dense(), window, workspace=workspace)
@@ -400,9 +425,7 @@ def test_cold_sweep_cell_holds_three_float_grids(scene_b, cell):
     n = 256
 
     def run(workspace):
-        dense = render_epi(
-            noisy_b, param, n, n, seed=0, check_occlusion=False, workspace=workspace
-        )
+        dense = render_epi(noisy_b, param, n, n, seed=0, workspace=workspace)
         if cell == "reconstruct":
             rebuilt = render.reconstruct_epi(render.subsample_epi(dense, 64), n, workspace=workspace)
             return render.psnr(dense.data, rebuilt.data, workspace=workspace)

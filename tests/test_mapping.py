@@ -8,8 +8,6 @@ from hypothesis import assume, example, given, strategies as st
 from epifield.mapping import (
     DEFAULT_U_MAX,
     PlaneParam,
-    SelfOcclusionError,
-    check_no_self_occlusion,
     intersect_rays,
     map_surface_to_image,
     rewarp_coords,
@@ -113,8 +111,8 @@ def test_direction_coordinate_collapses_plane_choice(scene_b, directional, depth
 
 @given(s=st.floats(-1.0, 1.0), u=st.floats(-DEFAULT_U_MAX, DEFAULT_U_MAX))
 def test_directional_intersection_flat_scene(directional, flat_scene, s, u):
-    x, hit = intersect_rays(directional, flat_scene.surface, s, u)
-    assert hit
+    x, hit, twice = intersect_rays(directional, flat_scene.surface, s, u)
+    assert hit and twice == 0
     assert float(x) == pytest.approx(s + u * 1.5, abs=1e-12)
 
 
@@ -128,7 +126,7 @@ def test_directional_intersection_flat_scene(directional, flat_scene, s, u):
 def test_intersection_roundtrip(scene_a, scene_b, depth, tilt, s, u, key):
     scene = scene_a if key == "A" else scene_b
     p = PlaneParam(1.0, depth, tilt)
-    x, hit = intersect_rays(p, scene.surface, s, u)
+    x, hit, _ = intersect_rays(p, scene.surface, s, u)
     assume(bool(hit))
     u_back = map_surface_to_image(p, scene.surface, float(x), s)
     assert u_back == pytest.approx(u, abs=1e-9)
@@ -136,9 +134,9 @@ def test_intersection_roundtrip(scene_a, scene_b, depth, tilt, s, u, key):
 
 def test_miss_reports_no_intersection(directional):
     narrow = SurfaceSpec(1.5, 0.0, 0.0, (-0.1, 0.1))
-    x, hit = intersect_rays(directional, narrow, 2.0, 0.0)
+    x, hit, _ = intersect_rays(directional, narrow, 2.0, 0.0)
     assert not hit and math.isnan(x)
-    x, hit = intersect_rays(directional, narrow, [2.0, 0.0], [0.0, 0.0])
+    x, hit, _ = intersect_rays(directional, narrow, [2.0, 0.0], [0.0, 0.0])
     assert not hit[0] and math.isnan(x[0])
     assert hit[1] and x[1] == pytest.approx(0.0, abs=1e-15)
 
@@ -148,10 +146,10 @@ def test_vectorized_intersection_matches_scalar(scene_c):
     rng = np.random.default_rng(3)
     s = rng.uniform(-1.0, 1.0, 64)
     u = rng.uniform(-DEFAULT_U_MAX, DEFAULT_U_MAX, 64)
-    xs, hit = intersect_rays(p, scene_c.surface, s, u)
+    xs, hit, _ = intersect_rays(p, scene_c.surface, s, u)
     assert hit.any() and not hit.all()
     for i in range(s.size):
-        one, one_hit = intersect_rays(p, scene_c.surface, s[i], u[i])
+        one, one_hit, _ = intersect_rays(p, scene_c.surface, s[i], u[i])
         assert one_hit == hit[i]
         if hit[i]:
             assert float(one) == pytest.approx(float(xs[i]), abs=1e-12)
@@ -173,13 +171,14 @@ def test_scalar_intersection_is_the_one_ray_call(
     surface = {"A": scene_a, "B": scene_b, "C": scene_c}[key].surface
     param = PlaneParam(1.0, depth, 0.0 if math.isinf(depth) else tilt, check=False)
     workspace = Workspace() if reuse else None
-    x, hit = intersect_rays(param, surface, s, u, workspace=workspace)
+    x, hit, twice = intersect_rays(param, surface, s, u, workspace=workspace)
     for got, dtype in ((x, float), (hit, bool)):
         assert type(got) is np.ndarray and got.shape == () and got.dtype == dtype
     x, hit = x.tobytes(), hit.tobytes()  # the next call may overwrite the workspace
-    x1, hit1 = intersect_rays(param, surface, [s], [u], workspace=workspace)
+    x1, hit1, twice1 = intersect_rays(param, surface, [s], [u], workspace=workspace)
     assert x1.shape == hit1.shape == (1,)
     assert x == x1.tobytes() and hit == hit1.tobytes()
+    assert type(twice) is int and twice == twice1 in (0, 1)
 
 
 def test_vanishing_leading_coefficient_takes_the_linear_root():
@@ -187,8 +186,8 @@ def test_vanishing_leading_coefficient_takes_the_linear_root():
     # still return the linear root -c / b, not c / inf = 0
     param = PlaneParam(1.0, 1e200, check=False)
     curved = SurfaceSpec(1.5, 0.0, 5e-324, (-1.0, 1.0))
-    x, hit = intersect_rays(param, curved, [1e-200, 0.5e-200], [0.0, 0.0])
-    assert hit.all()
+    x, hit, twice = intersect_rays(param, curved, [1e-200, 0.5e-200], [0.0, 0.0])
+    assert hit.all() and twice == 0
     assert x[0] == 1e-200 and x[1] == 0.5e-200
 
 
@@ -204,7 +203,7 @@ def test_odd_width_curved_capture_allocates_no_grid(scene_c):
     intersect_rays(param, scene_c.surface, s, u, workspace=workspace)
     tracemalloc.start()
     try:
-        x, hit = intersect_rays(param, scene_c.surface, s, u, workspace=workspace)
+        x, hit, _ = intersect_rays(param, scene_c.surface, s, u, workspace=workspace)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -263,24 +262,36 @@ def test_rewarp_preserves_cross_ratio():
     assert cross(warped) == pytest.approx(cross(us), abs=1e-9)
 
 
-def _planar(slope):
-    return SurfaceSpec(3.0, math.degrees(math.atan(slope)), 0.0, (-0.3, 0.3))
+def _twice_on_grid(surface, plane):
+    s_axis, u_axis = ray_grid(plane, 64, 64)
+    _, hit, twice = intersect_rays(plane, surface, s_axis[:, None], u_axis[None, :])
+    assert hit.any()
+    return twice
 
 
 def test_occlusion_check(flat_scene, directional):
-    check_no_self_occlusion(flat_scene.surface, directional)
+    assert _twice_on_grid(flat_scene.surface, directional) == 0
+    # a plane meets no ray twice, however steep: the old slope bound refused these
+    assert _twice_on_grid(SurfaceSpec(3.0, 80.0, 0.0, (-0.3, 0.3)), directional) == 0
+    assert _twice_on_grid(SurfaceSpec(3.0, -80.0, 0.0, (-0.3, 0.3)), PlaneParam(1.0, 1.0)) == 0
+    # the line through the cap's points at x = -0.4 and x = 0.3 reaches
+    # the camera line far to the left; that ray meets the cap twice
+    cap = SurfaceSpec(1.5, 0.0, -1.0, (-0.5, 0.5))
+    z_a, z_b = cap.depth(-0.4), cap.depth(0.3)
+    s = -0.4 - z_a * 0.7 / (z_b - z_a)
+    u = map_surface_to_image(directional, cap, -0.4, s)
+    x, hit, twice = intersect_rays(directional, cap, [s, 0.0], [u, 0.1])
+    assert hit.all() and twice == 1
+    assert x[0] == pytest.approx(-0.4, abs=1e-12)  # the nearer crossing
+    # cut at x = -0.35, the cap keeps one crossing of the same ray
+    cut = SurfaceSpec(1.5, 0.0, -1.0, (-0.35, 0.5))
+    x, hit, twice = intersect_rays(directional, cut, s, u)
+    assert hit and twice == 0
+    assert float(x) == pytest.approx(0.3, abs=1e-12)
 
-    steep = SurfaceSpec(3.0, 80.0, 0.0, (-0.3, 0.3))
-    worst, limit = math.tan(math.radians(80.0)), 1.0 / DEFAULT_U_MAX
-    with pytest.raises(SelfOcclusionError) as err:
-        check_no_self_occlusion(steep, directional)
-    assert str(err.value) == (
-        f"surface slope {worst:.4g} exceeds the visibility limit {limit:.4g} for this capture"
-    )
-    # a finite plane depth widens the ray fan and tightens the limit
-    check_no_self_occlusion(_planar(2.0), directional)
-    with pytest.raises(SelfOcclusionError):
-        check_no_self_occlusion(_planar(2.0), PlaneParam(1.0, 1.0))
+
+def _planar(slope):
+    return SurfaceSpec(3.0, math.degrees(math.atan(slope)), 0.0, (-0.3, 0.3))
 
 
 @pytest.mark.parametrize(
@@ -289,7 +300,8 @@ def test_occlusion_check(flat_scene, directional):
 )
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_occlusion_check_sits_at_the_slope_limit(plane, sign):
+    # the old bound's limit on |dz/dx| is no boundary of the exact count:
+    # a plane on either side of it meets no ray twice
     limit = plane.focal / (plane.u_max + plane.s_max * plane.focal * plane.inv_depth)
-    check_no_self_occlusion(_planar(sign * limit * (1.0 - 1e-9)), plane)
-    with pytest.raises(SelfOcclusionError):
-        check_no_self_occlusion(_planar(sign * limit * (1.0 + 1e-9)), plane)
+    assert _twice_on_grid(_planar(sign * limit * (1.0 - 1e-9)), plane) == 0
+    assert _twice_on_grid(_planar(sign * limit * (1.0 + 1e-9)), plane) == 0

@@ -168,11 +168,14 @@ def test_interp_u_rewarp_matches_direct_render():
 
 
 def test_occlusion_guard(directional):
+    # a plane cannot meet a ray twice, however steep
     steep = SceneDef(SurfaceSpec(3.0, 80.0, 0.0, (-0.3, 0.3)), TextureSpec(), "steep")
-    with pytest.raises(SelfOcclusionError):
-        render_epi(steep, directional, 4, 4)
-    epi = render_epi(steep, directional, 4, 4, check_occlusion=False)
+    epi = render_epi(steep, directional, 4, 4)
     assert np.isfinite(epi.data).all()
+    # the rays of the first camera row graze scene C's cap and cross it twice
+    occluder = SceneDef(SurfaceSpec(1.5, 50.0, -1.0, (-0.5, 0.5)), TextureSpec(), "C")
+    with pytest.raises(SelfOcclusionError, match="^4 of 16 rays meet the surface twice$"):
+        render_epi(occluder, PlaneParam(1.0, 1.416, 50.0), 4, 4)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8])
@@ -188,8 +191,8 @@ def test_occlusion_guard(directional):
 )
 def test_row_step_equals_subsampled_render(scene_b, texture, param, k):
     scene = SceneDef(scene_b.surface, texture, "B")
-    full = subsample_epi(render_epi(scene, param, 32, 24, seed=4, check_occlusion=False), k)
-    rows = render_epi(scene, param, 32, 24, seed=4, check_occlusion=False, row_step=k)
+    full = subsample_epi(render_epi(scene, param, 32, 24, seed=4), k)
+    rows = render_epi(scene, param, 32, 24, seed=4, row_step=k)
     for name in ("data", "s_axis", "u_axis"):
         got, want = getattr(rows, name), getattr(full, name)
         assert got.shape == want.shape

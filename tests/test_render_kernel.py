@@ -2,7 +2,9 @@
 
 tests/_intersect_oracle.py holds the general-formula intersection and the
 gather/scatter radiance fill verbatim. The kernel must agree with them bit
-for bit: the same hit mask, and the same x down to the NaN payload. Every
+for bit: the same hit mask, the same x down to the NaN payload, and the
+count of rays that meet the surface twice that the oracle's own roots
+give. A render raises exactly when the oracle counts such a ray. Every
 stage run with a reused Workspace must also match the same stage run
 without one, and the oracle, bit for bit.
 """
@@ -18,7 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import _intersect_oracle as oracle
 from epifield import mapping
 from epifield.experiments import sweep_reconstruction, sweep_sparsity
-from epifield.mapping import PlaneParam, intersect_rays, map_surface_to_image
+from epifield.mapping import PlaneParam, SelfOcclusionError, intersect_rays, map_surface_to_image
 from epifield.render import (
     _noise_field,
     psnr,
@@ -27,8 +29,14 @@ from epifield.render import (
     render_epi,
     subsample_epi,
 )
-from epifield.scene import SceneDef, SceneGeometryError, SurfaceSpec, TextureSpec
-from epifield.spectral import dft2_magnitude, sparsity_rmse
+from epifield.scene import (
+    SceneDef,
+    SceneGeometryError,
+    SurfaceSpec,
+    TextureSpec,
+    partition_depth_layers,
+)
+from epifield.spectral import dft2_magnitude, family_fans, sparsity_rmse, u_nyquist
 from epifield.workspace import Workspace
 
 # the oracle does not silence the overflow of huge rejected roots
@@ -64,16 +72,23 @@ planes = st.one_of(
 )
 
 
+def _oracle(param, surface, s, u):
+    """The oracle's (x, hit) and the double crossings its roots give."""
+    x, hit = oracle.intersect_rays(param, surface, s, u)
+    return x, hit, oracle.double_crossings(param, surface, s, u)
+
+
 def _same(new, old):
-    """hit masks equal and x equal bit for bit, NaNs included."""
-    x_new, hit_new = new
-    x_old, hit_old = old
+    """hit masks equal, x equal bit for bit, NaNs included, and counts equal."""
+    x_new, hit_new, twice_new = new
+    x_old, hit_old, twice_old = old
     assert np.shape(x_new) == np.shape(x_old)
     assert np.array_equal(hit_new, hit_old)
     assert np.array_equal(
         np.asarray(x_new, dtype=float).view(np.uint64),
         np.asarray(x_old, dtype=float).view(np.uint64),
     )
+    assert twice_new == twice_old
 
 
 def _grazing_rays(param, surface, n):
@@ -103,14 +118,14 @@ def test_kernel_matches_oracle_on_random_rays(param, surface, seed):
         (rng.uniform(-1.5, 1.5, 64), rng.uniform(-0.6, 0.6, 64)),
         (np.r_[rng.uniform(-1.5, 1.5, 8), 0.0, 0.3], np.r_[rng.uniform(-0.6, 0.6, 8), 0.0, 0.0]),
     ):
-        _same(intersect_rays(param, surface, s, u), oracle.intersect_rays(param, surface, s, u))
+        _same(intersect_rays(param, surface, s, u), _oracle(param, surface, s, u))
 
 
 @given(param=planes, surface=surfaces)
 def test_kernel_matches_oracle_on_grazing_rays(param, surface):
     s, u = _grazing_rays(param, surface, 16)
     assume(s.size > 0)
-    _same(intersect_rays(param, surface, s, u), oracle.intersect_rays(param, surface, s, u))
+    _same(intersect_rays(param, surface, s, u), _oracle(param, surface, s, u))
 
 
 @given(param=planes, surface=surfaces, n_s=st.integers(2, 9), n_u=st.integers(2, 9))
@@ -118,7 +133,7 @@ def test_kernel_matches_oracle_on_ray_grids(param, surface, n_s, n_u):
     # odd counts put s = 0 and u = 0 on the grid
     s_axis, u_axis = ray_grid(param, n_s, n_u)
     s, u = s_axis[:, None], u_axis[None, :]
-    _same(intersect_rays(param, surface, s, u), oracle.intersect_rays(param, surface, s, u))
+    _same(intersect_rays(param, surface, s, u), _oracle(param, surface, s, u))
 
 
 @given(
@@ -129,7 +144,7 @@ def test_kernel_matches_oracle_on_ray_grids(param, surface, n_s, n_u):
 )
 def test_kernel_matches_oracle_on_scalars(param, surface, s, u):
     new = intersect_rays(param, surface, s, u)
-    _same(new, oracle.intersect_rays(param, surface, s, u))
+    _same(new, _oracle(param, surface, s, u))
     assert np.ndim(new[0]) == 0 and np.ndim(new[1]) == 0
 
 
@@ -205,7 +220,7 @@ def test_kernel_matches_oracle_on_the_presets(scene_a, scene_b, scene_c):
             s, u = s_axis[:, None], u_axis[None, :]
             _same(
                 intersect_rays(param, scene.surface, s, u),
-                oracle.intersect_rays(param, scene.surface, s, u),
+                _oracle(param, scene.surface, s, u),
             )
 
 
@@ -216,12 +231,24 @@ textures = st.builds(
 )
 
 
+# scene C under its recommended tilted plane: row 0's rays cross it twice
+C_TILTED = PlaneParam(1.0, 1.416, 50.0), SurfaceSpec(1.5, 50.0, -1.0, (-0.5, 0.5))
+# its mirror image in x, where the last rows' rays cross twice
+C_MIRRORED = PlaneParam(1.0, 1.416, -50.0), SurfaceSpec(1.5, -50.0, -1.0, (-0.5, 0.5))
+
+
 @given(param=planes, surface=surfaces, texture=textures)
+@example(param=C_TILTED[0], surface=C_TILTED[1], texture=TextureSpec())
 def test_radiance_fill_matches_gather_scatter(param, surface, texture):
     s_axis, u_axis = ray_grid(param, 12, 17)
-    x, hit = intersect_rays(param, surface, s_axis[:, None], u_axis[None, :])
+    scene = SceneDef(surface, texture)
+    if oracle.double_crossings(param, surface, s_axis[:, None], u_axis[None, :]):
+        with pytest.raises(SelfOcclusionError):
+            render_epi(scene, param, 12, 17)
+        return
+    x, hit, _ = intersect_rays(param, surface, s_axis[:, None], u_axis[None, :])
     want = oracle.render_fill(texture, x, hit, s_axis)
-    epi = render_epi(SceneDef(surface, texture), param, 12, 17, check_occlusion=False)
+    epi = render_epi(scene, param, 12, 17)
     assert np.array_equal(epi.data.view(np.uint64), want.view(np.uint64))
 
 
@@ -235,7 +262,7 @@ def test_preset_renders_match_the_old_pipeline(scene_a, scene_b):
         s_axis, u_axis = ray_grid(param, 64, 64)
         x, hit = oracle.intersect_rays(param, scene.surface, s_axis[:, None], u_axis[None, :])
         want = oracle.render_fill(texture, x, hit, s_axis)
-        got = render_epi(SceneDef(scene.surface, texture), param, 64, 64, check_occlusion=False)
+        got = render_epi(SceneDef(scene.surface, texture), param, 64, 64)
         assert np.array_equal(got.data.view(np.uint64), want.view(np.uint64))
 
 
@@ -253,20 +280,16 @@ def _cell(scene, param, n_s, n_u, k, workspace, seed=5):
     s_axis, u_axis = ray_grid(param, n_s, n_u)
     s_col = s_axis[::k, None]
     out = {}
-    x, hit = intersect_rays(param, scene.surface, s_col, u_axis[None, :], workspace=workspace)
+    x, hit, _ = intersect_rays(param, scene.surface, s_col, u_axis[None, :], workspace=workspace)
     out["x"], out["hit"] = x.copy(), hit.copy()
     out["radiance"] = scene.texture.radiance(x, s_col, workspace=workspace).copy()
-    epi = render_epi(
-        scene, param, n_s, n_u, seed=seed, check_occlusion=False, row_step=k, workspace=workspace
-    )
+    epi = render_epi(scene, param, n_s, n_u, seed=seed, row_step=k, workspace=workspace)
     out["render"] = epi.data.copy()
     for window, source in (("hann", epi), ("rect", replace(epi, data=out["render"]))):
         spectrum = dft2_magnitude(source, window, workspace=workspace)
         out[f"mag_{window}"] = spectrum.mag.copy()
         out[f"sparsity_{window}"] = sparsity_rmse(spectrum, 0.02, workspace=workspace)
-    dense = render_epi(
-        scene, param, n_s, n_u, seed=seed, check_occlusion=False, workspace=workspace
-    )
+    dense = render_epi(scene, param, n_s, n_u, seed=seed, workspace=workspace)
     rebuilt = reconstruct_epi(subsample_epi(dense, k), n_s, workspace=workspace)
     out["rebuilt"] = rebuilt.data.copy()
     out["psnr"] = psnr(dense.data, rebuilt.data, workspace=workspace)
@@ -335,10 +358,28 @@ captures = st.builds(
     rows=2,
     n_u=9,
 )
+# both renders raise; then only the dense one does, as rows 0 and 8 cross once
+@example(param=C_TILTED[0], surface=C_TILTED[1], texture=TextureSpec(), k=8, rows=2, n_u=9)
+@example(param=C_MIRRORED[0], surface=C_MIRRORED[1], texture=TextureSpec(), k=8, rows=2, n_u=9)
 def test_workspace_stages_match_fresh_calls_and_the_oracle(param, surface, texture, k, rows, n_u):
     scene = SceneDef(surface, texture, "w")
     n_s = 8 * rows
+    s_axis, u_axis = ray_grid(param, n_s, n_u)
     with np.errstate(all="ignore"):
+        # the cell renders every k-th row, then every row
+        occluded = {
+            step: oracle.double_crossings(param, surface, s_axis[::step, None], u_axis[None, :]) > 0
+            for step in (k, 1)
+        }
+        if any(occluded.values()):
+            for workspace in (None, SHARED):
+                for step, raises in occluded.items():
+                    if raises:
+                        with pytest.raises(SelfOcclusionError):
+                            render_epi(scene, param, n_s, n_u, row_step=step, workspace=workspace)
+                    else:
+                        render_epi(scene, param, n_s, n_u, row_step=step, workspace=workspace)
+            return
         fresh = _cell(scene, param, n_s, n_u, k, None)
         reused = _cell(scene, param, n_s, n_u, k, SHARED)
         _same_cell(reused, fresh)
@@ -364,9 +405,9 @@ def test_one_workspace_across_changing_shapes(scene_a, scene_b):
 def test_results_without_a_workspace_are_owned(scene_b):
     noisy_b = SceneDef(scene_b.surface, TextureSpec(noise_sigma=0.05), "B")
     param = PlaneParam(1.0, 1.5, 17.0)
-    epi = render_epi(noisy_b, param, 32, 32, check_occlusion=False)
+    epi = render_epi(noisy_b, param, 32, 32)
     spectrum = dft2_magnitude(epi, "rect")
-    x, hit = intersect_rays(param, scene_b.surface, epi.s_axis[:, None], epi.u_axis[None, :])
+    x, hit, _ = intersect_rays(param, scene_b.surface, epi.s_axis[:, None], epi.u_axis[None, :])
     owned = {"data": epi.data, "mag": spectrum.mag, "x": x, "hit": hit.view(np.uint8)}
     kept = {name: value.copy() for name, value in owned.items()}
     sweep_sparsity(noisy_b, [1.2, 1.5], [0.0, 17.0], n_s=32, n_u=32, threads=2)
@@ -377,3 +418,40 @@ def test_results_without_a_workspace_are_owned(scene_b):
     sparsity_rmse(spectrum, 0.02, workspace=workspace)
     for name, value in owned.items():
         assert np.array_equal(value.view(np.uint8), kept[name].view(np.uint8)), name
+
+
+def test_double_crossings_on_pinned_captures(scene_c):
+    # a surface whose steep end meets one ray of the 513^2 grid twice
+    steep_end = SceneDef(SurfaceSpec(1.0, -32.0, -1.1, (-0.4, 0.2)), TextureSpec(), "steep end")
+    # scene C's recommended tilted plane, D 1.416 at 50 degrees: near
+    # s = -1 the rays graze the curved surface and cross it twice
+    capture = PlaneParam()
+    (slab,) = partition_depth_layers(scene_c.surface, 1)
+    c_tilted = family_fans(slab, capture, u_nyquist(capture, 512))["tilted"][0]
+    for scene, param, n, count in (
+        (steep_end, PlaneParam(1.0, 1.5, 30.0), 513, 1),
+        (scene_c, c_tilted, 512, 10_399),
+    ):
+        s_axis, u_axis = ray_grid(param, n, n)
+        s, u = s_axis[:, None], u_axis[None, :]
+        got = intersect_rays(param, scene.surface, s, u)
+        assert got[2] == count
+        _same(got, _oracle(param, scene.surface, s, u))
+        with pytest.raises(SelfOcclusionError) as err:
+            render_epi(scene, param, n, n)
+        assert str(err.value) == f"{count} of {n * n} rays meet the surface twice"
+
+
+def test_no_ray_meets_a_or_b_twice_on_the_sweep_grid(scene_a, scene_b):
+    # criterion 6's 20 x 20 grid at 256^2, where the old slope bound
+    # refused 120 of B's planes
+    workspace = Workspace()
+    for scene in (scene_a, scene_b):
+        for depth in np.linspace(1.0, 2.0, 20):
+            for tilt in np.linspace(0.0, 34.0, 20):
+                param = PlaneParam(1.0, float(depth), float(tilt))
+                s_axis, u_axis = ray_grid(param, 256, 256)
+                _, _, twice = intersect_rays(
+                    param, scene.surface, s_axis[:, None], u_axis[None, :], workspace=workspace
+                )
+                assert twice == 0, (scene.name, param)

@@ -96,7 +96,7 @@ TILTED_PLANE = SceneDef(
 def _has_empty_layer(scene, count, n_s, n_u):
     canon = PlaneParam(1.0, math.inf)
     s_axis, u_axis = ray_grid(canon, n_s, n_u)
-    x, hit = intersect_rays(canon, scene.surface, s_axis[:, None], u_axis[None, :])
+    x, hit, _ = intersect_rays(canon, scene.surface, s_axis[:, None], u_axis[None, :])
     slabs = [slab.x_range for slab in partition_depth_layers(scene.surface, count)]
     return any(not np.any(hit & (x >= lo) & (x <= hi)) for lo, hi in slabs)
 
