@@ -1,18 +1,18 @@
-"""Run configuration: INI files with scene presets.
+"""Run configuration: INI files naming a scene preset or inline geometry.
 
-A run config collects a scene (one of the shipped presets, whose texture
-the [texture] section may override, or inline geometry, never both), the
-capture plane, grid sizes and run housekeeping. The table _SECTIONS
-declares each section's keys with their parser, default and range. Unknown
-sections and keys, missing keys, unparseable numbers and run settings out
-of range raise ConfigError naming them: n_s and n_u >= 2, seed >= 0,
-keep_fraction in (0, 1], window rect or hann, and threads,
-subsample_factor and the [sweep] and [layers] counts and factors >= 1.
-Domain violations (negative focal length, camera range touching the plane
-crossing) surface as the constructing type's own error so the CLI can
-report them as failed preconditions rather than malformed input. The
-plane depth may also be inf or "infinity", the directional limit; every
-other number must be finite.
+A run config collects a scene (one of the shipped presets A, B and C,
+written below as SceneDef values, or inline geometry, never both; the
+[texture] section may override either's texture), the capture plane, grid
+sizes and run housekeeping. The table _SECTIONS declares each section's
+keys with their parser, default and range. Unknown sections and keys,
+missing keys, unparseable numbers and run settings out of range raise
+ConfigError naming them: n_s and n_u >= 2, seed >= 0, keep_fraction in
+(0, 1], window rect or hann, and threads, subsample_factor and the [sweep]
+and [layers] counts and factors >= 1. Domain violations (negative focal
+length, camera range touching the plane crossing) surface as the
+constructing type's own error so the CLI can report them as failed
+preconditions rather than malformed input. The plane depth may also be inf
+or "infinity", the directional limit; every other number must be finite.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import configparser
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from importlib import resources
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -35,10 +34,15 @@ __all__ = [
     "RunConfig",
     "load_config",
     "load_preset",
-    "PRESET_NAMES",
 ]
 
-PRESET_NAMES = ("A", "B", "C")
+# The shipped scenes, each with the default texture: A a tilted plane, B the
+# same sheet mildly curved, C a steep, strongly curved sheet.
+_PRESETS = {
+    "A": SceneDef(SurfaceSpec(1.5, 17.0, 0.0, (-0.8, 0.8)), TextureSpec(), "A"),
+    "B": SceneDef(SurfaceSpec(1.5, 17.0, -0.4, (-0.8, 0.8)), TextureSpec(), "B"),
+    "C": SceneDef(SurfaceSpec(1.5, 50.0, -1.0, (-0.5, 0.5)), TextureSpec(), "C"),
+}
 
 
 class ConfigError(ValueError):
@@ -128,15 +132,6 @@ class RunConfig:
             except ImportError:
                 from hashlib import sha256
         return sha256(self.canonical().encode()).hexdigest()
-
-
-def _parse_ini(text: str, origin: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
-    try:
-        parser.read_string(text, source=origin)
-    except configparser.Error as exc:
-        raise ConfigError(f"{origin}: {exc}") from exc
-    return parser
 
 
 def _finite(raw: str) -> float:
@@ -260,37 +255,30 @@ def _read(parser, name: str, origin: str, overrides: dict | None = None) -> dict
     return values
 
 
-def _inline_scene(parser, origin: str) -> SceneDef:
-    fields = _read(parser, "scene", origin)
-    name = fields.pop("name")
-    x_range = (fields.pop("x_min"), fields.pop("x_max"))
-    texture = TextureSpec(**_read(parser, "texture", origin))
-    return SceneDef(SurfaceSpec(x_range=x_range, **fields), texture, name=name)
-
-
 def load_preset(name: str) -> SceneDef:
-    """One of the shipped scenes (A, B, C) as a ready SceneDef."""
+    """One of the shipped scenes (A, B, C); case and surrounding spaces are ignored."""
     key = name.strip().upper()
-    if key not in PRESET_NAMES:
-        raise ConfigError(f"unknown scene preset {name!r} (have {', '.join(PRESET_NAMES)})")
-    origin = f"preset {key}"
-    text = resources.files("epifield").joinpath("presets", f"scene_{key.lower()}.cfg").read_text()
-    return replace(_inline_scene(_parse_ini(text, origin), origin), name=key)
+    if key not in _PRESETS:
+        raise ConfigError(f"unknown scene preset {name!r} (have {', '.join(_PRESETS)})")
+    return _PRESETS[key]
 
 
 def _build_scene(parser, origin: str) -> SceneDef:
     section = parser["scene"] if "scene" in parser else {}
-    if "preset" not in section:
-        return _inline_scene(parser, origin)
-    extra = [key for key in section if key != "preset"]
-    if extra:
-        raise ConfigError(
-            f"{origin}: [scene] sets both preset and {extra[0]}; "
-            "a scene is a preset or inline geometry"
-        )
-    preset = load_preset(section["preset"])
-    texture = replace(preset.texture, **_read(parser, "texture", origin))
-    return replace(preset, texture=texture)
+    if "preset" in section:
+        extra = [key for key in section if key != "preset"]
+        if extra:
+            raise ConfigError(
+                f"{origin}: [scene] sets both preset and {extra[0]}; "
+                "a scene is a preset or inline geometry"
+            )
+        scene = load_preset(section["preset"])
+    else:
+        fields = _read(parser, "scene", origin)
+        name = fields.pop("name")
+        x_range = (fields.pop("x_min"), fields.pop("x_max"))
+        scene = SceneDef(SurfaceSpec(x_range=x_range, **fields), TextureSpec(), name)
+    return replace(scene, texture=replace(scene.texture, **_read(parser, "texture", origin)))
 
 
 def load_config(
@@ -309,7 +297,11 @@ def load_config(
     origin = str(path)
     if not path.is_file():
         raise ConfigError(f"{origin}: no such config file")
-    parser = _parse_ini(path.read_text(), origin)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        parser.read_string(path.read_text(), source=origin)
+    except configparser.Error as exc:
+        raise ConfigError(f"{origin}: {exc}") from exc
     return _run_config(parser, origin, seed=seed, out_dir=out_dir, threads=threads)
 
 

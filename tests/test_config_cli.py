@@ -1,4 +1,5 @@
 import hashlib
+import importlib.resources
 import math
 import re
 import sys
@@ -7,6 +8,7 @@ from textwrap import dedent
 
 import pytest
 
+import epifield
 from epifield.cli import main
 from epifield.config import (
     ConfigError,
@@ -82,6 +84,11 @@ def test_presets_frozen_fields():
     assert a.texture.omegas == DEFAULT_OMEGAS
     assert a.texture.is_lambertian and a.texture.noise_sigma == 0.0
 
+    b = load_preset("B")
+    assert (b.surface.z0, b.surface.tilt_deg, b.surface.quad) == (1.5, 17.0, -0.4)
+    assert b.surface.x_range == (-0.8, 0.8)
+    assert b.texture == a.texture and b.name == "B"
+
     c = load_preset("c")  # case-insensitive
     assert (c.surface.tilt_deg, c.surface.quad) == (50.0, -1.0)
     assert c.surface.x_range == (-0.5, 0.5)
@@ -89,6 +96,18 @@ def test_presets_frozen_fields():
 
     with pytest.raises(ConfigError):
         load_preset("D")
+
+
+def test_presets_are_python_values(monkeypatch):
+    # the package ships its modules and nothing else, and no preset is read from a file
+    package = Path(epifield.__file__).parent
+    assert [p.name for p in package.iterdir() if p.suffix != ".py"] in ([], ["__pycache__"])
+
+    def no_resources(*args):
+        raise AssertionError("a preset was read as a package resource")
+
+    monkeypatch.setattr(importlib.resources, "files", no_resources)
+    assert [load_preset(n).name for n in ("a", "B", " c ")] == ["A", "B", "C"]
 
 
 def test_load_config_full(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -395,10 +396,12 @@ def test_max_camera_spacing_tilted(scene_a, scene_c):
     assert tilted > parallel
 
 
-def test_max_spacing_matches_the_old_spacing_formulas(scene_a, scene_b, scene_c):
+def test_max_spacing_matches_the_old_spacing_formulas(scene_a, scene_b, scene_c, monkeypatch):
     # the fan's spacing against the two functions it replaced, under the
     # recommended and the directional parallel plane and the fitted plane
-    # (whose old paired-extremes fan is the oracle's)
+    # (whose old paired-extremes fan is the oracle's). The oracle refits a
+    # slab per case; fitted_line is pure and a slab is hashable, so cache it.
+    monkeypatch.setattr(oracle, "fitted_line", functools.cache(fitted_line))
     n_us = (33, 64, 128, 256, 512, 1024)
     wus = [u_nyquist(PlaneParam(), n_u) for n_u in n_us]
     cases = worst = exact_cases = 0
