@@ -82,10 +82,11 @@ def _sweep(d_values, tilt_values, metric_kind, cell_metric, *, plane, threads) -
     message; missing lists its cells in (i, j) order at any thread count.
     There are never more workers than cells or cores; each claims the
     next unclaimed cell until none is left, and reuses one Workspace for
-    all its cells. One worker runs on the caller's thread, since a thread
-    costs about 0.6 MB resident; more run on threads that the caller
-    joins. Any other failing cell stops the claims, and once every worker
-    has ended, the exception of the lowest failing cell is raised.
+    all its cells. The caller's thread is one worker and starts a thread
+    per other worker: each started thread gets a malloc arena of its own,
+    about 0.45 MB of a noisy 256² sweep's peak resident memory. Any other
+    failing cell stops the claims, and once every worker has ended, the
+    exception of the lowest failing cell is raised.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -113,14 +114,12 @@ def _sweep(d_values, tilt_values, metric_kind, cell_metric, *, plane, threads) -
                 failures.append((k, exc))
 
     workers = min(threads, len(cells), os.cpu_count() or 1)
-    if workers <= 1:
-        work()
-    else:
-        pool = [Thread(target=work) for _ in range(workers)]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join()
+    pool = [Thread(target=work) for _ in range(workers - 1)]
+    for thread in pool:
+        thread.start()
+    work()
+    for thread in pool:
+        thread.join()
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
     missing.sort()  # the workers append in claim order, not cell order

@@ -236,7 +236,10 @@ def test_layers_rejects_bad_factor(flat_scene):
 
 
 def _record_pool_sizes(monkeypatch, cores):
-    """Worker threads started by each sweep that starts any, in call order."""
+    """Workers of each sweep that starts a thread, in call order.
+
+    A pooled sweep's workers are the threads it starts plus the caller's.
+    """
     sizes = []
     real_sweep = experiments._sweep
 
@@ -250,7 +253,9 @@ def _record_pool_sizes(monkeypatch, cores):
         try:
             return real_sweep(*args, **kwargs)
         finally:
-            if not sizes[-1]:
+            if sizes[-1]:
+                sizes[-1] += 1
+            else:
                 sizes.pop()
 
     monkeypatch.setattr(experiments, "_sweep", sweep)
@@ -288,7 +293,8 @@ def test_all_missing_sweep_reports_the_first_reason(flat_scene):
         res.argopt
 
 
-def test_a_failing_cell_raises_the_lowest_failure_once_every_worker_ends(monkeypatch):
+def _record_started_threads(monkeypatch, cores):
+    """The threads that sweeps start, in start order."""
     started = []
 
     class Recording(threading.Thread):
@@ -297,7 +303,12 @@ def test_a_failing_cell_raises_the_lowest_failure_once_every_worker_ends(monkeyp
             super().start()
 
     monkeypatch.setattr(experiments, "Thread", Recording)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+    return started
+
+
+def test_a_failing_cell_raises_the_lowest_failure_once_every_worker_ends(monkeypatch):
+    started = _record_started_threads(monkeypatch, cores=4)
 
     def cell_metric(param, workspace):
         # cell 2 fails last: cell 3 fails on another worker while it sleeps
@@ -313,8 +324,30 @@ def test_a_failing_cell_raises_the_lowest_failure_once_every_worker_ends(monkeyp
         experiments._sweep(
             depths, [0.0], "plane_mae", cell_metric, plane=PlaneParam(), threads=4
         )
-    assert len(started) == 4
+    assert len(started) == 3  # and the caller's thread is the fourth worker
     assert not any(thread.is_alive() for thread in started)
+
+
+def test_a_pooled_sweep_runs_cells_on_the_calling_thread(monkeypatch):
+    started = _record_started_threads(monkeypatch, cores=4)
+    depths = [1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8]
+    # each of the first 4 cells waits for the others, so 4 workers claim them
+    first_cells = threading.Barrier(4)
+    ran_on, live = set(), []
+
+    def cell_metric(param, workspace):
+        ran_on.add(threading.get_ident())
+        live.append(1 + sum(thread.is_alive() for thread in started))  # the caller counts
+        if param.depth in depths[:4]:
+            first_cells.wait(timeout=10.0)
+        return param.depth
+
+    res = experiments._sweep(
+        depths, [0.0], "plane_mae", cell_metric, plane=PlaneParam(), threads=4
+    )
+    assert res.metric[:, 0].tolist() == depths
+    assert threading.get_ident() in ran_on
+    assert len(ran_on) == 4 and max(live) <= 4
 
 
 def test_sweep_workers_never_share_a_workspace(scene_b, monkeypatch):

@@ -261,6 +261,25 @@ def test_family_fans_spacing_and_count(scene_b, scene_c):
             assert got[fam] == (plane, spacing, min_image_count(spacing, capture.s_max))
 
 
+def test_some_tilted_family_planes_of_c_slabs_cross_the_camera_line(scene_c):
+    # layers_experiment renders these planes unchecked; ROADMAP items 7 and
+    # 8 are to change that on purpose, and this pins the count until then
+    capture = PlaneParam()
+    wu_max = u_nyquist(capture, 512)
+    for layers, n_crossing in ((1, 0), (2, 1), (4, 2), (8, 4), (16, 8)):
+        crossing = []
+        for slab in partition_depth_layers(scene_c.surface, layers):
+            plane, _, _ = family_fans(slab, capture, wu_max)["tilted"]
+            if abs(plane.s_crossing) <= capture.s_max:
+                crossing.append(plane)
+        assert len(crossing) == n_crossing, layers
+        for plane in crossing:
+            assert -0.963 < plane.s_crossing < -0.803
+            assert 58.0 < plane.tilt_deg < 65.2
+            with pytest.raises(ValueError, match="reaches the plane/camera-line crossing"):
+                plane.validate()
+
+
 def test_an_exact_plane_layer_keeps_an_unbounded_baseline():
     # degrees(atan(tan(radians(tilt)))) misses this tilt by an ulp, which
     # would leave the fitted plane a gap of about 1e-16 off the surface
