@@ -163,8 +163,9 @@ def intersect_rays(
     _HALVING_MIN_RAYS rays or more is solved in two blocks of
     ceil(rows / 2) rows, so that a block's four temporaries fit in two
     grids; every step is elementwise, so the bits do not depend on the
-    blocks. With a workspace, x and hit are its "x" and "hit" buffers, and
-    the curved temporaries sit in its "t1" and "radiance" buffers.
+    blocks. With a workspace, x and hit are its "x" and "hit" buffers; the
+    planar b sits in its "radiance" buffer, and the curved temporaries in
+    its "t1" and "radiance" buffers.
     """
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -174,7 +175,7 @@ def intersect_rays(
         if surface.quad == 0.0:
             # a planar root needs no leading coefficient, so c and then x take A's buffer
             x = scratch(workspace, "x", shape)
-            bb = scratch(workspace, "t1", shape)
+            bb = scratch(workspace, "radiance", shape)
             _coefficients(param, surface, s, u, x, bb, x)
             hit = scratch(workspace, "hit", shape, bool)
             x, hit = _linear_root(surface, bb, x, hit, scratch(workspace, "m1", shape, bool))

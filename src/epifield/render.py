@@ -17,7 +17,7 @@ import numpy as np
 
 from .mapping import PlaneParam, SelfOcclusionError, intersect_rays
 from .scene import SceneDef
-from .workspace import Workspace, scratch
+from .workspace import Workspace, scratch, scratch_blocks
 
 __all__ = [
     "Epi",
@@ -174,7 +174,9 @@ def reconstruct_epi(epi: Epi, n_s_target: int, *, workspace: Workspace | None = 
     Assumes the rows sit at positions 0, k, 2k, ... of the target grid with
     k = n_s_target // n_s (the inverse of subsample_epi). Retained rows are
     reproduced exactly; rows beyond the last retained one repeat it. With a
-    workspace, data is its "rebuilt" buffer.
+    workspace, data is its "rebuilt" buffer. The far rows of the blend are
+    gathered a row block at a time (epifield.workspace.scratch_blocks; a
+    block of "t1" with a workspace).
     """
     if n_s_target < epi.n_s or n_s_target % epi.n_s != 0:
         raise NonDivisibleFactor(
@@ -195,9 +197,10 @@ def reconstruct_epi(epi: Epi, n_s_target: int, *, workspace: Workspace | None = 
     # indices are in range, and "clip" lets take write out unbuffered
     np.take(epi.data, i0, axis=0, out=data, mode="clip")
     data *= 1.0 - w
-    far = np.take(epi.data, i1, axis=0, out=scratch(workspace, "t1", shape), mode="clip")
-    far *= w
-    data += far
+    for rows, far in scratch_blocks(workspace, "t1", shape):
+        np.take(epi.data, i1[rows], axis=0, out=far, mode="clip")
+        far *= w[rows]
+        data[rows] += far
     return replace(epi, data=data, s_axis=s_axis, u_axis=epi.u_axis.copy())
 
 
@@ -233,10 +236,14 @@ def interp_u(data: np.ndarray, u_axis: np.ndarray, rows, u) -> np.ndarray:
 
 
 def psnr(reference: np.ndarray, test: np.ndarray, *, workspace: Workspace | None = None) -> float:
-    """Peak signal-to-noise ratio in dB for data in [0, 1]; math.inf for an exact match."""
+    """Peak signal-to-noise ratio in dB for data in [0, 1]; math.inf for an exact match.
+
+    With a workspace the difference is computed in its "rebuilt" buffer,
+    so a reconstruction made in the same workspace is overwritten.
+    """
     reference, test = np.asarray(reference), np.asarray(test)
     shape = np.broadcast_shapes(reference.shape, test.shape)
-    diff = scratch(workspace, "t1", shape, np.result_type(reference, test))
+    diff = scratch(workspace, "rebuilt", shape, np.result_type(reference, test))
     np.subtract(reference, test, out=diff)
     err = np.mean(np.square(diff, out=diff))
     if err == 0.0:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .workspace import Workspace, scratch
+from .workspace import Workspace, scratch, scratch_blocks
 
 __all__ = [
     "SceneGeometryError",
@@ -144,17 +144,21 @@ class TextureSpec:
     def albedo(self, x, *, workspace: Workspace | None = None):
         """Base pattern in [0, 1], independent of the viewing position.
 
-        With a workspace the result is its "radiance" buffer.
+        The cosine terms are summed over flat chunks of x, each in one
+        block (epifield.workspace.scratch_blocks; a block of "t1" with a
+        workspace). With a workspace the result is its "radiance" buffer.
         """
         x = np.asarray(x, dtype=float)
         acc = scratch(workspace, "radiance", x.shape)
         acc.fill(0.0)
-        term = scratch(workspace, "t1", x.shape)
-        for w in self.omegas:
-            np.multiply(x, w, out=term)
-            np.cos(term, out=term)
-            term += 1.0
-            acc += term
+        flat_x, flat_acc = x.reshape(-1), acc.reshape(-1)
+        for items, term in scratch_blocks(workspace, "t1", flat_x.shape):
+            x_items, acc_items = flat_x[items], flat_acc[items]
+            for w in self.omegas:
+                np.multiply(x_items, w, out=term)
+                np.cos(term, out=term)
+                term += 1.0
+                acc_items += term
         acc /= 2.0 * len(self.omegas)
         return acc
 

@@ -31,8 +31,8 @@ one float64:
     x         2      x and rebuilt in grid 0, t1 in grid 1 (x is spent once
                      the radiance is computed); dft2_magnitude's complex
                      spectrum is the whole buffer
-    radiance  1      radiance, then mag (the radiance is spent once the
-                     spectrum is computed)
+    radiance  1      the planar intersection's b, then radiance, then mag
+                     (each is spent once the next is computed)
     taper     1      the Hann window, in Hann cells only
 
 Every other role (hit, m1, m2) has a buffer of its own. A role's offset
@@ -44,10 +44,18 @@ temporaries (see intersect_rays). A block of more than half the rows
 grows those buffers, which drops their contents, so it asks for them
 before x.
 
+A temporary needed one block of rows at a time comes from scratch_blocks:
+the first _BLOCK_ITEMS elements (128 KiB of float64) of its role, reused
+block after block. The albedo's per-frequency term and a reconstruction's
+far rows take t1 that way, so a planar reconstruction cell writes one
+block of t1: the rest of grid 1 of x is allocated but never resident. The
+curved intersection, a noisy render and sparsity_rmse fill t1 whole.
+
 A result stays valid until the next call that writes any role sharing
-its bytes: rebuilt overwrites x, mag overwrites radiance, and the next
-intersect_rays overwrites both. Keep a copy of anything needed past that.
-A workspace is not thread safe: give each worker thread its own.
+its bytes: rebuilt overwrites x, mag overwrites radiance, psnr overwrites
+rebuilt, and the next intersect_rays overwrites x and radiance. Keep a
+copy of anything needed past that. A workspace is not thread safe: give
+each worker thread its own.
 """
 
 from __future__ import annotations
@@ -56,7 +64,12 @@ import math
 
 import numpy as np
 
-__all__ = ["Workspace", "scratch"]
+__all__ = ["Workspace", "scratch", "scratch_blocks"]
+
+# elements of a scratch_blocks block (128 KiB of float64), a quarter of a
+# 256^2 float grid: a larger block leaves fewer pages untouched, a smaller
+# one costs more numpy calls per grid
+_BLOCK_ITEMS = 1 << 14
 
 # role -> (buffer, offset in float grids), for the roles that share bytes
 _SHARED = {
@@ -102,3 +115,23 @@ def scratch(workspace: Workspace | None, name: str, shape, dtype=float) -> np.nd
     if workspace is None:
         return np.empty(shape, dtype)
     return workspace.array(name, shape, dtype)
+
+
+def scratch_blocks(workspace: Workspace | None, name: str, shape):
+    """Yield (rows, block) pairs that cover the rows of `shape` in order.
+
+    block is a float view of shape (len(rows),) + shape[1:] on the same
+    bytes every time: the first elements of role `name` sized for `shape`,
+    or one fresh array without a workspace. It holds as many whole rows as
+    fit in _BLOCK_ITEMS elements, at least one, so the rest of the role's
+    bytes are never touched.
+    """
+    n, row = shape[0], math.prod(shape[1:])
+    step = max(1, min(n, _BLOCK_ITEMS // max(row, 1)))
+    if workspace is None:
+        block = np.empty((step,) + tuple(shape[1:]))
+    else:
+        block = workspace.array(name, shape)[:step]
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        yield slice(start, stop), block[: stop - start]

@@ -24,7 +24,7 @@ from epifield.mapping import PlaneParam
 from epifield.render import render_epi
 from epifield.scene import SceneDef, TextureSpec
 from epifield.spectral import dft2_magnitude, family_fans, sparsity_rmse, u_nyquist
-from epifield.workspace import Workspace
+from epifield.workspace import _BLOCK_ITEMS, Workspace
 
 
 def _result(metric, kind):
@@ -486,10 +486,12 @@ def test_cold_sweep_cell_holds_three_float_grids(scene_b, cell):
     ],
 )
 def test_reconstruct_cell_asks_for_these_roles(monkeypatch, preset, roles):
-    """A cell touches 3 float grids (x, t1, radiance) and 2 bool grids, 3 if curved.
+    """A cell touches the float grids of x and radiance and 2 bool grids.
 
-    Pinned as role names: tracemalloc counts allocated bytes, and a shared
-    buffer is allocated whole even where one of its grids is never touched.
+    A curved cell also fills t1 and a third bool grid; a planar one writes
+    only t1's first block (see the next test). Pinned as role names:
+    tracemalloc counts allocated bytes, and a shared buffer is allocated
+    whole even where one of its grids is never touched.
     """
     asked = set()
 
@@ -501,3 +503,23 @@ def test_reconstruct_cell_asks_for_these_roles(monkeypatch, preset, roles):
     monkeypatch.setattr(experiments, "Workspace", RecordingWorkspace)
     sweep_reconstruction(load_preset(preset), [1.5], [17.0], factor=64, n_s=256, n_u=256)
     assert asked == roles
+
+
+def test_a_planar_reconstruct_cell_writes_one_block_of_t1(monkeypatch):
+    """t1 past its first block keeps whatever it held before a planar cell.
+
+    The x buffer is allocated as two grids, but the planar intersection,
+    the albedo, the reconstruction and psnr write only grid 0 and the
+    first _BLOCK_ITEMS elements of grid 1, so the rest of grid 1 is never
+    resident. Checked on the bytes, which tracemalloc cannot see.
+    """
+    n = 256
+    sentinel = np.uint64(0x7FF8_5EED_5EED_5EED)  # a NaN that no stage computes
+    workspace = Workspace()
+    workspace.array("spectrum", (n, n), complex).view(np.uint64).fill(sentinel)
+    monkeypatch.setattr(experiments, "Workspace", lambda: workspace)
+    result = sweep_reconstruction(load_preset("A"), [1.5], [17.0], factor=64, n_s=n, n_u=n)
+    assert np.isfinite(result.metric).all()
+    t1 = workspace.array("t1", (n, n)).reshape(-1).view(np.uint64)
+    assert not np.all(t1[:_BLOCK_ITEMS] == sentinel)
+    assert np.all(t1[_BLOCK_ITEMS:] == sentinel)

@@ -22,6 +22,7 @@ from epifield import mapping
 from epifield.experiments import sweep_reconstruction, sweep_sparsity
 from epifield.mapping import PlaneParam, SelfOcclusionError, intersect_rays, map_surface_to_image
 from epifield.render import (
+    Epi,
     _noise_field,
     psnr,
     ray_grid,
@@ -37,7 +38,7 @@ from epifield.scene import (
     partition_depth_layers,
 )
 from epifield.spectral import dft2_magnitude, family_fans, sparsity_rmse, u_nyquist
-from epifield.workspace import Workspace
+from epifield.workspace import _BLOCK_ITEMS as BLOCK, Workspace
 
 # the oracle does not silence the overflow of huge rejected roots
 pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -455,3 +456,103 @@ def test_no_ray_meets_a_or_b_twice_on_the_sweep_grid(scene_a, scene_b):
                     param, scene.surface, s_axis[:, None], u_axis[None, :], workspace=workspace
                 )
                 assert twice == 0, (scene.name, param)
+
+
+# The block kernels against the whole-grid loops they replaced: the
+# albedo's per-frequency term and a reconstruction's far rows each filled a
+# whole grid of t1, and now reuse one block of at most BLOCK elements.
+
+
+def _whole_grid_albedo(texture, x):
+    """TextureSpec.albedo with its term in a grid of x's shape."""
+    x = np.asarray(x, dtype=float)
+    acc = np.zeros(x.shape)
+    term = np.empty(x.shape)
+    for w in texture.omegas:
+        np.multiply(x, w, out=term)
+        np.cos(term, out=term)
+        term += 1.0
+        acc += term
+    acc /= 2.0 * len(texture.omegas)
+    return acc
+
+
+def _whole_grid_reconstruct(data, n_s_target):
+    """reconstruct_epi's rows with the far rows in a grid of the target's shape."""
+    n_s = data.shape[0]
+    k = n_s_target // n_s
+    if k == 1:
+        return data.copy()
+    pos = np.arange(n_s_target) / k
+    i0 = np.minimum(pos.astype(int), n_s - 1)
+    i1 = np.minimum(i0 + 1, n_s - 1)
+    w = (pos - i0)[:, None]
+    out = np.take(data, i0, axis=0)
+    out *= 1.0 - w
+    far = np.take(data, i1, axis=0)
+    far *= w
+    out += far
+    return out
+
+
+# reused across examples, so a block may be left from a larger shape
+BLOCKED = Workspace()
+
+# below, at and past one block, flat and as rows of odd and even n_u
+ALBEDO_SHAPES = [
+    (),
+    (0,),
+    (1,),
+    (BLOCK - 1,),
+    (BLOCK,),
+    (BLOCK + 1,),
+    (2 * BLOCK + 3,),
+    (3, 5),
+    (64, 256),
+    (63, 257),
+    (65, 255),
+    (129, 257),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    omegas=st.lists(st.floats(0.5, 80.0), min_size=1, max_size=6),
+    shape=st.sampled_from(ALBEDO_SHAPES),
+    seed=st.integers(0, 2**32 - 1),
+    reuse=st.booleans(),
+)
+def test_chunked_albedo_matches_the_whole_grid_loop(omegas, shape, seed, reuse):
+    texture = TextureSpec(tuple(omegas))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 2.0, shape)
+    # rays that miss carry NaN into the albedo
+    x[rng.random(shape) < 0.1] = np.nan
+    got = texture.albedo(x, workspace=BLOCKED if reuse else None)
+    want = _whole_grid_albedo(texture, x)
+    assert got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    factor=st.sampled_from([1, 2, 3, 64]),
+    rows=st.integers(1, 5),
+    n_u=st.sampled_from([1, 7, 255, 256, 257, 300, 1000, BLOCK + 3]),
+    seed=st.integers(0, 2**32 - 1),
+    reuse=st.booleans(),
+)
+# BLOCK // n_u rows per block leave a shorter last block of the 256 rows
+@example(factor=64, rows=4, n_u=300, seed=0, reuse=True)
+@example(factor=64, rows=4, n_u=257, seed=1, reuse=False)
+def test_blocked_reconstruction_matches_the_whole_grid_loop(factor, rows, n_u, seed, reuse):
+    n_s = rows * factor
+    assume(n_s * n_u <= 1 << 19)
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(-1.0, 2.0, (rows, n_u))
+    data[rng.random(data.shape) < 0.05] = np.nan
+    epi = Epi(data, np.linspace(-1.0, 1.0, rows), np.linspace(-0.2, 0.2, n_u), PlaneParam())
+    got = reconstruct_epi(epi, n_s, workspace=BLOCKED if reuse else None)
+    want = _whole_grid_reconstruct(data, n_s)
+    assert got.data.shape == want.shape
+    assert np.array_equal(_bits(got.data), _bits(want))
