@@ -139,7 +139,7 @@ def _warm_noise(scene: SceneDef, seed: int, n_s: int, n_u: int) -> None:
     each draws its own copy of the same field.
     """
     if scene.texture.noise_sigma > 0.0:
-        _noise_field(seed, n_s, n_u)
+        _noise_field(seed, n_s, n_u, scene.texture.noise_sigma)
 
 
 def sweep_sparsity(

@@ -107,7 +107,8 @@ def render_epi(
     receives sigma times the standard normal draw number i * n_u + j of
     the seed's stream (epifield.noise): the field does not depend on
     traversal order, but the same (i, j) reads another draw at another
-    n_u. The noise models the sensor, so it covers misses too.
+    n_u. The noise models the sensor, so it covers misses too; the scaled
+    field is drawn once per (seed, n_s, n_u, sigma) and added as it is.
 
     row_step = k traces only the camera rows 0, k, 2k, ... of the n_s-row
     grid; the result equals subsample_epi(render_epi(...), k) exactly
@@ -135,19 +136,17 @@ def render_epi(
     missed = np.logical_not(hit, out=scratch(workspace, "m1", hit.shape, bool))
     np.copyto(data, 0.0, where=missed)
     if scene.texture.noise_sigma > 0.0:
-        field = _noise_field(seed, n_s, n_u)[::row_step]
-        data += np.multiply(
-            field, scene.texture.noise_sigma, out=scratch(workspace, "t1", field.shape)
-        )
+        data += _noise_field(seed, n_s, n_u, scene.texture.noise_sigma)[::row_step]
     return Epi(data, s_axis, u_axis, param, scene.name)
 
 
 @functools.lru_cache(maxsize=4)
-def _noise_field(seed: int, n_s: int, n_u: int) -> np.ndarray:
-    """The seeded sensor field, built once per (seed, grid) and read-only."""
+def _noise_field(seed: int, n_s: int, n_u: int, sigma: float) -> np.ndarray:
+    """sigma times the seeded sensor field, built once per (seed, grid, sigma) and read-only."""
     from .noise import standard_normal  # here, so noise-free runs never compile it
 
     field = standard_normal(seed, (n_s, n_u))
+    field *= sigma
     field.flags.writeable = False
     return field
 
@@ -173,10 +172,10 @@ def reconstruct_epi(epi: Epi, n_s_target: int, *, workspace: Workspace | None = 
 
     Assumes the rows sit at positions 0, k, 2k, ... of the target grid with
     k = n_s_target // n_s (the inverse of subsample_epi). Retained rows are
-    reproduced exactly; rows beyond the last retained one repeat it. With a
-    workspace, data is its "rebuilt" buffer. The far rows of the blend are
-    gathered a row block at a time (epifield.workspace.scratch_blocks; a
-    block of "t1" with a workspace).
+    reproduced exactly; a row past the last retained one is the blend
+    (1 - w) * last + w * last, which can miss last by an ulp. With a
+    workspace, data is its "rebuilt" buffer, and the blend's far rows are
+    gathered one row block of "t1" at a time (epifield.workspace.scratch_blocks).
     """
     if n_s_target < epi.n_s or n_s_target % epi.n_s != 0:
         raise NonDivisibleFactor(

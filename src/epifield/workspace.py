@@ -49,7 +49,7 @@ the first _BLOCK_ITEMS elements (128 KiB of float64) of its role, reused
 block after block. The albedo's per-frequency term and a reconstruction's
 far rows take t1 that way, so a planar reconstruction cell writes one
 block of t1: the rest of grid 1 of x is allocated but never resident. The
-curved intersection, a noisy render and sparsity_rmse fill t1 whole.
+curved intersection and sparsity_rmse fill t1 whole.
 
 A result stays valid until the next call that writes any role sharing
 its bytes: rebuilt overwrites x, mag overwrites radiance, psnr overwrites

@@ -435,12 +435,16 @@ def test_pooled_sweep_draws_the_noise_field_once(scene_b, monkeypatch, sweep):
     render._noise_field.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # let the workers interleave in their first cells
+    louder_b = replace(noisy_b, texture=replace(noisy_b.texture, noise_sigma=0.25))
     try:
         sweep(noisy_b, [1.4, 1.6], [0.0, 10.0], n_s=128, n_u=128, seed=4, threads=4, **kwargs)
+        assert render._noise_field.cache_info().misses == 1
+        # sigma is part of the key: another sigma on the same grid draws once more
+        sweep(louder_b, [1.4, 1.6], [0.0, 10.0], n_s=128, n_u=128, seed=4, threads=4, **kwargs)
     finally:
         sys.setswitchinterval(interval)
-    assert sizes == [4]
-    assert render._noise_field.cache_info().misses == 1
+    assert sizes == [4, 4]
+    assert render._noise_field.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("cell", ["sparsity-hann", "sparsity-rect", "reconstruct"])
@@ -511,15 +515,19 @@ def test_a_planar_reconstruct_cell_writes_one_block_of_t1(monkeypatch):
     The x buffer is allocated as two grids, but the planar intersection,
     the albedo, the reconstruction and psnr write only grid 0 and the
     first _BLOCK_ITEMS elements of grid 1, so the rest of grid 1 is never
-    resident. Checked on the bytes, which tracemalloc cannot see.
+    resident; the sensor noise is added from its cached field, without a
+    scratch grid. Checked on the bytes, which tracemalloc cannot see.
     """
     n = 256
     sentinel = np.uint64(0x7FF8_5EED_5EED_5EED)  # a NaN that no stage computes
     workspace = Workspace()
-    workspace.array("spectrum", (n, n), complex).view(np.uint64).fill(sentinel)
     monkeypatch.setattr(experiments, "Workspace", lambda: workspace)
-    result = sweep_reconstruction(load_preset("A"), [1.5], [17.0], factor=64, n_s=n, n_u=n)
-    assert np.isfinite(result.metric).all()
-    t1 = workspace.array("t1", (n, n)).reshape(-1).view(np.uint64)
-    assert not np.all(t1[:_BLOCK_ITEMS] == sentinel)
-    assert np.all(t1[_BLOCK_ITEMS:] == sentinel)
+    preset = load_preset("A")
+    for sigma in (0.0, 0.05):
+        workspace.array("spectrum", (n, n), complex).view(np.uint64).fill(sentinel)
+        scene = replace(preset, texture=replace(preset.texture, noise_sigma=sigma))
+        result = sweep_reconstruction(scene, [1.5], [17.0], factor=64, n_s=n, n_u=n)
+        assert np.isfinite(result.metric).all()
+        t1 = workspace.array("t1", (n, n)).reshape(-1).view(np.uint64)
+        assert not np.all(t1[:_BLOCK_ITEMS] == sentinel), sigma
+        assert np.all(t1[_BLOCK_ITEMS:] == sentinel), sigma

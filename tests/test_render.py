@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from epifield.config import load_preset
 from epifield.mapping import PlaneParam, SelfOcclusionError, rewarp_coords
 from epifield.render import (
     Epi,
@@ -135,6 +136,17 @@ def test_reconstruct_interpolates_rows(directional):
         reconstruct_epi(sub, 2)
     copy = reconstruct_epi(sub, 4)
     assert np.array_equal(copy.data, sub.data) and copy.data is not sub.data
+    # past the last kept row the blend (1 - w) * last + w * last is kept as
+    # computed, so it can miss last by an ulp (it does at factors 3 and 64)
+    dense = render_epi(load_preset("A"), PlaneParam(1.0, 1.5, 17.0), 192, 256)
+    for k in (2, 3, 64):
+        sub = subsample_epi(dense, k)
+        tail = reconstruct_epi(sub, 192).data[192 - k + 1 :]
+        w = (np.arange(192 - k + 1, 192) / k - (sub.n_s - 1))[:, None]
+        last = sub.data[-1]
+        blend = (1.0 - w) * last + w * last
+        assert np.array_equal(tail.view(np.uint64), blend.view(np.uint64)), k
+        assert np.all(np.abs(tail - last) <= np.spacing(np.abs(last))), k
 
 
 def _rewarp(epi, dst):
@@ -207,10 +219,14 @@ def test_row_step_must_divide_the_rows(flat_scene, directional):
 
 
 def test_noise_field_is_shared_and_read_only(directional):
+    from epifield.noise import standard_normal
     from epifield.render import _noise_field
 
-    field = _noise_field(9, 8, 6)
-    assert _noise_field(9, 8, 6) is field
+    field = _noise_field(9, 8, 6, 0.3)
+    assert _noise_field(9, 8, 6, 0.3) is field
+    assert _noise_field(9, 8, 6, 0.2) is not field  # sigma is part of the key
+    scaled = 0.3 * standard_normal(9, (8, 6))  # scaled once, when drawn
+    assert np.array_equal(field.view(np.uint64), scaled.view(np.uint64))
     assert not field.flags.writeable
     with pytest.raises(ValueError):
         field[0, 0] = 1.0
@@ -227,6 +243,6 @@ def test_noise_field_is_shared_and_read_only(directional):
 def test_noise_pixel_reads_its_row_major_draw():
     from epifield.render import _noise_field
 
-    wide, narrow = _noise_field(9, 4, 8), _noise_field(9, 4, 4)
+    wide, narrow = _noise_field(9, 4, 8, 0.3), _noise_field(9, 4, 4, 0.3)
     assert np.array_equal(narrow.ravel(), wide.ravel()[:16])  # pixel (i, j) reads draw i * n_u + j
     assert not np.array_equal(narrow, wide[:, :4])  # so (i, j) moves with n_u

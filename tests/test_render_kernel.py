@@ -18,12 +18,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import _intersect_oracle as oracle
-from epifield import mapping
+from epifield import mapping, noise
 from epifield.experiments import sweep_reconstruction, sweep_sparsity
 from epifield.mapping import PlaneParam, SelfOcclusionError, intersect_rays, map_surface_to_image
 from epifield.render import (
     Epi,
-    _noise_field,
     psnr,
     ray_grid,
     reconstruct_epi,
@@ -308,7 +307,8 @@ def _oracle_cell(scene, param, n_s, n_u, k, seed=5):
         xr, hr = oracle.intersect_rays(param, scene.surface, s_axis[::rows, None], u_axis[None, :])
         data = oracle.render_fill(scene.texture, xr, hr, s_axis[::rows])
         if scene.texture.noise_sigma > 0.0:
-            data += scene.texture.noise_sigma * _noise_field(seed, n_s, n_u)[::rows]
+            field = noise.standard_normal(seed, (n_s, n_u))
+            data += scene.texture.noise_sigma * field[::rows]
         return data
 
     out["render"] = rendered(k)
