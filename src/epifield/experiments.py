@@ -311,22 +311,22 @@ def layers_experiment(
     """Layered reconstruction of one capture: parallel vs. fitted planes.
 
     The scene is captured once, in the directional frame, with plane's
-    focal length, camera range and image window (its depth and tilt are
-    not used). For each layer count the depth range splits into
-    equal-width slabs; every captured pixel belongs to the slab its ray
-    hits. Reconstruction from the factor-subsampled rows then runs per
-    layer, interpolating along the iso-u trajectories of each family's
+    focal length, camera range and image window (its depth and tilt are not
+    used). For each layer count the depth range splits into equal-width
+    slabs; a slab owns the hits in [lo, hi) of its x_range, and the last
+    one x_hi too. Reconstruction from the factor-subsampled rows then runs
+    per layer, interpolating along the iso-u trajectories of each family's
     plane from family_fans. The fitted plane's trajectories are straight
     lines through its camera-line crossing, and nothing keeps that crossing
-    out of the camera range: on scene C at 2 / 4 / 8 / 16 layers, 1 / 2 /
-    4 / 8 fitted planes (tilts 58-65 degrees) cross at s = -0.80 to -0.96,
-    inside s_max = 1 (ROADMAP item 8; a FOUND line in CHANGES.md). A
-    matched plane makes trajectories follow the content, so dropped rows
-    interpolate cleanly; mismatch shows up as RMSE against the dense
-    capture, pooled over each family's composite of the layers. Image
-    counts come from the anti-aliasing spacing of each slab at the
-    grid's u Nyquist frequency and the texture's angular bandwidth,
-    taking the worst layer.
+    out of the camera range: on scene C at 2 / 4 / 8 / 16 layers,
+    1 / 2 / 4 / 8 fitted planes (tilts 58-65 degrees) cross at s = -0.80 to
+    -0.96, inside s_max = 1 (ROADMAP items 16 and 17; a FOUND line in
+    CHANGES.md). A matched plane makes trajectories follow the content, so
+    dropped rows interpolate cleanly; mismatch shows up as RMSE against the
+    dense capture, pooled over each family's composite of the layers. Image
+    counts come from the anti-aliasing spacing of each slab at the grid's u
+    Nyquist frequency and the texture's angular bandwidth, taking the worst
+    layer.
     """
     layer_counts = tuple(int(n) for n in layer_counts)
     factors = tuple(int(f) for f in factors)
@@ -343,14 +343,13 @@ def layers_experiment(
         raise ValueError("the capture never sees the surface")
     for li, count in enumerate(layer_counts):
         slabs = partition_depth_layers(scene.surface, count)
-        edges = np.array([slab.x_range[0] for slab in slabs] + [slabs[-1].x_range[1]])
-        owner = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, count - 1)
         fans = [family_fans(slab, plane, wu_max, view_bandwidth) for slab in slabs]
         for fam in fans[0]:
             rmse.setdefault(fam, np.zeros((len(layer_counts), len(factors))))
             images[fam] = images.get(fam, ()) + (max(f[fam][2] for f in fans),)
-        for key, families in enumerate(fans):
-            mask = hit & (owner == key)
+        for key, (slab, families) in enumerate(zip(slabs, fans)):
+            lo, hi = slab.x_range
+            mask = hit & (x >= lo) & (x < (math.inf if key == count - 1 else hi))
             pi, pj = np.nonzero(mask)
             if pi.size == 0:
                 continue

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import _intersect_oracle as oracle
 import numpy as np
@@ -222,6 +223,23 @@ def test_partition_tiles_extent_with_equal_depth_slabs(scene_c):
     z_edges = surf.depth(np.array(edges))
     target = np.linspace(float(surf.depth(surf.x_range[0])), float(surf.depth(surf.x_range[1])), 5)
     assert np.allclose(z_edges, target, rtol=0, atol=1e-9)
+
+
+@given(quadratic_surfaces(monotonic=True), st.integers(1, 16), st.booleans())
+def test_partition_slabs_run_in_x_order_and_share_their_edges(surf, n_layers, mirrored):
+    # layers_experiment gives a hit to the slab whose x_range [lo, hi) holds
+    # it, the last slab keeping x_hi; each hit has one owner only if the
+    # slabs tile [x_lo, x_hi] in x order
+    if mirrored:  # z(-x) on the symmetric extent: depth falls with x
+        surf = replace(surf, tilt_deg=-surf.tilt_deg)
+    slabs = partition_depth_layers(surf, n_layers)
+    assert len(slabs) == n_layers
+    assert slabs[0].x_range[0] == surf.x_range[0]
+    assert slabs[-1].x_range[1] == surf.x_range[1]
+    for left, right in zip(slabs, slabs[1:]):
+        assert left.x_range[1] == right.x_range[0]
+    edges = [slab.x_range[0] for slab in slabs] + [surf.x_range[1]]
+    assert edges == sorted(edges)
 
 
 def test_exact_plane_layer_has_zero_residuals(scene_a):

@@ -262,8 +262,8 @@ def test_family_fans_spacing_and_count(scene_b, scene_c):
 
 
 def test_some_tilted_family_planes_of_c_slabs_cross_the_camera_line(scene_c):
-    # layers_experiment renders these planes unchecked; ROADMAP items 7 and
-    # 8 are to change that on purpose, and this pins the count until then
+    # layers_experiment renders these planes unchecked; ROADMAP items 16 and
+    # 17 are to change that on purpose, and this pins the count until then
     capture = PlaneParam()
     wu_max = u_nyquist(capture, 512)
     for layers, n_crossing in ((1, 0), (2, 1), (4, 2), (8, 4), (16, 8)):
