@@ -287,15 +287,15 @@ def _trajectory_rebuild(src, dense, canon, prm, rows, xi, factor):
 def _dense_capture(scene, param, n_s, n_u, seed):
     """render_epi plus the (x, hit) it traced, read back from its workspace.
 
-    The workspace's scratch buffers go with it when this returns. The data
-    and hit keep only their own buffers, and x is copied out of the
-    two-grid buffer it shares with t1.
+    The workspace's scratch buffers go with it when this returns: hit keeps
+    only its own buffer, and the data and x are copied out of the two-grid
+    buffer they share.
     """
     workspace = Workspace()
     dense = render_epi(scene, param, n_s, n_u, seed=seed, workspace=workspace)
     shape = dense.data.shape
     x, hit = workspace.array("x", shape).copy(), workspace.array("hit", shape, bool)
-    return dense, x, hit
+    return replace(dense, data=dense.data.copy()), x, hit
 
 
 def layers_experiment(

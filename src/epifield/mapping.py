@@ -40,12 +40,13 @@ __all__ = [
 # Half-width of the image window for a 30 degree field of view at focal 1.
 DEFAULT_U_MAX = 0.2679
 
-# A curved grid of at least this many rays is solved in two blocks of rows,
-# so that a sweep worker's workspace holds 3 float grids, not 5. A smaller
-# grid is solved in one piece: its bytes are few and a second block's call
-# overhead is not; halving a subsample-8 sweep's 32 x 256 cells cost 5-9 %
-# of its CPU time (2-vCPU x86-64, Python 3.11, numpy 2.4).
-_HALVING_MIN_RAYS = 1 << 15
+# A curved grid of at least this many rays is solved in four blocks of rows,
+# so that its four temporaries fit in one grid and a sweep worker's
+# workspace holds 2 float grids, not 5. A smaller grid is solved in one
+# piece: its bytes are few and the blocks' call overhead is not; quartering
+# a subsample-8 sweep's 32 x 256 cells cost 20 % of its CPU time (2-vCPU
+# x86-64, Python 3.11, numpy 2.4).
+_SPLIT_MIN_RAYS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -160,12 +161,11 @@ def intersect_rays(
     them once per camera. A planar surface (quad == 0) takes one division
     and a range check; a curved one takes the stable root pair, which also
     solves rays whose leading coefficient vanishes. A curved grid of
-    _HALVING_MIN_RAYS rays or more is solved in two blocks of
-    ceil(rows / 2) rows, so that a block's four temporaries fit in two
-    grids; every step is elementwise, so the bits do not depend on the
-    blocks. With a workspace, x and hit are its "x" and "hit" buffers; the
-    planar b sits in its "radiance" buffer, and the curved temporaries in
-    its "t1" and "radiance" buffers.
+    _SPLIT_MIN_RAYS rays or more is solved in four blocks of
+    ceil(rows / 4) rows, so that a block's four temporaries fit in one
+    grid; every step is elementwise, so the bits do not depend on the
+    blocks. With a workspace, x and hit are its "x" and "hit" roles, and
+    the planar b or the curved temporaries sit in its "radiance" role.
     """
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -203,10 +203,9 @@ def _coefficients(param: PlaneParam, surface: SurfaceSpec, s, u, aa, bb, cc):
 def _curved_blocks(param: PlaneParam, surface: SurfaceSpec, s, u, shape, workspace):
     grid = shape or (1,)  # a single ray solves as one row
     n = grid[0]
-    block = -(-n // 2) if math.prod(shape) >= _HALVING_MIN_RAYS else n
-    # the temporaries before x: a block over half the grid grows their buffers
-    b_c = scratch(workspace, "t1", (2, block) + grid[1:])
-    q_4ac = scratch(workspace, "radiance", (2, block) + grid[1:])
+    block = -(-n // 4) if math.prod(shape) >= _SPLIT_MIN_RAYS else n
+    # the temporaries before x: four blocks over more than the grid grow its buffer
+    temps = scratch(workspace, "radiance", (4, block) + grid[1:])
     x = scratch(workspace, "x", shape)
     hit = scratch(workspace, "hit", shape, bool)
     m1 = scratch(workspace, "m1", shape, bool)
@@ -222,7 +221,7 @@ def _curved_blocks(param: PlaneParam, surface: SurfaceSpec, s, u, shape, workspa
         rows = slice(start, min(start + block, n))
         k = rows.stop - start
         aa, ok, m1_rows, m2_rows = (a[rows] for a in out)
-        bb, cc, qq, four_ac = b_c[0, :k], b_c[1, :k], q_4ac[0, :k], q_4ac[1, :k]
+        bb, cc, qq, four_ac = temps[:, :k]
         _coefficients(param, surface, rows_of(s, rows), rows_of(u, rows), aa, bb, cc)
         aa *= surface.quad
         twice += _quadratic_root(surface, aa, bb, cc, qq, four_ac, ok, m1_rows, m2_rows)

@@ -120,8 +120,8 @@ def render_epi(
     ray does, SelfOcclusionError names how many; under row_step only the
     traced rows count.
 
-    With a workspace, data is its "radiance" buffer and the intersection
-    stays in its "x" and "hit" buffers (see epifield.workspace).
+    With a workspace, data is its "radiance" role and the intersection
+    stays in its "x" and "hit" roles (see epifield.workspace).
     """
     s_axis, u_axis = ray_grid(param, n_s, n_u)
     if row_step < 1 or n_s % row_step != 0:
@@ -174,8 +174,8 @@ def reconstruct_epi(epi: Epi, n_s_target: int, *, workspace: Workspace | None = 
     k = n_s_target // n_s (the inverse of subsample_epi). Retained rows are
     reproduced exactly; a row past the last retained one is the blend
     (1 - w) * last + w * last, which can miss last by an ulp. With a
-    workspace, data is its "rebuilt" buffer, and the blend's far rows are
-    gathered one row block of "t1" at a time (epifield.workspace.scratch_blocks).
+    workspace, data is its "rebuilt" role, and the blend's far rows are
+    gathered one row block at a time (epifield.workspace.scratch_blocks).
     """
     if n_s_target < epi.n_s or n_s_target % epi.n_s != 0:
         raise NonDivisibleFactor(
@@ -196,7 +196,7 @@ def reconstruct_epi(epi: Epi, n_s_target: int, *, workspace: Workspace | None = 
     # indices are in range, and "clip" lets take write out unbuffered
     np.take(epi.data, i0, axis=0, out=data, mode="clip")
     data *= 1.0 - w
-    for rows, far in scratch_blocks(workspace, "t1", shape):
+    for rows, far in scratch_blocks(workspace, shape):
         np.take(epi.data, i1[rows], axis=0, out=far, mode="clip")
         far *= w[rows]
         data[rows] += far
@@ -237,7 +237,7 @@ def interp_u(data: np.ndarray, u_axis: np.ndarray, rows, u) -> np.ndarray:
 def psnr(reference: np.ndarray, test: np.ndarray, *, workspace: Workspace | None = None) -> float:
     """Peak signal-to-noise ratio in dB for data in [0, 1]; math.inf for an exact match.
 
-    With a workspace the difference is computed in its "rebuilt" buffer,
+    With a workspace the difference is computed in its "rebuilt" role,
     so a reconstruction made in the same workspace is overwritten.
     """
     reference, test = np.asarray(reference), np.asarray(test)

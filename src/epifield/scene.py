@@ -145,14 +145,14 @@ class TextureSpec:
         """Base pattern in [0, 1], independent of the viewing position.
 
         The cosine terms are summed over flat chunks of x, each in one
-        block (epifield.workspace.scratch_blocks; a block of "t1" with a
-        workspace). With a workspace the result is its "radiance" buffer.
+        block (epifield.workspace.scratch_blocks). With a workspace the
+        result is its "radiance" role.
         """
         x = np.asarray(x, dtype=float)
         acc = scratch(workspace, "radiance", x.shape)
         acc.fill(0.0)
         flat_x, flat_acc = x.reshape(-1), acc.reshape(-1)
-        for items, term in scratch_blocks(workspace, "t1", flat_x.shape):
+        for items, term in scratch_blocks(workspace, flat_x.shape):
             x_items, acc_items = flat_x[items], flat_acc[items]
             for w in self.omegas:
                 np.multiply(x_items, w, out=term)
@@ -168,7 +168,7 @@ class TextureSpec:
         x and s broadcast: with s as a column of camera positions the view
         factor is evaluated once per camera, and applied in place when x
         already has the full shape. With a workspace the result is its
-        "radiance" buffer whenever x has the full shape.
+        "radiance" role whenever x has the full shape.
         """
         a = self.albedo(x, workspace=workspace)
         shape = np.broadcast_shapes(a.shape, np.shape(s))

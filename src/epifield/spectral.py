@@ -21,7 +21,7 @@ import numpy as np
 from .mapping import PlaneParam
 from .render import Epi
 from .scene import SceneDef, SurfaceSpec, _real_roots, fitted_line
-from .workspace import Workspace, scratch
+from .workspace import Workspace, scratch, scratch_blocks
 
 __all__ = [
     "SpectrumGrid",
@@ -64,40 +64,76 @@ def dft2_magnitude(
     below a few hundredths of a percent, which matters whenever energies
     are compared against support predictions. window="rect" skips the
     taper; the transform is orthonormal, so in that case the squared
-    magnitudes sum exactly to the EPI energy. With a workspace, mag is its
-    "mag" buffer, which overwrites its "radiance": an EPI rendered in the
-    same workspace is spent once it is transformed.
+    magnitudes sum exactly to the EPI energy. With a workspace, the
+    complex spectrum fills its whole "x" buffer and mag is the buffer's
+    first grid: an EPI rendered in the same workspace ("radiance", the
+    second grid) is widened into the spectrum in place and is spent once
+    it is transformed. Any other EPI that shares the spectrum's bytes is
+    copied first.
     """
     data = epi.data
-    # fft2 would cast the real data into a fresh complex grid; one copy instead
+    # fft2 would cast the real data into a fresh complex grid; the data is
+    # widened into the spectrum instead, in ascending row blocks. Spectrum
+    # rows [0, b) span 2 * b EPI rows, so they end before EPI row b
+    # whenever the EPI starts n_s rows into the spectrum or later (as one
+    # rendered in the workspace does): no block writes over a row that a
+    # later block reads. An EPI that starts earlier is copied first, and a
+    # block whose spectrum rows cover its own EPI rows widens from a copy
+    # of them in the block buffer.
     spec = scratch(workspace, "spectrum", data.shape, complex)
+    if np.may_share_memory(data, spec) and not (
+        data.flags.c_contiguous and data.ctypes.data >= spec.ctypes.data + data.nbytes
+    ):
+        data = data.copy()
     if window == "hann":
         taper = np.multiply(
             np.hanning(epi.n_s)[:, None],
             np.hanning(epi.n_u)[None, :],
             out=scratch(workspace, "taper", data.shape),
         )
-        np.multiply(data, taper, out=spec)
-    elif window == "rect":
-        np.copyto(spec, data)
-    else:
+    elif window != "rect":
         raise ValueError(f"unknown window {window!r}")
+    for rows, block in scratch_blocks(workspace, data.shape):
+        src, dst = data[rows], spec[rows]
+        if np.may_share_memory(src, dst):
+            np.copyto(block, src)
+            src = block
+        if window == "hann":
+            np.multiply(src, taper[rows], out=dst)
+        else:
+            np.copyto(dst, src)
     for axis in (1, 0):  # fft2's order, so the bits match
         np.fft.fft(spec, axis=axis, norm="ortho", out=spec)
     mag = scratch(workspace, "mag", data.shape)
-    # |fftshift(spec)| written quadrant by quadrant, without the rolled copy
-    for dst_s, src_s in _shift_halves(epi.n_s):
-        for dst_u, src_u in _shift_halves(epi.n_u):
-            np.abs(spec[src_s, src_u], out=mag[dst_s, dst_u])
+    # |fftshift(spec)| over the spectrum's first grid, where magnitude row r
+    # lies in spectrum row r // 2. The upper half, row h + i from spectrum
+    # row i, goes first and from its last block down, so it overwrites
+    # only rows read in its block or a block before; a block that
+    # overwrites its own source rows goes through the block buffer. The
+    # lower half reads spectrum rows from n_s - h on, which none overwrote.
+    h = epi.n_s // 2
+    for rows, block in reversed(list(scratch_blocks(workspace, (epi.n_s - h, epi.n_u)))):
+        dst, src = mag[h + rows.start : h + rows.stop], spec[rows]
+        if np.may_share_memory(dst, src):
+            _abs_shifted(src, block)
+            np.copyto(dst, block)
+        else:
+            _abs_shifted(src, dst)
+    _abs_shifted(spec[epi.n_s - h :], mag[:h])
     ws = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(epi.n_s, d=epi.ds))
     wu = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(epi.n_u, d=epi.du))
     return SpectrumGrid(mag, ws, wu)
 
 
-def _shift_halves(n: int):
-    """(destination, source) slice pairs of fftshift along an axis of length n."""
+def _abs_shifted(spec: np.ndarray, out: np.ndarray) -> None:
+    """|spec| into out with the columns fftshifted; out is C-contiguous."""
+    n = spec.shape[1]
     h = n // 2
-    return (slice(None, h), slice(n - h, None)), (slice(h, None), slice(None, n - h))
+    if n % 2 == 0:  # the column halves swap in one call, through a view
+        np.abs(spec.reshape(-1, 2, h)[:, ::-1], out=out.reshape(-1, 2, h))
+        return
+    np.abs(spec[:, n - h :], out=out[:, :h])
+    np.abs(spec[:, : n - h], out=out[:, h:])
 
 
 def sparsity_rmse(
@@ -109,8 +145,8 @@ def sparsity_rmse(
     resolved by the partition, deterministically for a fixed input) and
     zeroes the rest; the error is then just the dropped energy:
     sqrt(sum of dropped magnitudes squared / size). The partition runs on
-    a copy, in the workspace's "t1" with one, and leaves the spectrum as
-    it was.
+    a copy, in the workspace's "t1" role with one, and leaves the
+    spectrum as it was.
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")

@@ -17,45 +17,46 @@ after it:
     mag         dft2_magnitude
     rebuilt     reconstruct_epi
 
-Intermediates live in scratch roles (t1, spectrum, taper, m1, m2) that
-never carry a result out of a call. So the stages of one cell pass
-results straight on (render -> spectrum -> sparsity, render -> subsample
--> reconstruct -> psnr) without copies.
+Intermediates live in scratch roles (t1, spectrum, taper, block, m1,
+m2) that never carry a result out of a call. So the stages of one cell
+pass results straight on (render -> spectrum -> sparsity, render ->
+subsample -> reconstruct -> psnr) without copies.
 
 Roles whose lifetimes within a cell never overlap share bytes, so a cell
-holds 3 float grids and 3 bool grids (a grid is one element per pixel),
-and a Hann-windowed transform one float grid more. A float grid counts
-one float64:
+holds 2 float grids, one block and 3 bool grids (a grid is one element
+per pixel), and a Hann-windowed transform one float grid more. A float
+grid counts one float64:
 
     buffer    grids  roles
-    x         2      x and rebuilt in grid 0, t1 in grid 1 (x is spent once
-                     the radiance is computed); dft2_magnitude's complex
-                     spectrum is the whole buffer
-    radiance  1      the planar intersection's b, then radiance, then mag
-                     (each is spent once the next is computed)
+    x         2      grid 0: x, then rebuilt or mag; grid 1: the planar
+                     intersection's b or the curved one's temporaries,
+                     then radiance, then t1 (each is spent once the next
+                     is computed); dft2_magnitude's complex spectrum is
+                     the whole buffer, widened from an EPI in grid 1
+    block     -      one block of rows (scratch_blocks)
     taper     1      the Hann window, in Hann cells only
 
 Every other role (hit, m1, m2) has a buffer of its own. A role's offset
 counts grids of the request's own size, and a shared buffer is allocated
 at its full size on first use, so growing it for one role never drops
 another role's live grid of the same shape. The curved intersection asks
-for t1 and radiance as two stacked blocks of rows, which hold its four
-temporaries (see intersect_rays). A block of more than half the rows
-grows those buffers, which drops their contents, so it asks for them
-before x.
+for its four temporaries as one radiance request of four stacked row
+blocks (see intersect_rays). Blocks that cover more than the grid's rows
+grow the buffer, which drops its contents, so it asks for them before x.
 
 A temporary needed one block of rows at a time comes from scratch_blocks:
-the first _BLOCK_ITEMS elements (128 KiB of float64) of its role, reused
-block after block. The albedo's per-frequency term and a reconstruction's
-far rows take t1 that way, so a planar reconstruction cell writes one
-block of t1: the rest of grid 1 of x is allocated but never resident. The
-curved intersection and sparsity_rmse fill t1 whole.
+the block buffer of _BLOCK_ITEMS elements (128 KiB of float64), reused
+block after block. The albedo's per-frequency term, a reconstruction's
+far rows, and the rows of dft2_magnitude's two in-place steps (EPI to
+spectrum, spectrum to mag) whose output covers their own input take it
+that way. A reconstruction cell writes grids 0
+and 1 of x and the block, and no float byte besides.
 
 A result stays valid until the next call that writes any role sharing
-its bytes: rebuilt overwrites x, mag overwrites radiance, psnr overwrites
-rebuilt, and the next intersect_rays overwrites x and radiance. Keep a
-copy of anything needed past that. A workspace is not thread safe: give
-each worker thread its own.
+its bytes: rebuilt overwrites x, mag overwrites x and radiance, t1
+overwrites radiance, psnr overwrites rebuilt, and the next intersect_rays
+overwrites x and radiance. Keep a copy of anything needed past that. A
+workspace is not thread safe: give each worker thread its own.
 """
 
 from __future__ import annotations
@@ -74,9 +75,10 @@ _BLOCK_ITEMS = 1 << 14
 # role -> (buffer, offset in float grids), for the roles that share bytes
 _SHARED = {
     "rebuilt": ("x", 0),
+    "mag": ("x", 0),
     "spectrum": ("x", 0),
+    "radiance": ("x", 1),
     "t1": ("x", 1),
-    "mag": ("radiance", 0),
 }
 _GRIDS = {"x": 2}  # float grids a shared buffer is allocated with
 _GRID_ITEMSIZE = np.dtype(float).itemsize
@@ -117,21 +119,17 @@ def scratch(workspace: Workspace | None, name: str, shape, dtype=float) -> np.nd
     return workspace.array(name, shape, dtype)
 
 
-def scratch_blocks(workspace: Workspace | None, name: str, shape):
+def scratch_blocks(workspace: Workspace | None, shape):
     """Yield (rows, block) pairs that cover the rows of `shape` in order.
 
     block is a float view of shape (len(rows),) + shape[1:] on the same
-    bytes every time: the first elements of role `name` sized for `shape`,
-    or one fresh array without a workspace. It holds as many whole rows as
-    fit in _BLOCK_ITEMS elements, at least one, so the rest of the role's
-    bytes are never touched.
+    bytes every time: the workspace's "block" role, or one fresh array
+    without a workspace. It holds as many whole rows as fit in
+    _BLOCK_ITEMS elements, at least one.
     """
     n, row = shape[0], math.prod(shape[1:])
     step = max(1, min(n, _BLOCK_ITEMS // max(row, 1)))
-    if workspace is None:
-        block = np.empty((step,) + tuple(shape[1:]))
-    else:
-        block = workspace.array(name, shape)[:step]
+    block = scratch(workspace, "block", (step,) + tuple(shape[1:]))
     for start in range(0, n, step):
         stop = min(start + step, n)
         yield slice(start, stop), block[: stop - start]

@@ -448,14 +448,16 @@ def test_pooled_sweep_draws_the_noise_field_once(scene_b, monkeypatch, sweep):
 
 
 @pytest.mark.parametrize("cell", ["sparsity-hann", "sparsity-rect", "reconstruct"])
-def test_cold_sweep_cell_holds_three_float_grids(scene_b, cell):
-    """The workspace roles of one cell share bytes down to 3 float and 3 bool grids.
+def test_cold_sweep_cell_holds_two_float_grids_and_a_block(scene_b, cell):
+    """The workspace roles of one cell share bytes down to 2 float grids, one
+    block of _BLOCK_ITEMS floats and 3 bool grids.
 
     A Hann-windowed transform holds its taper in one float grid more.
     numpy 2 also buffers each ufunc call whose operands do not iterate as
     one flat run (a broadcast, an fftshift quadrant) in chunks of
-    np.getbufsize() elements, up to a few operands at once; the bound
-    allows 4 such float64 buffers on top of the grids.
+    np.getbufsize() elements, up to a few operands at once, and copies a
+    block of the spectrum whose EPI rows it overwrites; the bound allows 4
+    float64 buffers of np.getbufsize() elements on top of the grids.
     """
     noisy_b = replace(scene_b, texture=TextureSpec(angular_bandwidth=5.0, noise_sigma=0.05))
     param = PlaneParam(1.0, 1.5, 17.0)
@@ -477,25 +479,26 @@ def test_cold_sweep_cell_holds_three_float_grids(scene_b, cell):
     finally:
         tracemalloc.stop()
     assert got == want
-    grid = n * n * np.dtype(float).itemsize
-    grids = 4 if cell == "sparsity-hann" else 3
-    assert peak < grids * grid + 3 * n * n + 4 * np.getbufsize() * 8, peak / grid
+    itemsize = np.dtype(float).itemsize
+    grid = n * n * itemsize
+    grids = 3 if cell == "sparsity-hann" else 2
+    bound = grids * grid + _BLOCK_ITEMS * itemsize + 3 * n * n + 4 * np.getbufsize() * itemsize
+    assert peak < bound, peak / grid
 
 
 @pytest.mark.parametrize(
     "preset, roles",
     [
-        ("A", {"x", "t1", "radiance", "hit", "m1", "rebuilt"}),
-        ("B", {"x", "t1", "radiance", "hit", "m1", "m2", "rebuilt"}),
+        ("A", {"x", "block", "radiance", "hit", "m1", "rebuilt"}),
+        ("B", {"x", "block", "radiance", "hit", "m1", "m2", "rebuilt"}),
     ],
 )
 def test_reconstruct_cell_asks_for_these_roles(monkeypatch, preset, roles):
-    """A cell touches the float grids of x and radiance and 2 bool grids.
+    """A cell asks for roles of the x buffer, the block and 2 bool grids.
 
-    A curved cell also fills t1 and a third bool grid; a planar one writes
-    only t1's first block (see the next test). Pinned as role names:
-    tracemalloc counts allocated bytes, and a shared buffer is allocated
-    whole even where one of its grids is never touched.
+    A curved cell also asks for a third bool grid. Pinned as role names:
+    tracemalloc counts allocated bytes, not the bytes a cell writes (see
+    the next test).
     """
     asked = set()
 
@@ -509,25 +512,28 @@ def test_reconstruct_cell_asks_for_these_roles(monkeypatch, preset, roles):
     assert asked == roles
 
 
-def test_a_planar_reconstruct_cell_writes_one_block_of_t1(monkeypatch):
-    """t1 past its first block keeps whatever it held before a planar cell.
+def test_a_reconstruct_cell_writes_no_byte_of_x_past_two_grids(monkeypatch):
+    """An x buffer grown past two grids keeps its bytes past them through a cell.
 
-    The x buffer is allocated as two grids, but the planar intersection,
-    the albedo, the reconstruction and psnr write only grid 0 and the
-    first _BLOCK_ITEMS elements of grid 1, so the rest of grid 1 is never
-    resident; the sensor noise is added from its cached field, without a
-    scratch grid. Checked on the bytes, which tracemalloc cannot see.
+    The intersection (planar or curved, in four blocks of rows), the
+    radiance, the noise, the reconstruction and psnr all write grids 0
+    and 1 of x, and grid 1 whole. Checked on the bytes, which tracemalloc
+    cannot see.
     """
     n = 256
+    grid = n * n
     sentinel = np.uint64(0x7FF8_5EED_5EED_5EED)  # a NaN that no stage computes
     workspace = Workspace()
     monkeypatch.setattr(experiments, "Workspace", lambda: workspace)
-    preset = load_preset("A")
-    for sigma in (0.0, 0.05):
-        workspace.array("spectrum", (n, n), complex).view(np.uint64).fill(sentinel)
-        scene = replace(preset, texture=replace(preset.texture, noise_sigma=sigma))
-        result = sweep_reconstruction(scene, [1.5], [17.0], factor=64, n_s=n, n_u=n)
-        assert np.isfinite(result.metric).all()
-        t1 = workspace.array("t1", (n, n)).reshape(-1).view(np.uint64)
-        assert not np.all(t1[:_BLOCK_ITEMS] == sentinel), sigma
-        assert np.all(t1[_BLOCK_ITEMS:] == sentinel), sigma
+    for preset in ("A", "B"):
+        for sigma in (0.0, 0.05):
+            # a spectrum of twice the rows fills the x buffer's four grids
+            x_buffer = workspace.array("spectrum", (2 * n, n), complex).reshape(-1)
+            x_buffer.view(np.uint64).fill(sentinel)
+            scene = load_preset(preset)
+            scene = replace(scene, texture=replace(scene.texture, noise_sigma=sigma))
+            result = sweep_reconstruction(scene, [1.5], [17.0], factor=64, n_s=n, n_u=n)
+            assert np.isfinite(result.metric).all()
+            words = x_buffer.view(np.uint64)
+            assert not np.any(words[grid : 2 * grid] == sentinel), (preset, sigma)
+            assert np.all(words[2 * grid :] == sentinel), (preset, sigma)

@@ -156,14 +156,14 @@ class _BlockRecorder(Workspace):
         self.blocks = []
 
     def array(self, name, shape, dtype=float):
-        if name == "t1" and len(shape) > 2:
+        if name == "radiance" and len(shape) > 2:
             self.blocks.append(shape[1])
         return super().array(name, shape, dtype)
 
 
 # reused across examples, like a sweep worker's workspace across cells
 BLOCKS = _BlockRecorder()
-# (rows, n_u) around HALVING's threshold: one row below and above it, odd
+# (rows, n_u) around SPLIT's threshold: one row below and above it, odd
 # row counts, and a grid whose block holds more rows than its columns
 GRIDS_AROUND_THE_THRESHOLD = [
     (127, 256),
@@ -174,7 +174,7 @@ GRIDS_AROUND_THE_THRESHOLD = [
     (129, 255),
     (1025, 64),
 ]
-HALVING = mapping._HALVING_MIN_RAYS
+SPLIT = mapping._SPLIT_MIN_RAYS
 
 
 @settings(max_examples=40, deadline=None)
@@ -189,21 +189,21 @@ def test_halved_curved_intersection_matches_the_one_shot_call(param, surface, gr
     rows, n_u = grid
     s_axis, u_axis = ray_grid(param, rows * row_step, n_u)
     s, u = s_axis[::row_step, None], u_axis[None, :]
-    with mock.patch.object(mapping, "_HALVING_MIN_RAYS", math.inf):
+    with mock.patch.object(mapping, "_SPLIT_MIN_RAYS", math.inf):
         want = intersect_rays(param, surface, s, u)
     BLOCKS.blocks.clear()
     _same(intersect_rays(param, surface, s, u, workspace=BLOCKS), want)
     _same(intersect_rays(param, surface, s, u), want)
-    assert BLOCKS.blocks == [-(-rows // 2) if rows * n_u >= HALVING else rows]
+    assert BLOCKS.blocks == [-(-rows // 4) if rows * n_u >= SPLIT else rows]
 
 
 @given(param=planes, surface=surfaces, seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_halved_intersection_of_ray_lists_matches_the_one_shot_call(param, surface, seed):
-    # s and u both run along the rows, and an odd count leaves a shorter second block
+    # s and u both run along the rows, and an odd count leaves a shorter last block
     rng = np.random.default_rng(seed)
-    s, u = rng.uniform(-1.5, 1.5, HALVING + 1), rng.uniform(-0.6, 0.6, HALVING + 1)
-    with mock.patch.object(mapping, "_HALVING_MIN_RAYS", math.inf):
+    s, u = rng.uniform(-1.5, 1.5, SPLIT + 1), rng.uniform(-0.6, 0.6, SPLIT + 1)
+    with mock.patch.object(mapping, "_SPLIT_MIN_RAYS", math.inf):
         want = intersect_rays(param, surface, s, u)
     _same(intersect_rays(param, surface, s, u, workspace=BLOCKS), want)
 
@@ -401,6 +401,38 @@ def test_one_workspace_across_changing_shapes(scene_a, scene_b):
     ):
         reused = _cell(scene, param, n_s, n_u, k, workspace)
         _same_cell(reused, _cell(scene, param, n_s, n_u, k, None))
+
+
+# grids of several spectrum blocks, each with a factor that divides its
+# rows: odd and even row counts, rows that leave a short last block, and
+# rows longer than a block
+SPECTRUM_GRIDS = [
+    ((256, 256), 4),
+    ((257, 65), 1),
+    ((255, 300), 5),
+    ((63, 257), 3),
+    ((3, BLOCK + 1), 3),
+    ((4, BLOCK + 7), 2),
+]
+
+
+@pytest.mark.parametrize("grid, k", SPECTRUM_GRIDS)
+def test_spectrum_of_an_epi_in_its_workspace_matches_the_oracle(scene_b, grid, k):
+    # a rendered EPI is widened into the spectrum in place and the magnitude
+    # written over the spectrum, block by block; a rebuilt EPI sits in the
+    # spectrum's first grid, where widening in place would overwrite EPI
+    # rows before it reads them
+    noisy_b = SceneDef(scene_b.surface, TextureSpec(angular_bandwidth=5.0, noise_sigma=0.05), "B")
+    param = PlaneParam(1.0, 1.5, 17.0)
+    workspace = Workspace()
+    for window in ("rect", "hann"):
+        for stage in ("render", "rebuilt"):
+            epi = render_epi(noisy_b, param, *grid, seed=3, workspace=workspace)
+            if stage == "rebuilt":
+                epi = reconstruct_epi(subsample_epi(epi, k), grid[0], workspace=workspace)
+            want = oracle.dft2_magnitude(epi.data.copy(), window)
+            got = dft2_magnitude(epi, window, workspace=workspace).mag
+            assert np.array_equal(_bits(got), _bits(want)), (window, stage)
 
 
 def test_results_without_a_workspace_are_owned(scene_b):
