@@ -349,7 +349,8 @@ def layers_experiment(
             images[fam] = images.get(fam, ()) + (max(f[fam][2] for f in fans),)
         for key, (slab, families) in enumerate(zip(slabs, fans)):
             lo, hi = slab.x_range
-            mask = hit & (x >= lo) & (x < (math.inf if key == count - 1 else hi))
+            # x is NaN exactly where a ray misses, and NaN fails both tests
+            mask = (x >= lo) & (x < (math.inf if key == count - 1 else hi))
             pi, pj = np.nonzero(mask)
             if pi.size == 0:
                 continue

@@ -189,7 +189,7 @@ def reconstruct_epi(epi: Epi, n_s_target: int, *, workspace: Workspace | None = 
         np.copyto(data, epi.data)
         return replace(epi, data=data, s_axis=s_axis, u_axis=epi.u_axis.copy())
     pos = np.arange(n_s_target) / k
-    i0 = np.minimum(pos.astype(int), epi.n_s - 1)
+    i0 = pos.astype(int)
     i1 = np.minimum(i0 + 1, epi.n_s - 1)
     w = (pos - i0)[:, None]
     # (1 - w) * near + w * far, gathered straight into the output; the

@@ -73,13 +73,12 @@ def dft2_magnitude(
     """
     data = epi.data
     # fft2 would cast the real data into a fresh complex grid; the data is
-    # widened into the spectrum instead, in ascending row blocks. Spectrum
-    # rows [0, b) span 2 * b EPI rows, so they end before EPI row b
-    # whenever the EPI starts n_s rows into the spectrum or later (as one
-    # rendered in the workspace does): no block writes over a row that a
-    # later block reads. An EPI that starts earlier is copied first, and a
-    # block whose spectrum rows cover its own EPI rows widens from a copy
-    # of them in the block buffer.
+    # widened into the spectrum instead, in ascending row blocks [a, b).
+    # Spectrum rows [a, b) span float rows [2a, 2b), and an EPI that starts
+    # n_s rows into the spectrum or later (as one rendered in the workspace
+    # does) keeps row r at float row n_s + r or later, so with 2b <= n_s + a
+    # a block overwrites only EPI rows already read; numpy buffers the last
+    # one-row block, which meets its own row. An earlier EPI is copied first.
     spec = scratch(workspace, "spectrum", data.shape, complex)
     if np.may_share_memory(data, spec) and not (
         data.flags.c_contiguous and data.ctypes.data >= spec.ctypes.data + data.nbytes
@@ -93,15 +92,14 @@ def dft2_magnitude(
         )
     elif window != "rect":
         raise ValueError(f"unknown window {window!r}")
-    for rows, block in scratch_blocks(workspace, data.shape):
-        src, dst = data[rows], spec[rows]
-        if np.may_share_memory(src, dst):
-            np.copyto(block, src)
-            src = block
+    a = 0
+    while a < epi.n_s:
+        b = max(a + 1, (epi.n_s + a) // 2)
         if window == "hann":
-            np.multiply(src, taper[rows], out=dst)
+            np.multiply(data[a:b], taper[a:b], out=spec[a:b])
         else:
-            np.copyto(dst, src)
+            np.copyto(spec[a:b], data[a:b])
+        a = b
     for axis in (1, 0):  # fft2's order, so the bits match
         np.fft.fft(spec, axis=axis, norm="ortho", out=spec)
     mag = scratch(workspace, "mag", data.shape)

@@ -47,9 +47,9 @@ grow the buffer, which drops its contents, so it asks for them before x.
 A temporary needed one block of rows at a time comes from scratch_blocks:
 the block buffer of _BLOCK_ITEMS elements (128 KiB of float64), reused
 block after block. The albedo's per-frequency term, a reconstruction's
-far rows, and the rows of dft2_magnitude's two in-place steps (EPI to
-spectrum, spectrum to mag) whose output covers their own input take it
-that way. A reconstruction cell writes grids 0
+far rows, and the rows of dft2_magnitude's magnitude step whose output
+covers their own spectrum rows take it that way (its widening of the EPI
+into the spectrum needs no block). A reconstruction cell writes grids 0
 and 1 of x and the block, and no float byte besides.
 
 A result stays valid until the next call that writes any role sharing

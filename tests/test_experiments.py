@@ -399,24 +399,33 @@ def test_sweep_workers_never_share_a_workspace(scene_b, monkeypatch):
 
 @pytest.mark.parametrize("window", ["rect", "hann"])
 def test_warm_sweep_cells_allocate_less_than_one_grid(scene_b, window):
-    """A workspace'd cell allocates nothing grid-sized, the transform included."""
+    """A workspace'd cell allocates nothing grid-sized, the transform included.
+
+    A subsample-8 sparsity cell renders 32 rows of the sweep's 256² grid.
+    Its intersection alone takes two of numpy's np.getbufsize() ufunc
+    buffers, more than its own 32 x 256 grid, so every cell is held to the
+    sweep's grid.
+    """
     noisy_b = replace(scene_b, texture=TextureSpec(angular_bandwidth=5.0, noise_sigma=0.05))
     param = PlaneParam(1.0, 1.5, 17.0)
     workspace = Workspace()
 
-    def render_dense():
-        return render_epi(noisy_b, param, 256, 256, seed=0, workspace=workspace)
+    def render_dense(row_step=1):
+        return render_epi(noisy_b, param, 256, 256, seed=0, row_step=row_step, workspace=workspace)
 
-    def sparsity_cell():
-        spectrum = dft2_magnitude(render_dense(), window, workspace=workspace)
+    def sparsity_cell(row_step=1):
+        spectrum = dft2_magnitude(render_dense(row_step), window, workspace=workspace)
         return sparsity_rmse(spectrum, 0.01, workspace=workspace)
+
+    def sub8_sparsity_cell():
+        return sparsity_cell(row_step=8)
 
     def reconstruct_cell():
         dense = render_dense()
         rebuilt = render.reconstruct_epi(render.subsample_epi(dense, 64), 256, workspace=workspace)
         return render.psnr(dense.data, rebuilt.data, workspace=workspace)
 
-    for cell in (sparsity_cell, reconstruct_cell):
+    for cell in (sparsity_cell, sub8_sparsity_cell, reconstruct_cell):
         cell()
         tracemalloc.start()
         try:
@@ -455,8 +464,8 @@ def test_cold_sweep_cell_holds_two_float_grids_and_a_block(scene_b, cell):
     A Hann-windowed transform holds its taper in one float grid more.
     numpy 2 also buffers each ufunc call whose operands do not iterate as
     one flat run (a broadcast, an fftshift quadrant) in chunks of
-    np.getbufsize() elements, up to a few operands at once, and copies a
-    block of the spectrum whose EPI rows it overwrites; the bound allows 4
+    np.getbufsize() elements, up to a few operands at once, and copies the
+    one EPI row that the widening's last block overwrites; the bound allows 4
     float64 buffers of np.getbufsize() elements on top of the grids.
     """
     noisy_b = replace(scene_b, texture=TextureSpec(angular_bandwidth=5.0, noise_sigma=0.05))

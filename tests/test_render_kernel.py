@@ -84,6 +84,8 @@ def _same(new, old):
     x_old, hit_old, twice_old = old
     assert np.shape(x_new) == np.shape(x_old)
     assert np.array_equal(hit_new, hit_old)
+    # x is NaN exactly where a ray misses (layers_experiment's masks rely on it)
+    assert np.array_equal(np.isnan(x_new), np.logical_not(hit_new))
     assert np.array_equal(
         np.asarray(x_new, dtype=float).view(np.uint64),
         np.asarray(x_old, dtype=float).view(np.uint64),
@@ -281,6 +283,7 @@ def _cell(scene, param, n_s, n_u, k, workspace, seed=5):
     s_col = s_axis[::k, None]
     out = {}
     x, hit, _ = intersect_rays(param, scene.surface, s_col, u_axis[None, :], workspace=workspace)
+    assert np.array_equal(np.isnan(x), np.logical_not(hit))
     out["x"], out["hit"] = x.copy(), hit.copy()
     out["radiance"] = scene.texture.radiance(x, s_col, workspace=workspace).copy()
     epi = render_epi(scene, param, n_s, n_u, seed=seed, row_step=k, workspace=workspace)
@@ -404,8 +407,9 @@ def test_one_workspace_across_changing_shapes(scene_a, scene_b):
 
 
 # grids of several spectrum blocks, each with a factor that divides its
-# rows: odd and even row counts, rows that leave a short last block, and
-# rows longer than a block
+# rows: odd and even row counts, rows that leave a short last block, rows
+# longer than a block, and short grids whose halving widening schedule
+# takes a few one-row blocks (a subsample-8 cell among them)
 SPECTRUM_GRIDS = [
     ((256, 256), 4),
     ((257, 65), 1),
@@ -413,6 +417,11 @@ SPECTRUM_GRIDS = [
     ((63, 257), 3),
     ((3, BLOCK + 1), 3),
     ((4, BLOCK + 7), 2),
+    ((2, 256), 2),
+    ((3, 7), 3),
+    ((5, 256), 5),
+    ((33, 255), 3),
+    ((32, 256), 8),
 ]
 
 
