@@ -21,7 +21,7 @@ import numpy as np
 from .mapping import PlaneParam
 from .render import Epi
 from .scene import SceneDef, SurfaceSpec, _real_roots, fitted_line
-from .workspace import Workspace, scratch, scratch_blocks
+from .workspace import Workspace, scratch
 
 __all__ = [
     "SpectrumGrid",
@@ -66,10 +66,10 @@ def dft2_magnitude(
     taper; the transform is orthonormal, so in that case the squared
     magnitudes sum exactly to the EPI energy. With a workspace, the
     complex spectrum fills its whole "x" buffer and mag is the buffer's
-    first grid: an EPI rendered in the same workspace ("radiance", the
-    second grid) is widened into the spectrum in place and is spent once
-    it is transformed. Any other EPI that shares the spectrum's bytes is
-    copied first.
+    second grid. An EPI rendered in the same workspace ("radiance", also
+    the second grid) is widened into the spectrum in place and is spent
+    once it is transformed. Any other EPI that shares the spectrum's bytes
+    is copied first.
     """
     data = epi.data
     # fft2 would cast the real data into a fresh complex grid; the data is
@@ -102,36 +102,28 @@ def dft2_magnitude(
         a = b
     for axis in (1, 0):  # fft2's order, so the bits match
         np.fft.fft(spec, axis=axis, norm="ortho", out=spec)
+    # |spec| over the spectrum's first grid, in ascending row blocks [a, 2a):
+    # those float rows end where spectrum row a starts, so a block overwrites
+    # only spectrum rows already read. Row 0 goes out of place: it starts at
+    # its own source's address, an overlap numpy does not buffer.
+    absolute = spec.reshape(-1).view(float)[: spec.size].reshape(spec.shape)
+    absolute[0] = np.abs(spec[0])
+    a = 1
+    while a < epi.n_s:
+        b = min(epi.n_s, 2 * a)
+        np.abs(spec[a:b], out=absolute[a:b])
+        a = b
+    # the fftshift, as four quadrant copies into mag
     mag = scratch(workspace, "mag", data.shape)
-    # |fftshift(spec)| over the spectrum's first grid, where magnitude row r
-    # lies in spectrum row r // 2. The upper half, row h + i from spectrum
-    # row i, goes first and from its last block down, so it overwrites
-    # only rows read in its block or a block before; a block that
-    # overwrites its own source rows goes through the block buffer. The
-    # lower half reads spectrum rows from n_s - h on, which none overwrote.
-    h = epi.n_s // 2
-    for rows, block in reversed(list(scratch_blocks(workspace, (epi.n_s - h, epi.n_u)))):
-        dst, src = mag[h + rows.start : h + rows.stop], spec[rows]
-        if np.may_share_memory(dst, src):
-            _abs_shifted(src, block)
-            np.copyto(dst, block)
-        else:
-            _abs_shifted(src, dst)
-    _abs_shifted(spec[epi.n_s - h :], mag[:h])
+    hs, hu = epi.n_s // 2, epi.n_u // 2
+    ms, mu = epi.n_s - hs, epi.n_u - hu
+    mag[:hs, :hu] = absolute[ms:, mu:]
+    mag[:hs, hu:] = absolute[ms:, :mu]
+    mag[hs:, :hu] = absolute[:ms, mu:]
+    mag[hs:, hu:] = absolute[:ms, :mu]
     ws = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(epi.n_s, d=epi.ds))
     wu = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(epi.n_u, d=epi.du))
     return SpectrumGrid(mag, ws, wu)
-
-
-def _abs_shifted(spec: np.ndarray, out: np.ndarray) -> None:
-    """|spec| into out with the columns fftshifted; out is C-contiguous."""
-    n = spec.shape[1]
-    h = n // 2
-    if n % 2 == 0:  # the column halves swap in one call, through a view
-        np.abs(spec.reshape(-1, 2, h)[:, ::-1], out=out.reshape(-1, 2, h))
-        return
-    np.abs(spec[:, n - h :], out=out[:, :h])
-    np.abs(spec[:, : n - h], out=out[:, h:])
 
 
 def sparsity_rmse(

@@ -28,9 +28,9 @@ per pixel), and a Hann-windowed transform one float grid more. A float
 grid counts one float64:
 
     buffer    grids  roles
-    x         2      grid 0: x, then rebuilt or mag; grid 1: the planar
+    x         2      grid 0: x, then rebuilt or t1; grid 1: the planar
                      intersection's b or the curved one's temporaries,
-                     then radiance, then t1 (each is spent once the next
+                     then radiance, then mag (each is spent once the next
                      is computed); dft2_magnitude's complex spectrum is
                      the whole buffer, widened from an EPI in grid 1
     block     -      one block of rows (scratch_blocks)
@@ -46,17 +46,17 @@ grow the buffer, which drops its contents, so it asks for them before x.
 
 A temporary needed one block of rows at a time comes from scratch_blocks:
 the block buffer of _BLOCK_ITEMS elements (128 KiB of float64), reused
-block after block. The albedo's per-frequency term, a reconstruction's
-far rows, and the rows of dft2_magnitude's magnitude step whose output
-covers their own spectrum rows take it that way (its widening of the EPI
-into the spectrum needs no block). A reconstruction cell writes grids 0
-and 1 of x and the block, and no float byte besides.
+block after block. The albedo's per-frequency term and a reconstruction's
+far rows take it that way; dft2_magnitude needs no block. A
+reconstruction cell writes grids 0 and 1 of x and the block, and no
+float byte besides.
 
 A result stays valid until the next call that writes any role sharing
 its bytes: rebuilt overwrites x, mag overwrites x and radiance, t1
-overwrites radiance, psnr overwrites rebuilt, and the next intersect_rays
-overwrites x and radiance. Keep a copy of anything needed past that. A
-workspace is not thread safe: give each worker thread its own.
+overwrites x and rebuilt, psnr overwrites rebuilt, and the next
+intersect_rays overwrites x and radiance. Keep a copy of anything needed
+past that. A workspace is not thread safe: give each worker thread its
+own.
 """
 
 from __future__ import annotations
@@ -75,10 +75,10 @@ _BLOCK_ITEMS = 1 << 14
 # role -> (buffer, offset in float grids), for the roles that share bytes
 _SHARED = {
     "rebuilt": ("x", 0),
-    "mag": ("x", 0),
     "spectrum": ("x", 0),
+    "t1": ("x", 0),
     "radiance": ("x", 1),
-    "t1": ("x", 1),
+    "mag": ("x", 1),
 }
 _GRIDS = {"x": 2}  # float grids a shared buffer is allocated with
 _GRID_ITEMSIZE = np.dtype(float).itemsize

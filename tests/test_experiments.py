@@ -463,10 +463,11 @@ def test_cold_sweep_cell_holds_two_float_grids_and_a_block(scene_b, cell):
 
     A Hann-windowed transform holds its taper in one float grid more.
     numpy 2 also buffers each ufunc call whose operands do not iterate as
-    one flat run (a broadcast, an fftshift quadrant) in chunks of
-    np.getbufsize() elements, up to a few operands at once, and copies the
-    one EPI row that the widening's last block overwrites; the bound allows 4
-    float64 buffers of np.getbufsize() elements on top of the grids.
+    one flat run (a broadcast) in chunks of np.getbufsize() elements, up
+    to a few operands at once, and copies the one EPI row that the
+    widening's last block overwrites; the magnitude's row 0 takes one row
+    of its own. The bound allows 4 float64 buffers of np.getbufsize()
+    elements on top of the grids.
     """
     noisy_b = replace(scene_b, texture=TextureSpec(angular_bandwidth=5.0, noise_sigma=0.05))
     param = PlaneParam(1.0, 1.5, 17.0)
@@ -495,6 +496,31 @@ def test_cold_sweep_cell_holds_two_float_grids_and_a_block(scene_b, cell):
     assert peak < bound, peak / grid
 
 
+def _recording_workspace(asked):
+    """A Workspace class whose instances add each role they are asked for to `asked`."""
+
+    class RecordingWorkspace(Workspace):
+        def array(self, name, shape, dtype=float):
+            asked.add(name)
+            return super().array(name, shape, dtype)
+
+    return RecordingWorkspace
+
+
+@pytest.mark.parametrize(
+    "window, roles", [("rect", {"spectrum", "mag"}), ("hann", {"spectrum", "taper", "mag"})]
+)
+def test_transform_asks_for_these_roles(scene_b, window, roles):
+    """The transform of a rendered EPI takes no block: the magnitude is one
+    pass of |spectrum| in place and one fftshift into mag."""
+    asked = set()
+    workspace = _recording_workspace(asked)()
+    epi = render_epi(scene_b, PlaneParam(1.0, 1.5, 17.0), 256, 256, workspace=workspace)
+    asked.clear()
+    dft2_magnitude(epi, window, workspace=workspace)
+    assert asked == roles
+
+
 @pytest.mark.parametrize(
     "preset, roles",
     [
@@ -510,13 +536,7 @@ def test_reconstruct_cell_asks_for_these_roles(monkeypatch, preset, roles):
     the next test).
     """
     asked = set()
-
-    class RecordingWorkspace(Workspace):
-        def array(self, name, shape, dtype=float):
-            asked.add(name)
-            return super().array(name, shape, dtype)
-
-    monkeypatch.setattr(experiments, "Workspace", RecordingWorkspace)
+    monkeypatch.setattr(experiments, "Workspace", _recording_workspace(asked))
     sweep_reconstruction(load_preset(preset), [1.5], [17.0], factor=64, n_s=256, n_u=256)
     assert asked == roles
 

@@ -406,10 +406,12 @@ def test_one_workspace_across_changing_shapes(scene_a, scene_b):
         _same_cell(reused, _cell(scene, param, n_s, n_u, k, None))
 
 
-# grids of several spectrum blocks, each with a factor that divides its
-# rows: odd and even row counts, rows that leave a short last block, rows
-# longer than a block, and short grids whose halving widening schedule
-# takes a few one-row blocks (a subsample-8 cell among them)
+# grids with a factor that divides their rows: odd and even row and
+# column counts (the fftshift's quadrants), row counts that are and are
+# not a power of two (the magnitude's doubling blocks [a, 2a) end short
+# or not), rows longer than a scratch block, short grids whose halving
+# widening takes a few one-row blocks (a subsample-8 cell among them), and
+# a two-column grid, whose quadrants are one column wide
 SPECTRUM_GRIDS = [
     ((256, 256), 4),
     ((257, 65), 1),
@@ -422,15 +424,17 @@ SPECTRUM_GRIDS = [
     ((5, 256), 5),
     ((33, 255), 3),
     ((32, 256), 8),
+    ((3, 2), 3),
 ]
 
 
 @pytest.mark.parametrize("grid, k", SPECTRUM_GRIDS)
 def test_spectrum_of_an_epi_in_its_workspace_matches_the_oracle(scene_b, grid, k):
-    # a rendered EPI is widened into the spectrum in place and the magnitude
-    # written over the spectrum, block by block; a rebuilt EPI sits in the
-    # spectrum's first grid, where widening in place would overwrite EPI
-    # rows before it reads them
+    # a rendered EPI is widened into the spectrum in place, |spectrum|
+    # written over the spectrum's first grid in doubling row blocks and
+    # fftshifted from there into mag; a rebuilt EPI sits in the spectrum's
+    # first grid, where widening in place would overwrite EPI rows before
+    # it reads them
     noisy_b = SceneDef(scene_b.surface, TextureSpec(angular_bandwidth=5.0, noise_sigma=0.05), "B")
     param = PlaneParam(1.0, 1.5, 17.0)
     workspace = Workspace()
