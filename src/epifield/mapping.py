@@ -144,12 +144,13 @@ def intersect_rays(
 ):
     """Vectorized ray/surface intersection.
 
-    Returns (x, hit, twice). x holds the lateral coordinate of the
-    crossing with the smallest positive depth inside the surface extent
-    and is NaN where the ray misses; hit is the boolean mask of valid
-    entries; twice counts the rays with two distinct such crossings, which
-    see the surface occlude itself (0 on a planar surface). Substituting
-    the ray into the quadratic profile gives
+    Returns (x, hit, twice). x holds the lateral coordinate of the ray's
+    crossing inside the surface extent, where SurfaceSpec keeps the depth
+    positive, and is NaN where the ray misses; hit is the boolean mask of
+    valid entries; twice counts the rays with two distinct such crossings,
+    which see the surface occlude itself (0 on a planar surface). Depths
+    are evaluated only to decide between two crossings: the one with the
+    smaller depth wins. Substituting the ray into the quadratic profile gives
 
         quad * A * x**2 + (tan(tilt_s) * A - focal * depth) * x
             + (z0 * A + s * focal * depth) = 0,  A = u * scale * depth - s * focal,
@@ -259,33 +260,28 @@ def _quadratic_root(surface: SurfaceSpec, aa, bb, cc, qq, four_ac, hit, m1, m2):
         np.negative(bb, out=qq, where=np.equal(aa, 0.0, out=m1))
     r1 = np.divide(qq, aa, out=aa)
     r2 = np.divide(cc, qq, out=cc)
-    # an invalid root gets depth inf, so the nearer valid root wins;
-    # SurfaceSpec bounds the depth, so every valid depth is finite
-    v1, z1 = _root_depth(surface, r1, bb, four_ac, hit, m1)
-    v2, z2 = _root_depth(surface, r2, qq, four_ac, m2, m1)
-    # a ray with two valid, distinct roots meets the surface twice
+    # SurfaceSpec keeps the depth positive on the whole extent, so a root
+    # inside the extent is in front of the cameras: the range check alone
+    # decides whether either root is valid
+    lo, hi = surface.x_range
+    v1 = np.greater_equal(r1, lo, out=hit)
+    v1 &= np.less_equal(r1, hi, out=m1)
+    v2 = np.greater_equal(r2, lo, out=m2)
+    v2 &= np.less_equal(r2, hi, out=m1)
+    # a ray with two valid, distinct roots meets the surface twice, and
+    # only there do the depths decide: the nearer crossing wins
     twice = np.not_equal(r1, r2, out=m1)
     twice &= v1
     twice &= v2
     n_twice = int(np.count_nonzero(twice))
-    np.copyto(r1, r2, where=np.less(z2, z1, out=m1))
+    if n_twice:
+        both = np.nonzero(twice)
+        x1, x2 = r1[both], r2[both]
+        r1[both] = np.where(surface.depth(x2) < surface.depth(x1), x2, x1)
+    np.copyto(r1, r2, where=np.logical_not(v1, out=m1))
     v1 |= v2
     np.copyto(r1, np.nan, where=np.logical_not(v1, out=m1))
     return n_twice
-
-
-def _root_depth(surface: SurfaceSpec, r, z, sq, ok, m1):
-    lo, hi = surface.x_range
-    z = np.multiply(r, surface.tilt_slope, out=z)
-    z += surface.z0
-    np.square(r, out=sq)
-    sq *= surface.quad
-    z += sq
-    ok = np.greater_equal(r, lo, out=ok)
-    ok &= np.less_equal(r, hi, out=m1)
-    ok &= np.greater(z, 0.0, out=m1)
-    np.copyto(z, np.inf, where=np.logical_not(ok, out=m1))
-    return ok, z
 
 
 def rewarp_coords(src: PlaneParam, dst: PlaneParam, s, u_src):

@@ -124,6 +124,9 @@ def test_kernel_matches_oracle_on_random_rays(param, surface, seed):
 
 
 @given(param=planes, surface=surfaces)
+# 15 of these rays meet the surface twice; on one, s = -0.1238..., the roots
+# are 1 ulp apart at x = 0.4667 and their depths tie, so r1 must be kept
+@example(param=PlaneParam(1.5, math.inf), surface=SurfaceSpec(1.0, 0.0, 3.0, (0.0, 1.0)))
 def test_kernel_matches_oracle_on_grazing_rays(param, surface):
     s, u = _grazing_rays(param, surface, 16)
     assume(s.size > 0)

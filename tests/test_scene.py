@@ -52,6 +52,10 @@ def test_surface_validation():
     # dips behind the camera line at the left edge
     with pytest.raises(SceneGeometryError):
         SurfaceSpec(0.1, -80.0, 0.0, (-1.0, 1.0))
+    # depth 2.2 at both ends but -0.05 at the interior vertex x = 0.5; the
+    # intersection's range check relies on this refusal for z > 0
+    with pytest.raises(SceneGeometryError):
+        SurfaceSpec(0.2, -45.0, 1.0, (-1.0, 2.0))
 
 
 def test_surface_depth_bound_stays_below_1e300():
