@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -152,14 +153,9 @@ def _cmd_spectrum(args, cfg: RunConfig) -> int:
     surface = cfg.scene.surface
     bounds = plane_fan(cfg.plane, surface, margin=cfg.scene.texture.angular_bandwidth)
     z_min, z_max = surface.depth_extremes()
-    bounds_lines = [
-        f"window = {window}",
-        f"slope_lo = {bounds.slope_lo!r}",
-        f"slope_hi = {bounds.slope_hi!r}",
-        f"margin = {bounds.margin!r}",
-        f"z_min = {z_min!r}",
-        f"z_max = {z_max!r}",
-    ]
+    bounds_lines = [f"window = {window}"]
+    bounds_lines += [f"{f.name} = {getattr(bounds, f.name)!r}" for f in fields(bounds)]
+    bounds_lines += [f"z_min = {z_min!r}", f"z_max = {z_max!r}"]
     bounds_path.write_text("\n".join(bounds_lines) + "\n")
     paths.append(bounds_path)
     _write_manifest(out, "spectrum", cfg, paths)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import configparser
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -84,43 +84,33 @@ class RunConfig:
     def canonical(self) -> str:
         """Deterministic one-line-per-field rendering of the semantic fields.
 
-        The seed is recorded separately in manifests and out_dir/threads do
-        not change results, so none of them enter the hash.
+        Every field of the plane, the surface and the texture enters, and
+        every [grid] and [run] key outside _UNHASHED.
         """
-        surf = self.scene.surface
-        tex = self.scene.texture
-        fields = {
-            "grid.n_s": str(self.n_s),
-            "grid.n_u": str(self.n_u),
-            "plane.depth": repr(self.plane.depth),
-            "plane.focal": repr(self.plane.focal),
-            "plane.s_max": repr(self.plane.s_max),
-            "plane.tilt_deg": repr(self.plane.tilt_deg),
-            "plane.u_max": repr(self.plane.u_max),
-            "run.keep_fraction": repr(self.keep_fraction),
-            "run.subsample_factor": str(self.subsample_factor),
-            "run.window": self.window or "auto",
-            "scene.name": self.scene.name,
-            "scene.quad": repr(surf.quad),
-            "scene.tilt_deg": repr(surf.tilt_deg),
-            "scene.x_range": repr(surf.x_range),
-            "scene.z0": repr(surf.z0),
-            "texture.angular_bandwidth": repr(tex.angular_bandwidth),
-            "texture.noise_sigma": repr(tex.noise_sigma),
-            "texture.omegas": " ".join(repr(w) for w in tex.omegas),
+        records = {"plane": self.plane, "scene": self.scene.surface, "texture": self.scene.texture}
+        lines = {
+            f"{section}.{f.name}": repr(getattr(record, f.name))
+            for section, record in records.items()
+            for f in fields(record)
         }
+        lines["texture.omegas"] = " ".join(map(repr, self.scene.texture.omegas))
+        lines["scene.name"] = self.scene.name
+        for section in ("grid", "run"):
+            for key in _SECTIONS[section].keys() - _UNHASHED:
+                lines[f"{section}.{key}"] = str(getattr(self, key))
+        lines["run.window"] = self.window or "auto"
         if self.sweep is not None:
-            fields["sweep.depths"] = (
+            lines["sweep.depths"] = (
                 f"{self.sweep.depth_min!r} {self.sweep.depth_max!r} {self.sweep.depth_count}"
             )
-            fields["sweep.tilts"] = (
+            lines["sweep.tilts"] = (
                 f"{self.sweep.tilt_min!r} {self.sweep.tilt_max!r} {self.sweep.tilt_count}"
             )
-            fields["sweep.factor"] = str(self.sweep.factor)
+            lines["sweep.factor"] = str(self.sweep.factor)
         if self.layers is not None:
-            fields["layers.layer_counts"] = " ".join(map(str, self.layers.layer_counts))
-            fields["layers.factors"] = " ".join(map(str, self.layers.factors))
-        return "\n".join(f"{k} = {v}" for k, v in sorted(fields.items()))
+            lines["layers.layer_counts"] = " ".join(map(str, self.layers.layer_counts))
+            lines["layers.factors"] = " ".join(map(str, self.layers.factors))
+        return "\n".join(f"{k} = {v}" for k, v in sorted(lines.items()))
 
     def config_hash(self) -> str:
         # CPython's own SHA-256: hashlib loads OpenSSL (3.5 MB resident) for 500 bytes
@@ -223,6 +213,9 @@ _SECTIONS: dict[str, dict[str, _Key]] = {
 
 # the CLI flag behind each override of a [run] key
 _FLAGS = {"seed": "--seed", "out_dir": "--out", "threads": "--threads"}
+# [run] keys outside the config hash: manifests record the seed apart, and
+# out_dir and threads do not change results
+_UNHASHED = {"seed", "out_dir", "threads"}
 
 
 def _read(parser, name: str, origin: str, overrides: dict | None = None) -> dict:

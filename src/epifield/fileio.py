@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import configparser
 import csv
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .experiments import LayersResult, SweepResult
-from .mapping import PlaneParam
 from .render import Epi
 from .spectral import SpectrumGrid
 
@@ -45,16 +45,6 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _param_section(param: PlaneParam) -> dict[str, str]:
-    return {
-        "focal": _format_float(param.focal),
-        "depth": _format_float(param.depth),
-        "tilt_deg": _format_float(param.tilt_deg),
-        "s_max": _format_float(param.s_max),
-        "u_max": _format_float(param.u_max),
-    }
-
-
 def write_epi(epi: Epi, stem) -> tuple[Path, Path]:
     """Write <stem>.pgm (quantized view) and <stem>.meta (lossless sidecar)."""
     stem = Path(stem)
@@ -73,7 +63,7 @@ def write_epi(epi: Epi, stem) -> tuple[Path, Path]:
         "u_first": _format_float(epi.u_axis[0]),
         "u_last": _format_float(epi.u_axis[-1]),
     }
-    meta["param"] = _param_section(epi.param)
+    meta["param"] = {f.name: _format_float(getattr(epi.param, f.name)) for f in fields(epi.param)}
     meta_path = stem.with_suffix(".meta")
     with open(meta_path, "w") as fh:
         meta.write(fh)

@@ -166,7 +166,8 @@ def intersect_rays(
     ceil(rows / 4) rows, so that a block's four temporaries fit in one
     grid; every step is elementwise, so the bits do not depend on the
     blocks. With a workspace, x and hit are its "x" and "hit" roles, and
-    the planar b or the curved temporaries sit in its "radiance" role.
+    the planar b or the curved temporaries sit in its "radiance" role. An
+    empty grid returns empty x and hit of its shape and a count of 0.
     """
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -204,7 +205,7 @@ def _coefficients(param: PlaneParam, surface: SurfaceSpec, s, u, aa, bb, cc):
 def _curved_blocks(param: PlaneParam, surface: SurfaceSpec, s, u, shape, workspace):
     grid = shape or (1,)  # a single ray solves as one row
     n = grid[0]
-    block = -(-n // 4) if math.prod(shape) >= _SPLIT_MIN_RAYS else n
+    block = -(-n // 4) if math.prod(shape) >= _SPLIT_MIN_RAYS else max(n, 1)  # step 1 on 0 rows
     # the temporaries before x: four blocks over more than the grid grow its buffer
     temps = scratch(workspace, "radiance", (4, block) + grid[1:])
     x = scratch(workspace, "x", shape)

@@ -3,6 +3,7 @@ import importlib.resources
 import math
 import re
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 from textwrap import dedent
 
@@ -11,6 +12,7 @@ import pytest
 import epifield
 from epifield.cli import main
 from epifield.config import (
+    _SECTIONS,
     ConfigError,
     LayersSpec,
     SweepSpec,
@@ -18,7 +20,7 @@ from epifield.config import (
     load_preset,
 )
 from epifield.mapping import DEFAULT_U_MAX, PlaneParam
-from epifield.scene import DEFAULT_OMEGAS
+from epifield.scene import DEFAULT_OMEGAS, SurfaceSpec, TextureSpec
 from epifield.spectral import plane_fan
 
 FULL_CONFIG = dedent(
@@ -185,6 +187,39 @@ def test_config_hash_ignores_run_housekeeping(tmp_path):
     bumped = load_config(_write(tmp_path, FULL_CONFIG.replace("n_s = 64", "n_s = 128"), "b.cfg"))
     assert bumped.config_hash() != base
     assert re.fullmatch(r"[0-9a-f]{64}", base)
+
+
+def _another(value):
+    """A different valid setting of the same type as value."""
+    if isinstance(value, tuple):
+        return tuple(map(_another, value))
+    if isinstance(value, str):
+        return {"hann": "rect", "rect": "hann"}[value]
+    return value + 1 if isinstance(value, int) else value * 1.01
+
+
+def test_config_hash_covers_every_result_setting(tmp_path):
+    cfg = load_config(_write(tmp_path, FULL_CONFIG))
+    scene = cfg.scene
+
+    def swapped(record, name):
+        return replace(record, **{name: _another(getattr(record, name))})
+
+    variants = {}
+    for f in fields(PlaneParam):
+        variants[f"plane.{f.name}"] = replace(cfg, plane=swapped(cfg.plane, f.name))
+    for f in fields(SurfaceSpec):
+        surface = swapped(scene.surface, f.name)
+        variants[f"scene.{f.name}"] = replace(cfg, scene=replace(scene, surface=surface))
+    for f in fields(TextureSpec):
+        texture = swapped(scene.texture, f.name)
+        variants[f"texture.{f.name}"] = replace(cfg, scene=replace(scene, texture=texture))
+    for section in ("grid", "run"):
+        # test_config_hash_ignores_run_housekeeping covers the other three
+        for key in _SECTIONS[section].keys() - {"seed", "out_dir", "threads"}:
+            variants[f"{section}.{key}"] = swapped(cfg, key)
+    base = cfg.config_hash()
+    assert [name for name, variant in variants.items() if variant.config_hash() == base] == []
 
 
 def test_config_hash_falls_back_to_hashlib(tmp_path, monkeypatch):

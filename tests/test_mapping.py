@@ -181,6 +181,18 @@ def test_scalar_intersection_is_the_one_ray_call(
     assert type(twice) is int and twice == twice1 in (0, 1)
 
 
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0,)], ids=["0x4", "4x0", "0"])
+@pytest.mark.parametrize("quad", [0.0, -0.4], ids=["planar", "curved"])
+@pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "workspace"])
+def test_an_empty_grid_returns_empty_results(shape, quad, reuse):
+    surface = SurfaceSpec(1.5, 17.0, quad, (-0.8, 0.8))
+    workspace = Workspace() if reuse else None
+    s, u = np.zeros(shape), np.zeros(shape)
+    x, hit, twice = intersect_rays(PlaneParam(), surface, s, u, workspace=workspace)
+    assert x.shape == hit.shape == shape and x.dtype == float and hit.dtype == bool
+    assert type(twice) is int and twice == 0
+
+
 def test_vanishing_leading_coefficient_takes_the_linear_root():
     # quad * A underflows to zero while b * b overflows: the root pair must
     # still return the linear root -c / b, not c / inf = 0
